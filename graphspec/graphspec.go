@@ -27,11 +27,17 @@
 // bit-identical, so the choice never changes a simulation's sample path.
 //
 // Parse performs the syntax split and validates the family name; Build
-// constructs the graph. The one-shot helper Build(spec, seed) does both.
+// checks the arguments against the family constructor's preconditions
+// (sizes in range, a vertex count that fits the backends' int32 vertex
+// ids), so an out-of-range argument is an error rather than a panic, and
+// constructs the graph. Build cost is not bounded: a valid spec may still
+// describe a very large CSR graph. The one-shot helper Build(spec, seed)
+// does both.
 package graphspec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -108,9 +114,17 @@ type builder struct {
 	build  func(s Spec, r *rng.Source) (graph.Graph, error)
 }
 
+// maxVertices is the largest vertex count a spec may ask for: every
+// backend indexes vertices with int32.
+const maxVertices = math.MaxInt32
+
+// maxLevels bounds tree depths and hypercube dimensions so 2^levels
+// vertices fit maxVertices.
+const maxLevels = 30
+
 var builders = map[string]builder{
 	"path": {build: func(s Spec, _ *rng.Source) (graph.Graph, error) {
-		n, err := atoi(s, s.Args)
+		n, err := atoiRange(s, s.Args, "N", 1, maxVertices)
 		if err != nil {
 			return nil, err
 		}
@@ -120,17 +134,14 @@ var builders = map[string]builder{
 		return graph.Path(n), nil
 	}},
 	"cycle": {build: func(s Spec, _ *rng.Source) (graph.Graph, error) {
-		n, err := atoi(s, s.Args)
+		n, err := atoiRange(s, s.Args, "N", 3, maxVertices)
 		if err != nil {
 			return nil, err
 		}
-		if n >= 3 {
-			return graph.ImplicitCycle(n), nil
-		}
-		return graph.Cycle(n), nil
+		return graph.ImplicitCycle(n), nil
 	}},
 	"complete": {build: func(s Spec, _ *rng.Source) (graph.Graph, error) {
-		n, err := atoi(s, s.Args)
+		n, err := atoiRange(s, s.Args, "N", 1, maxVertices)
 		if err != nil {
 			return nil, err
 		}
@@ -140,28 +151,48 @@ var builders = map[string]builder{
 		return graph.Complete(n), nil
 	}},
 	"hypercube": {build: func(s Spec, _ *rng.Source) (graph.Graph, error) {
-		k, err := atoi(s, s.Args)
+		k, err := atoiRange(s, s.Args, "K", 1, maxLevels)
 		if err != nil {
 			return nil, err
 		}
 		// Small hypercubes walk faster on a cache-resident CSR adjacency
 		// (see the footprint gate in internal/graph); large ones go
 		// implicit, which is also the only way to fit k >= 27 in RAM.
-		if k >= 1 && k <= 30 && !graph.HypercubePrefersCSR(k) {
+		if !graph.HypercubePrefersCSR(k) {
 			return graph.ImplicitHypercube(k), nil
 		}
 		return graph.Hypercube(k), nil
 	}},
-	"star":     {build: intArg(graph.Star)},
-	"bintree":  {build: intArg(graph.CompleteBinaryTree)},
-	"lollipop": {build: intArg(graph.Lollipop)},
-	"hair":     {build: intArg(graph.CliqueWithHair)},
-	"pimple": {build: intPairArg("N,H", func(n, h int) *graph.CSR {
-		return graph.CliqueWithHairOnPimple(n, h)
-	})},
-	"treepath": {build: intPairArg("LEVELS,PATHLEN", func(lv, pl int) *graph.CSR {
-		return graph.BinaryTreeWithPath(lv, pl)
-	})},
+	"star":     {build: intArg(graph.Star, 1, maxVertices)},
+	"bintree":  {build: intArg(graph.CompleteBinaryTree, 1, maxLevels)},
+	"lollipop": {build: intArg(graph.Lollipop, 4, maxVertices)},
+	"hair":     {build: intArg(graph.CliqueWithHair, 3, maxVertices)},
+	"pimple": {build: func(s Spec, _ *rng.Source) (graph.Graph, error) {
+		vs, err := intPair(s, "N,H")
+		if err != nil {
+			return nil, err
+		}
+		if err := inRange(s, "N", vs[0], 5, maxVertices); err != nil {
+			return nil, err
+		}
+		if err := inRange(s, "H", vs[1], 2, vs[0]-2); err != nil {
+			return nil, err
+		}
+		return graph.CliqueWithHairOnPimple(vs[0], vs[1]), nil
+	}},
+	"treepath": {build: func(s Spec, _ *rng.Source) (graph.Graph, error) {
+		vs, err := intPair(s, "LEVELS,PATHLEN")
+		if err != nil {
+			return nil, err
+		}
+		if err := inRange(s, "LEVELS", vs[0], 1, maxLevels); err != nil {
+			return nil, err
+		}
+		if err := inRange(s, "PATHLEN", vs[1], 1, maxVertices-(1<<vs[0]-1)); err != nil {
+			return nil, err
+		}
+		return graph.BinaryTreeWithPath(vs[0], vs[1]), nil
+	}},
 	"grid":  {build: gridArg},
 	"torus": {build: gridArg},
 	"circulant": {build: func(s Spec, _ *rng.Source) (graph.Graph, error) {
@@ -172,25 +203,32 @@ var builders = map[string]builder{
 		if len(vs) < 2 {
 			return nil, fmt.Errorf("graphspec: circulant wants N,S1[,S2...]")
 		}
+		if err := inRange(s, "N", vs[0], 3, maxVertices); err != nil {
+			return nil, err
+		}
 		return graph.ImplicitCirculant(vs[0], vs[1:])
 	}},
 	"regular": {random: true, build: func(s Spec, r *rng.Source) (graph.Graph, error) {
-		vs, err := ints(s, s.Args, ",")
+		vs, err := intPair(s, "N,D")
 		if err != nil {
 			return nil, err
 		}
-		if len(vs) != 2 {
-			return nil, fmt.Errorf("graphspec: regular wants N,D")
+		// The CSR adjacency holds N·D entries behind int32 offsets.
+		if err := inRange(s, "N", vs[0], 1, maxVertices); err != nil {
+			return nil, err
+		}
+		if vs[1] > 0 && vs[0] > maxVertices/vs[1] {
+			return nil, fmt.Errorf("graphspec: spec %q has more than %d adjacency entries", s.String(), maxVertices)
 		}
 		return graph.RandomRegular(vs[0], vs[1], r)
 	}},
 	"rregular": {random: true, build: func(s Spec, r *rng.Source) (graph.Graph, error) {
-		vs, err := ints(s, s.Args, ",")
+		vs, err := intPair(s, "N,D")
 		if err != nil {
 			return nil, err
 		}
-		if len(vs) != 2 {
-			return nil, fmt.Errorf("graphspec: rregular wants N,D")
+		if err := inRange(s, "N", vs[0], 3, maxVertices); err != nil {
+			return nil, err
 		}
 		// The permutation seed is a fixed function of the build seed, so
 		// (spec, seed) pins the instance like every other random family.
@@ -201,7 +239,7 @@ var builders = map[string]builder{
 		if !ok {
 			return nil, fmt.Errorf("graphspec: gnp wants N,P")
 		}
-		n, err := atoi(s, nStr)
+		n, err := atoiRange(s, nStr, "N", 1, maxVertices)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +250,7 @@ var builders = map[string]builder{
 		return graph.GNP(n, p, r)
 	}},
 	"tree": {random: true, build: func(s Spec, r *rng.Source) (graph.Graph, error) {
-		n, err := atoi(s, s.Args)
+		n, err := atoiRange(s, s.Args, "N", 1, maxVertices)
 		if err != nil {
 			return nil, err
 		}
@@ -260,6 +298,23 @@ func atoi(s Spec, v string) (int, error) {
 	return n, nil
 }
 
+// inRange reports an error unless lo <= n <= hi, naming the argument.
+func inRange(s Spec, name string, n, lo, hi int) error {
+	if n < lo || n > hi {
+		return fmt.Errorf("graphspec: %s = %d in spec %q out of range [%d, %d]", name, n, s.String(), lo, hi)
+	}
+	return nil
+}
+
+// atoiRange parses an integer argument and checks lo <= n <= hi.
+func atoiRange(s Spec, v, name string, lo, hi int) (int, error) {
+	n, err := atoi(s, v)
+	if err != nil {
+		return 0, err
+	}
+	return n, inRange(s, name, n, lo, hi)
+}
+
 func ints(s Spec, v, sep string) ([]int, error) {
 	parts := strings.Split(v, sep)
 	out := make([]int, len(parts))
@@ -273,10 +328,11 @@ func ints(s Spec, v, sep string) ([]int, error) {
 	return out, nil
 }
 
-// intArg adapts a single-integer CSR constructor.
-func intArg(ctor func(int) *graph.CSR) func(Spec, *rng.Source) (graph.Graph, error) {
+// intArg adapts a single-integer CSR constructor whose precondition is
+// lo <= n <= hi.
+func intArg(ctor func(int) *graph.CSR, lo, hi int) func(Spec, *rng.Source) (graph.Graph, error) {
 	return func(s Spec, _ *rng.Source) (graph.Graph, error) {
-		n, err := atoi(s, s.Args)
+		n, err := atoiRange(s, s.Args, "N", lo, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -284,18 +340,16 @@ func intArg(ctor func(int) *graph.CSR) func(Spec, *rng.Source) (graph.Graph, err
 	}
 }
 
-// intPairArg adapts a two-integer CSR constructor.
-func intPairArg(want string, ctor func(a, b int) *graph.CSR) func(Spec, *rng.Source) (graph.Graph, error) {
-	return func(s Spec, _ *rng.Source) (graph.Graph, error) {
-		vs, err := ints(s, s.Args, ",")
-		if err != nil {
-			return nil, err
-		}
-		if len(vs) != 2 {
-			return nil, fmt.Errorf("graphspec: %s wants %s", s.Kind, want)
-		}
-		return ctor(vs[0], vs[1]), nil
+// intPair splits an "INT,INT" argument pair.
+func intPair(s Spec, want string) ([]int, error) {
+	vs, err := ints(s, s.Args, ",")
+	if err != nil {
+		return nil, err
 	}
+	if len(vs) != 2 {
+		return nil, fmt.Errorf("graphspec: %s wants %s", s.Kind, want)
+	}
+	return vs, nil
 }
 
 func gridArg(s Spec, _ *rng.Source) (graph.Graph, error) {
@@ -303,16 +357,29 @@ func gridArg(s Spec, _ *rng.Source) (graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.Kind == "torus" {
+	torus := s.Kind == "torus"
+	n := 1
+	for _, side := range sides {
+		if err := inRange(s, "side", side, 1, maxVertices); err != nil {
+			return nil, err
+		}
+		if torus && side == 2 {
+			return nil, fmt.Errorf("graphspec: torus side 2 in spec %q would create parallel edges", s.String())
+		}
+		if n > maxVertices/side {
+			return nil, fmt.Errorf("graphspec: spec %q has more than %d vertices", s.String(), maxVertices)
+		}
+		n *= side
+	}
+	if torus {
 		// The torus is the flagship implicit family: the spec's sides are
-		// all Build needs, so no adjacency is ever constructed. Shapes
-		// the implicit backend cannot express (no effective dimension, or
-		// more than it can buffer) fall back to the CSR Grid, which
-		// applies the same side validations.
+		// all Build needs, so no adjacency is ever constructed. With the
+		// sides checked above, the only shapes the implicit backend
+		// rejects are those it cannot express (no effective dimension, or
+		// more than it supports), and those fall back to the CSR Grid.
 		if g, err := graph.ImplicitTorus(sides); err == nil {
 			return g, nil
 		}
-		return graph.Grid(sides, true), nil
 	}
-	return graph.Grid(sides, false), nil
+	return graph.Grid(sides, torus), nil
 }

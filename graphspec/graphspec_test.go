@@ -86,6 +86,47 @@ func TestBuildInvalid(t *testing.T) {
 	}
 }
 
+// Every family rejects arguments outside its constructor's preconditions
+// with an error, never a panic: a server builds specs from requests on a
+// job goroutine, where a panic would end the whole process.
+func TestBuildOutOfRange(t *testing.T) {
+	bad := map[string][]string{
+		"path":      {"path:0", "path:-3", "path:3000000000"},
+		"cycle":     {"cycle:2", "cycle:-1"},
+		"complete":  {"complete:0"},
+		"star":      {"star:0"},
+		"hypercube": {"hypercube:0", "hypercube:31"},
+		"bintree":   {"bintree:0", "bintree:31"},
+		"lollipop":  {"lollipop:3"},
+		"hair":      {"hair:2"},
+		"pimple":    {"pimple:4,2", "pimple:12,1", "pimple:12,11"},
+		"treepath":  {"treepath:0,4", "treepath:3,0", "treepath:31,1"},
+		"tree":      {"tree:0"},
+		"grid":      {"grid:3x0", "grid:65536x65536"},
+		// 65536x65536 overflows int32: it must not fall back to a CSR
+		// grid that enumerates every vertex.
+		"torus":     {"torus:4x2", "torus:0x4", "torus:65536x65536"},
+		"circulant": {"circulant:2,1", "circulant:3000000000,1"},
+		"rregular":  {"rregular:2,2", "rregular:3000000000,2"},
+		"regular":   {"regular:0,1", "regular:2147483647,2"},
+		"gnp":       {"gnp:0,0.5", "gnp:10,NaN"},
+		"wcomplete": {"wcomplete:1,1"},
+		"wcycle":    {"wcycle:2,1"},
+	}
+	for _, kind := range Kinds() {
+		if len(bad[kind]) == 0 {
+			t.Errorf("no out-of-range spec for family %q", kind)
+		}
+	}
+	for _, specs := range bad {
+		for _, spec := range specs {
+			if g, err := Build(spec, 1); err == nil {
+				t.Errorf("spec %q built %s", spec, g.Name())
+			}
+		}
+	}
+}
+
 func TestParse(t *testing.T) {
 	s, err := Parse("torus:16x16")
 	if err != nil {

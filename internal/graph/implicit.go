@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"dispersion/internal/rng"
@@ -107,7 +109,8 @@ func ImplicitHypercube(k int) *Implicit {
 }
 
 // maxTorusDims bounds the effective (side >= 3) dimensions of an implicit
-// torus so a step's candidate buffer fits on the stack.
+// torus, which bounds its move table (3^D rows) and lets a walk keep its
+// coordinates in a fixed-size stack array.
 const maxTorusDims = 8
 
 // ImplicitTorus returns the d-dimensional torus with the given side
@@ -115,6 +118,10 @@ const maxTorusDims = 8
 // Grid(sides, true). Sides of length 1 are allowed and contribute no
 // edges; sides of length 2 would create parallel edges and are rejected;
 // at least one side must be >= 3 and at most maxTorusDims may be.
+//
+// The graph stores no adjacency. With D >= 2 effective dimensions its
+// kernel holds a move table of 3^D·2D entries of 16 bytes, whatever the
+// side lengths: 576 B at D = 2, 2.5 KiB at D = 3, 1.6 MiB at D = 8.
 func ImplicitTorus(sides []int) (*Implicit, error) {
 	n, eff := 1, 0
 	for _, s := range sides {
@@ -150,17 +157,15 @@ func ImplicitTorus(sides []int) (*Implicit, error) {
 		g.kernel = cycleKernel{n: int32(n)}
 		return g, nil
 	}
-	k := torusKernel{n: int32(n)}
-	stride := 1
+	// Row-major order makes the last side the stride-1 dimension; sides
+	// of length 1 leave every stride unchanged.
+	effSides := make([]int32, 0, eff)
 	for d := len(sides) - 1; d >= 0; d-- {
 		if sides[d] >= 3 {
-			k.sides = append(k.sides, int32(sides[d]))
-			k.strides = append(k.strides, int32(stride))
+			effSides = append(effSides, int32(sides[d]))
 		}
-		stride *= sides[d]
 	}
-	k.deg = int32(2 * eff)
-	g.kernel = k
+	g.kernel = newTorusKernel(effSides)
 	return g, nil
 }
 
@@ -292,70 +297,164 @@ func insertSorted(buf []int32, i int, x int32) {
 	buf[j] = x
 }
 
-// torusKernel is the implicit kernel for d-dimensional tori with >= 2
-// effective dimensions: the 2d candidate neighbours (v ± stride with
-// wraparound per dimension) are computed arithmetically and
-// insertion-sorted on the stack, so the drawn index maps to sorted-CSR
-// order without any adjacency.
+// torusKernel is the implicit kernel for d-dimensional tori with D >= 2
+// effective dimensions. The sorted neighbour list of v depends only on
+// each dimension's boundary class — coordinate 0, interior, or side-1 —
+// because dimension d moves v by ±stride_d or ∓(side_d-1)·stride_d, and
+// every such offset is smaller in magnitude than stride_{d+1}. So the
+// kernel keeps one move table, built once per graph: row c (a base-3
+// class index, digit d being dimension d's class) lists the 2D moves in
+// sorted-neighbour order, and the drawn index i picks entry i of v's row.
+// The stateless Step, StepLane and nth find v's row from its coordinates,
+// computed by multiply-based division; WalkUntilVacant computes the
+// coordinates once per walk and then advances them with v, so a step is
+// one bounded draw and one table lookup.
 type torusKernel struct {
-	n       int32
-	sides   []int32
-	strides []int32
-	deg     int32
+	deg   int32
+	dims  []torusDim  // effective dimensions, stride 1 first
+	moves []torusMove // 3^D rows of deg entries, indexed by class
+}
+
+// torusDim is one effective dimension of an implicit torus.
+type torusDim struct {
+	side  int32
+	pow3  int32  // weight of the dimension's digit in a class index
+	recip uint64 // ⌈2^64/side⌉: x/side is the high word of recip·x for 32-bit x
+}
+
+// torusMove is one entry of the move table: the i-th sorted neighbour of
+// a vertex of the row's class, as a change to the vertex and to its
+// coordinate along the dimension moved.
+type torusMove struct {
+	off int32 // neighbour - v
+	dc  int32 // coordinate change: ±1, or ∓(side-1) across the wrap
+	mid int32 // the row's class index with dim's digit set to interior
+	dim int32
+}
+
+// newTorusKernel builds the kernel and its move table for the effective
+// sides, given stride-1 dimension first.
+func newTorusKernel(sides []int32) torusKernel {
+	k := torusKernel{deg: int32(2 * len(sides)), dims: make([]torusDim, len(sides))}
+	rows, stride := int32(1), int32(1)
+	var strides [maxTorusDims]int32
+	for d, side := range sides {
+		k.dims[d] = torusDim{side: side, pow3: rows, recip: ^uint64(0)/uint64(side) + 1}
+		strides[d] = stride
+		rows *= 3
+		stride *= side
+	}
+	k.moves = make([]torusMove, int(rows)*int(k.deg))
+	for cls := int32(0); cls < rows; cls++ {
+		row := k.moves[int(cls*k.deg):int((cls+1)*k.deg)]
+		for d, td := range k.dims {
+			digit := cls / td.pow3 % 3
+			mid := cls + (1-digit)*td.pow3
+			last, s := td.side-1, strides[d]
+			up := torusMove{off: s, dc: 1, mid: mid, dim: int32(d)}
+			if digit == 2 {
+				up.off, up.dc = -last*s, -last
+			}
+			down := torusMove{off: -s, dc: -1, mid: mid, dim: int32(d)}
+			if digit == 0 {
+				down.off, down.dc = last*s, last
+			}
+			row[2*d], row[2*d+1] = up, down
+		}
+		slices.SortFunc(row, func(a, b torusMove) int { return cmp.Compare(a.off, b.off) })
+	}
+	return k
+}
+
+// locate writes v's coordinates into coord and returns its class index.
+func (k torusKernel) locate(v int32, coord *[maxTorusDims]int32) int32 {
+	x, cls := uint64(v), int32(0)
+	for d, td := range k.dims {
+		q, _ := bits.Mul64(td.recip, x)
+		c := int32(x - q*uint64(td.side))
+		x = q
+		coord[d&(maxTorusDims-1)] = c
+		// The digit is (c > 0) + (c == side-1), computed from sign bits
+		// so random coordinates cost no branch mispredictions.
+		digit := int32(uint32(-c)>>31) + int32(1^uint32(c-td.side+1)>>31)
+		cls += digit * td.pow3
+	}
+	return cls
+}
+
+// row returns the move-table row of v's class.
+func (k torusKernel) row(v int32) []torusMove {
+	var coord [maxTorusDims]int32
+	i := int(k.locate(v, &coord) * k.deg)
+	return k.moves[i : i+int(k.deg)]
 }
 
 // Kind returns "torus".
 func (torusKernel) Kind() string { return "torus" }
 
-// neighbors fills buf with the sorted neighbour list of v.
-func (k torusKernel) neighbors(v int32, buf []int32) {
-	i := 0
-	for d := range k.sides {
-		side, stride := k.sides[d], k.strides[d]
-		c := (v / stride) % side
-		up := v + stride
-		if c == side-1 {
-			up = v - (side-1)*stride
-		}
-		down := v - stride
-		if c == 0 {
-			down = v + (side-1)*stride
-		}
-		insertSorted(buf, i, up)
-		i++
-		insertSorted(buf, i, down)
-		i++
-	}
-}
-
 // Step returns a uniformly random torus neighbour of v.
 func (k torusKernel) Step(v int32, r *rng.Source) int32 {
-	var buf [2 * maxTorusDims]int32
-	k.neighbors(v, buf[:])
-	return buf[r.Int31n(k.deg)]
+	return v + k.row(v)[r.Int31n(k.deg)].off
 }
 
-// WalkUntilVacant walks v to the first vacant vertex (or the budget).
+// WalkUntilVacant walks v to the first vacant vertex (or the budget),
+// tracking v's coordinates and class index across the walk so each step
+// is a draw and a table lookup. The generator state lives in locals for
+// the whole walk.
 func (k torusKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
+	if occ[v] != epoch {
+		return v, 0
+	}
+	var coord, last, pow3 [maxTorusDims]int32
+	for d, td := range k.dims {
+		last[d&(maxTorusDims-1)], pow3[d&(maxTorusDims-1)] = td.side-1, td.pow3
+	}
+	cls := k.locate(v, &coord)
+	moves, deg := k.moves, int(k.deg)
+	un := uint64(deg)
+	thresh := -un % un
+	st := r.State()
 	var steps int64
 	for occ[v] == epoch {
-		if !lazy || !r.Bool() {
-			v = k.Step(v, r)
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		if x&1 == 0 {
+			// Intn(deg)'s draw law, with its rejection threshold hoisted.
+			st, x = st.Next()
+			hi, lo := bits.Mul64(x, un)
+			for lo < thresh {
+				st, x = st.Next()
+				hi, lo = bits.Mul64(x, un)
+			}
+			m := moves[int(cls)*deg+int(hi)]
+			v += m.off
+			d := m.dim & (maxTorusDims - 1) // the mask drops the bounds checks
+			c := coord[d] + m.dc
+			coord[d] = c
+			cls = m.mid
+			if c == 0 {
+				cls -= pow3[d]
+			}
+			if c == last[d] {
+				cls += pow3[d]
+			}
 		}
 		steps++
 		if steps >= budget {
 			break
 		}
 	}
+	r.SetState(st)
 	return v, steps
 }
 
-// StepLane advances the listed lane slots one torus move each, rebuilding
-// the stack candidate buffer per slot exactly as Step does per step.
+// StepLane advances the listed lane slots one torus move each, finding
+// each slot's move-table row exactly as Step does.
 func (k torusKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneSource) {
 	un := uint64(k.deg)
 	thresh := -un % un
-	var buf [2 * maxTorusDims]int32
 	for _, j := range idx {
 		sj := int(j)
 		if lazy && lane.Uint64(sj)&1 == 1 {
@@ -365,16 +464,11 @@ func (k torusKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.Lan
 		for lo < thresh {
 			hi, lo = bits.Mul64(lane.Uint64(sj), un)
 		}
-		k.neighbors(pos[j], buf[:])
-		pos[j] = buf[hi]
+		pos[j] += k.row(pos[j])[hi].off
 	}
 }
 
-func (k torusKernel) nth(v, i int32) int32 {
-	var buf [2 * maxTorusDims]int32
-	k.neighbors(v, buf[:])
-	return buf[i]
-}
+func (k torusKernel) nth(v, i int32) int32 { return v + k.row(v)[i].off }
 
 func (k torusKernel) degree(int32) int32 { return k.deg }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sort"
 	"testing"
 
 	"dispersion/internal/rng"
@@ -40,6 +41,17 @@ func implicitCases(t *testing.T) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Side-3 dimensions (every coordinate is a boundary but the middle
+	// one), a side-1 dimension between effective ones, and four
+	// effective dimensions exercise the torus move table's class rows.
+	torus4, err := ImplicitTorus([]int{3, 1, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	torus3s, err := ImplicitTorus([]int{3, 3, 3, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	circ, err := ImplicitCirculant(12, []int{1, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +83,8 @@ func implicitCases(t *testing.T) []struct {
 		mk("torus-7x5", torus2, Grid([]int{7, 5}, true)),
 		mk("torus-4x3x5", torus3, Grid([]int{4, 3, 5}, true)),
 		mk("torus-1x9x1", torus1, Grid([]int{1, 9, 1}, true)),
+		mk("torus-3x1x4x5", torus4, Grid([]int{3, 1, 4, 5}, true)),
+		mk("torus-3x3x3x3", torus3s, Grid([]int{3, 3, 3, 3}, true)),
 	}
 	for _, ig := range []*Implicit{circ, circHalf, rreg} {
 		twin, err := Materialize(ig)
@@ -214,6 +228,91 @@ func TestImplicitWalkUntilVacantBitIdentity(t *testing.T) {
 				}
 				if rw.Uint64() != rs.Uint64() {
 					t.Fatalf("%s (lazy=%v, trial %d): different draw counts", tc.name, lazy, trial)
+				}
+			}
+		}
+	}
+}
+
+// The random occupancy above ends most walks within a few steps. Here
+// every vertex but one is occupied, so the torus walk runs long enough to
+// wrap every dimension and cross every class row many times while it
+// tracks its coordinates; it must stay in lockstep with the Grid twin's
+// step loop for about 10^5 steps, lazy and not.
+func TestImplicitTorusLongWalkBitIdentity(t *testing.T) {
+	sides := []int{3, 1, 9, 1, 4, 5}
+	g, err := ImplicitTorus(sides)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := Grid(sides, true)
+	kern, n := g.Kernel(), g.N()
+	const epoch, minSteps = 1, 100000
+	occ := make([]uint8, n)
+	for _, lazy := range []bool{false, true} {
+		pick := rng.New(7)
+		rw, rs := rng.New(8), rng.New(8)
+		var total int64
+		for walk := 0; total < minSteps; walk++ {
+			for v := range occ {
+				occ[v] = epoch
+			}
+			occ[pick.Intn(n)] = 0
+			start := int32(pick.Intn(n))
+			gotV, gotSteps := kern.WalkUntilVacant(start, lazy, occ, epoch, 1<<40, rw)
+			v, steps := start, int64(0)
+			for occ[v] == epoch {
+				if !lazy || !rs.Bool() {
+					v = genericStep(twin, v, rs)
+				}
+				steps++
+			}
+			if gotV != v || gotSteps != steps {
+				t.Fatalf("lazy=%v walk %d: (%d, %d), twin (%d, %d)", lazy, walk, gotV, gotSteps, v, steps)
+			}
+			if rw.Uint64() != rs.Uint64() {
+				t.Fatalf("lazy=%v walk %d: different draw counts", lazy, walk)
+			}
+			total += steps
+		}
+	}
+}
+
+// Tori too large for a CSR twin: at random vertices the kernel's sorted
+// neighbours must match a reference that finds coordinates by integer
+// division and sorts the 2D candidates, checking the multiply-based
+// division at large sides and at n near the int32 limit.
+func TestImplicitTorusLargeSides(t *testing.T) {
+	for _, sides := range [][]int{{1024, 1024}, {3, 46337, 5}, {46337, 46337}, {7, 1, 1 << 20, 255}} {
+		g, err := ImplicitTorus(sides)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf := g.Kernel().(closedForm)
+		r := rng.New(uint64(len(sides)))
+		for trial := 0; trial < 2000; trial++ {
+			v := int32(r.Intn(g.N()))
+			var want []int32
+			stride := 1
+			for d := len(sides) - 1; d >= 0; d-- {
+				side := sides[d]
+				if side >= 3 {
+					c := int(v) / stride % side
+					up, down := int(v)+stride, int(v)-stride
+					if c == side-1 {
+						up -= side * stride
+					}
+					if c == 0 {
+						down += side * stride
+					}
+					want = append(want, int32(up), int32(down))
+				}
+				stride *= side
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			for i, u := range want {
+				if got := cf.nth(v, int32(i)); got != u {
+					t.Fatalf("torus %v: nth(%d, %d) = %d, want %d", sides, v, i, got, u)
 				}
 			}
 		}

@@ -225,18 +225,40 @@ func (k regularKernel) Step(v int32, r *rng.Source) int32 {
 	return k.adj[v*k.deg+r.Int31n(k.deg)]
 }
 
-// WalkUntilVacant walks v to the first vacant vertex (or the budget).
+// WalkUntilVacant walks v to the first vacant vertex (or the budget),
+// with the generator state in locals for the whole walk (see
+// cycleKernel.WalkUntilVacant).
 func (k regularKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
+	adj, deg := k.adj, k.deg
+	un := uint64(deg)
+	thresh := -un % un
+	st := r.State()
 	var steps int64
 	for occ[v] == epoch {
-		if !lazy || !r.Bool() {
-			v = k.Step(v, r)
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		switch {
+		case x&1 == 1: // lazy stay
+		case deg == 1:
+			v = adj[v]
+		default:
+			// Intn(deg)'s draw law, with its rejection threshold hoisted.
+			st, x = st.Next()
+			hi, lo := bits.Mul64(x, un)
+			for lo < thresh {
+				st, x = st.Next()
+				hi, lo = bits.Mul64(x, un)
+			}
+			v = adj[v*deg+int32(hi)]
 		}
 		steps++
 		if steps >= budget {
 			break
 		}
 	}
+	r.SetState(st)
 	return v, steps
 }
 
@@ -349,17 +371,31 @@ func (k cycleKernel) Step(v int32, r *rng.Source) int32 {
 }
 
 // WalkUntilVacant walks v to the first vacant vertex (or the budget).
+//
+// The walk copies the generator state out of r, advances it in locals
+// and writes it back once, so the four state words stay in registers
+// instead of being stored and reloaded through *r on every draw. The
+// draws are those of the Step loop: a lazy coin first (low bit 1 stays,
+// Bool's law), then Int31n(2), whose two-way draw never rejects and is
+// the top bit.
 func (k cycleKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
+	st := r.State()
 	var steps int64
 	for occ[v] == epoch {
-		if !lazy || !r.Bool() {
-			v = k.Step(v, r)
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		if x&1 == 0 {
+			st, x = st.Next()
+			v = k.nth(v, int32(x>>63))
 		}
 		steps++
 		if steps >= budget {
 			break
 		}
 	}
+	r.SetState(st)
 	return v, steps
 }
 

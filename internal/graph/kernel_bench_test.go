@@ -48,6 +48,12 @@ func BenchmarkGenericTorus3D(b *testing.B) {
 	benchKernel(b, g, g.GenericKernel())
 }
 
+// The implicit torus's stateless Step, which sparse-occupancy runs and
+// the round-based processes use.
+func BenchmarkKernelImplicitTorus3D(b *testing.B) {
+	benchKernel(b, nil, mustTorus(b, 8, 8, 8).Kernel())
+}
+
 // Direct concrete-type calls, bypassing the interface: measures how much
 // of a kernel's cost is dispatch.
 func BenchmarkDirectHypercube9(b *testing.B) {
@@ -80,4 +86,48 @@ func BenchmarkKernelComplete64(b *testing.B) { g := Complete(64); benchKernel(b,
 func BenchmarkGenericComplete64(b *testing.B) {
 	g := Complete(64)
 	benchKernel(b, g, g.GenericKernel())
+}
+
+// benchWalk times the fused settlement walk on a fixed occupancy in which
+// every vertex but far is occupied: a walk that finds the vacancy restarts
+// from vertex 0, and the budget caps the total at b.N steps, so ns/op is
+// ns per walk step.
+func benchWalk(b *testing.B, k Kernel, n int, far int32) {
+	b.Helper()
+	occ := make([]uint8, n)
+	for v := range occ {
+		occ[v] = 1
+	}
+	occ[far] = 0
+	r := rng.New(1)
+	b.ResetTimer()
+	for steps := int64(0); steps < int64(b.N); {
+		_, s := k.WalkUntilVacant(0, false, occ, 1, int64(b.N)-steps, r)
+		steps += s
+	}
+}
+
+func mustTorus(b *testing.B, sides ...int) *Implicit {
+	b.Helper()
+	g, err := ImplicitTorus(sides)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+func BenchmarkWalkTorus8x8x8(b *testing.B) {
+	benchWalk(b, mustTorus(b, 8, 8, 8).Kernel(), 512, 4+8*4+64*4)
+}
+
+func BenchmarkWalkTorus1024x1024(b *testing.B) {
+	benchWalk(b, mustTorus(b, 1024, 1024).Kernel(), 1<<20, 512+1024*512)
+}
+
+func BenchmarkWalkCycle128(b *testing.B) { benchWalk(b, ImplicitCycle(128).Kernel(), 128, 64) }
+
+func BenchmarkWalkHypercube9(b *testing.B) { benchWalk(b, Hypercube(9).Kernel(), 512, 511) }
+
+func BenchmarkWalkComplete512(b *testing.B) {
+	benchWalk(b, ImplicitComplete(512).Kernel(), 512, 511)
 }

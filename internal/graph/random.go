@@ -78,7 +78,7 @@ func RandomRegular(n, d int, r *rng.Source) (*CSR, error) {
 // with np >= c log n, c > 1, where connectivity holds w.h.p., so the
 // conditioning is light.
 func GNP(n int, p float64, r *rng.Source) (*CSR, error) {
-	if n < 1 || p <= 0 || p > 1 {
+	if n < 1 || !(p > 0 && p <= 1) { // NaN fails too
 		return nil, fmt.Errorf("graph: GNP requires n >= 1 and 0 < p <= 1")
 	}
 	for attempt := 0; attempt < maxAttempts; attempt++ {

@@ -29,6 +29,44 @@ func TestFillUint64MatchesUint64(t *testing.T) {
 	}
 }
 
+// TestStateNextMatchesUint64 pins the register-resident step to the
+// Source stream: a State copied out of a Source and advanced with Next
+// yields the Source's Uint64 draws one for one, and writing it back
+// leaves the Source where as many Uint64 calls would. The first draws
+// of seed 42 are pinned too, so rebasing Source on State cannot have
+// changed the stream.
+func TestStateNextMatchesUint64(t *testing.T) {
+	golden := []uint64{0x15780b2e0c2ec716, 0x6104d9866d113a7e, 0xae17533239e499a1, 0xecb8ad4703b360a1, 0xfde6dc7fe2ec5e64}
+	g := New(42)
+	for i, want := range golden {
+		if got := g.Uint64(); got != want {
+			t.Fatalf("seed 42 draw %d = %#x, want %#x", i, got, want)
+		}
+	}
+	for _, draws := range []int{0, 1, 2, 7, 1000} {
+		a, b := New(42), New(42)
+		for i := 0; i < 13; i++ {
+			a.Uint64()
+			b.Uint64()
+		}
+		st := a.State()
+		for i := 0; i < draws; i++ {
+			var got uint64
+			st, got = st.Next()
+			if want := b.Uint64(); got != want {
+				t.Fatalf("draws %d: Next %d = %#x, Uint64 = %#x", draws, i, got, want)
+			}
+		}
+		a.SetState(st)
+		if *a != *b {
+			t.Fatalf("draws %d: states diverge: %+v vs %+v", draws, *a, *b)
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("draws %d: streams diverge after SetState", draws)
+		}
+	}
+}
+
 // TestSplitSeedMatchesSplitInto pins the SplitInto refactor: the derived
 // stream is exactly Seed(SplitSeed(ids...)), for every identifier shape.
 func TestSplitSeedMatchesSplitInto(t *testing.T) {

@@ -28,8 +28,40 @@ import "math/bits"
 // Source is a xoshiro256** pseudo-random generator. It is not safe for
 // concurrent use; use Split to derive independent per-goroutine streams.
 type Source struct {
+	st State
+}
+
+// State is a xoshiro256** state held by value, the register-resident form
+// of a Source for fused hot loops: copy it out with Source.State, advance
+// it with Next in locals, and write it back once with Source.SetState.
+// Four words is small enough for the compiler to keep the state in
+// registers across an inlined loop, where a *Source would store and
+// reload it through memory on every draw. Next is the generator's only
+// step: Uint64 and FillUint64 are built on it, so a loop over Next
+// produces the Source's stream draw for draw.
+type State struct {
 	s0, s1, s2, s3 uint64
 }
+
+// Next returns the state advanced by one draw, and that draw's 64 bits.
+func (s State) Next() (State, uint64) {
+	result := bits.RotateLeft64(s.s1*5, 7) * 9
+	t := s.s1 << 17
+	s.s2 ^= s.s0
+	s.s3 ^= s.s1
+	s.s1 ^= s.s2
+	s.s0 ^= s.s3
+	s.s2 ^= t
+	s.s3 = bits.RotateLeft64(s.s3, 45)
+	return s, result
+}
+
+// State returns a copy of the source's current state.
+func (r *Source) State() State { return r.st }
+
+// SetState replaces the source's state, typically with a State copied out
+// by State and advanced with Next.
+func (r *Source) SetState(s State) { r.st = s }
 
 // splitmix64 advances the state and returns the next output of the
 // splitmix64 generator. It is used to expand seeds into full xoshiro state
@@ -53,16 +85,14 @@ func New(seed uint64) *Source {
 // Seed resets the source to the stream determined by seed.
 func (r *Source) Seed(seed uint64) {
 	st := seed
-	r.s0 = splitmix64(&st)
-	r.s1 = splitmix64(&st)
-	r.s2 = splitmix64(&st)
-	r.s3 = splitmix64(&st)
+	s := State{splitmix64(&st), splitmix64(&st), splitmix64(&st), splitmix64(&st)}
 	// xoshiro must not start from the all-zero state; splitmix64 output is
 	// zero for at most one of the four words, so this is unreachable in
 	// practice, but guard anyway.
-	if r.s0|r.s1|r.s2|r.s3 == 0 {
-		r.s3 = 1
+	if s.s0|s.s1|s.s2|s.s3 == 0 {
+		s.s3 = 1
 	}
+	r.st = s
 }
 
 // Split returns a new Source whose stream is a deterministic function of
@@ -92,7 +122,7 @@ func (r *Source) SplitInto(dst *Source, ids ...uint64) {
 // (seed, experiment, trial) coordinates as the scalar xoshiro streams
 // without being those streams (see the package-level lane seed law).
 func (r *Source) SplitSeed(ids ...uint64) uint64 {
-	st := r.s0 ^ bits.RotateLeft64(r.s2, 17)
+	st := r.st.s0 ^ bits.RotateLeft64(r.st.s2, 17)
 	for _, id := range ids {
 		st ^= splitmix64(&id)
 		_ = splitmix64(&st)
@@ -102,36 +132,26 @@ func (r *Source) SplitSeed(ids ...uint64) uint64 {
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *Source) Uint64() uint64 {
-	result := bits.RotateLeft64(r.s1*5, 7) * 9
-	t := r.s1 << 17
-	r.s2 ^= r.s0
-	r.s3 ^= r.s1
-	r.s1 ^= r.s2
-	r.s0 ^= r.s3
-	r.s2 ^= t
-	r.s3 = bits.RotateLeft64(r.s3, 45)
-	return result
+	var x uint64
+	r.st, x = r.st.Next()
+	return x
 }
 
 // FillUint64 fills dst with the next len(dst) outputs of the stream,
 // advancing the source exactly as len(dst) Uint64 calls would — the fill
 // is draw-for-draw identical to the scalar loop (a property test pins
-// this). The four state words stay in registers for the whole batch
-// instead of round-tripping through the receiver once per draw, which is
-// what makes bulk generation for the batched lane cheaper than the loop.
+// this). The state is a local State for the whole batch instead of
+// round-tripping through the receiver once per draw, which is what makes
+// bulk generation for the batched lane cheaper than the loop.
 func (r *Source) FillUint64(dst []uint64) {
-	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
-	for i := range dst {
-		dst[i] = bits.RotateLeft64(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = bits.RotateLeft64(s3, 45)
+	s := r.st
+	// Incrementing i after the store lets the compiler bump it in place;
+	// the range form compiles to one extra register copy per word.
+	for i := 0; i < len(dst); {
+		s, dst[i] = s.Next()
+		i++
 	}
-	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+	r.st = s
 }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer.

@@ -673,6 +673,27 @@ func TestRuntimeFailure(t *testing.T) {
 	}
 }
 
+// A spec that parses but is out of its family's range (cycle:2) fails
+// its own job at build time; the manager survives and runs the next job.
+func TestOutOfRangeSpecFailsJob(t *testing.T) {
+	_, m := newServer(t, server.ManagerOptions{MaxConcurrent: 1})
+	ctx := context.Background()
+	bad, err := m.Submit(server.JobRequest{Process: "sequential", Spec: "cycle:2", Trials: 1})
+	if err != nil {
+		t.Fatalf("Submit(cycle:2): %v", err)
+	}
+	if st := bad.Wait(ctx); st.State != server.StateFailed || !strings.Contains(st.Error, "cycle:2") {
+		t.Fatalf("cycle:2 job = %s %q, want failed naming the spec", st.State, st.Error)
+	}
+	good, err := m.Submit(server.JobRequest{Process: "sequential", Spec: "cycle:8", Trials: 3, Seed: 1})
+	if err != nil {
+		t.Fatalf("Submit(cycle:8): %v", err)
+	}
+	if st := good.Wait(ctx); st.State != server.StateDone || st.Completed != 3 {
+		t.Fatalf("next job = %s with %d completed, want done/3", st.State, st.Completed)
+	}
+}
+
 // Manager-level eviction contract: with EvictConsumed, the in-memory
 // buffer is dropped exactly when the job is terminal, fully consumed, and
 // no consumer is still retained — and not a moment earlier.
