@@ -29,8 +29,7 @@
 // samples) AND material (median slowdown beyond the threshold), or if
 // its allocation count genuinely grew. Benchmarks present in only one
 // report are noted and never fail the gate. Exit status 1 means at least
-// one real regression; benchcmp's noise-blind single-iteration
-// comparison is deprecated in favor of this.
+// one real regression.
 package main
 
 import (

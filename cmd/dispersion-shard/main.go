@@ -196,11 +196,17 @@ func runSummaryMode(ctx context.Context, coord *shard.Coordinator, req server.Jo
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
 		out = f
 	}
 	if err := sink.WriteSummary(out, sum); err != nil {
 		fatal(err)
+	}
+	// Close the file before claiming success: a close-time write failure
+	// means the summary on disk may be truncated.
+	if out != os.Stdout {
+		if err := out.Close(); err != nil {
+			fatal(err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "%s on %s: %d trials [%d,%d) over %d servers, mean makespan %.6g\n",
 		req.Process, req.Spec, sum.Trials, req.FirstTrial, req.FirstTrial+req.Trials,

@@ -1,9 +1,11 @@
 package shard
 
 // backoff.go is the coordinator's retry-pacing policy: jittered
-// exponential backoff for no-progress attempts, and a separate throttle
-// path that honours the server's 429 + Retry-After admission-control
-// rejections instead of burning the no-progress retry budget on them.
+// exponential backoff for no-progress attempts, and a separate pacing
+// path that honours a healthy server's Retry-After — on a 429
+// admission-control rejection, or on a summary long poll that answered
+// with the job still waiting — instead of burning the no-progress retry
+// budget on it.
 
 import (
 	cryptorand "crypto/rand"
@@ -64,9 +66,9 @@ func jitteredBackoff(rng *rand.Rand, fails int) time.Duration {
 	return base/2 + time.Duration(rng.Int64N(int64(base/2)))
 }
 
-// throttleWait returns how long to obey a 429's Retry-After hint: the
+// throttleWait returns how long to obey a server's Retry-After hint: the
 // hint clamped to [minThrottleWait, maxThrottleWait], plus up to 50%
-// jitter so throttled shards do not all come back in the same instant.
+// jitter so paced shards do not all come back in the same instant.
 func throttleWait(rng *rand.Rand, hint time.Duration) time.Duration {
 	hint = min(max(hint, minThrottleWait), maxThrottleWait)
 	return hint + time.Duration(rng.Int64N(int64(hint/2)+1))

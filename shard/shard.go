@@ -1,6 +1,8 @@
 // Package shard fans one logical dispersion job out as disjoint
 // trial-range shards across one or more dispersion servers and merges
-// the result streams back into a single in-order callback.
+// what the shards compute: their result streams into a single in-order
+// callback (Run), or their agg.Summary sketches into one summary
+// (RunSummary).
 //
 // The engine's determinism contract makes sharding trivial to state:
 // trial i of a job always draws the split random stream
@@ -9,27 +11,28 @@
 // bit-identical to the corresponding slice of a contiguous run. The
 // Coordinator splits [FirstTrial, FirstTrial+Trials) into K contiguous
 // ranges, submits each as its own job (round-robin over the configured
-// servers), consumes the K NDJSON streams concurrently, and delivers the
-// merged results in strict trial order, exactly once.
+// servers), follows the K jobs concurrently, and merges their output:
+// Run delivers the results in strict trial order, exactly once.
 //
-// Failures are retried without recomputation: a stream cut by the
-// transport reconnects with ?from= advanced past the lines already
-// consumed, and a shard whose job dies (server restart, cancellation) is
-// resubmitted with FirstTrial advanced past the trials already
-// delivered. The server's X-Job-State trailer (server.TrailerJobState)
-// is what distinguishes the two cases: a stream that ends with the
-// trailer "done" is complete, while "failed"/"cancelled" or a missing
-// trailer triggers the retry path.
+// Both modes drive every shard through one attempt loop that retries
+// failures. A read cut by the transport goes back to the same job — a
+// result stream reconnects with ?from= advanced past the lines already
+// consumed, so nothing is recomputed. A shard whose job dies
+// (server restart, cancellation) is resubmitted on the next server: Run
+// resubmits the trials not yet delivered, RunSummary the whole shard.
+// The server's X-Job-State trailer (server.TrailerJobState) is what
+// distinguishes a finished or dead job from a cut stream. A job that is
+// only waiting — queued behind other jobs, or running a long trial — has
+// not failed: a summary long poll that answers at the server's bound
+// with the job still queued or running is polled again after its
+// Retry-After.
 //
-// With Checkpoint set, every merged result is appended to a JSONL
-// write-ahead log before it reaches the callback, so a killed
-// coordinator resumes exactly where it stopped: on the next Run the log
+// With Checkpoint set, the coordinator keeps a JSONL write-ahead log, so
+// a killed coordinator resumes exactly where it stopped. Run logs every
+// merged result before it reaches the callback; on the next Run the log
 // is replayed to the callback from disk and only the remaining trial
-// range is resubmitted.
-//
-// RunSummary is the sketch-merge mode: shards run as summary_only jobs,
-// only their agg.Summary sketches cross the network, and the merged
-// summary is byte-identical to a contiguous run's — see RunSummary.
+// range is resubmitted. RunSummary logs every completed shard's summary
+// and recomputes only the missing shards — see RunSummary.
 package shard
 
 import (
@@ -41,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -60,7 +62,7 @@ type Coordinator struct {
 	// Shards is K, the number of disjoint trial ranges the job is split
 	// into. 0 means one shard per server. K is capped at the trial count.
 	Shards int
-	// Checkpoint is the path of the JSONL write-ahead result log. A
+	// Checkpoint is the path of the JSONL write-ahead log. A
 	// "<Checkpoint>.meta" sidecar pins the log to its job request, so a
 	// resume with different coordinates is rejected rather than mixing
 	// stale results. Empty disables checkpointing: a killed coordinator
@@ -71,11 +73,14 @@ type Coordinator struct {
 	// long jobs are expected to stay open indefinitely.
 	Client *http.Client
 	// Retries caps the consecutive attempts a shard makes without
-	// delivering a single new result before the run is abandoned;
-	// attempts that make progress reset the budget. 0 means 5. 429
-	// admission-control rejections do not consume this budget: the
-	// coordinator obeys the server's Retry-After hint on a separate,
-	// larger throttle budget.
+	// progress — a new result, or a summary poll showing the job's
+	// completed-trial count grow — before the run is abandoned; attempts
+	// that make progress reset the budget. 0 means 5. A server that is
+	// healthy but asks for time does not consume this budget: a 429
+	// admission-control rejection is obeyed on a separate, larger
+	// throttle budget, and a summary long poll that answers at the
+	// server's bound with the job still queued or running is simply
+	// polled again, both after the server's Retry-After hint.
 	Retries int
 	// JitterSeed seeds the backoff jitter deterministically; 0 (the
 	// default) draws a random seed, which is what decorrelates the retry
@@ -93,19 +98,39 @@ type trialRange struct {
 	first, trials int
 }
 
-// splitRange cuts [first, first+trials) into at most k contiguous
-// non-empty ranges of near-equal size. The split depends only on
-// (first, trials, k), so shard boundaries are stable across resumes.
-func splitRange(first, trials, k int) []trialRange {
-	out := make([]trialRange, 0, k)
-	for i := 0; i < k; i++ {
-		lo := first + i*trials/k
-		hi := first + (i+1)*trials/k
+// plan is the prelude both modes share. It mirrors the server's
+// submit-time validation locally, so a malformed request fails before
+// any shard is queued anywhere, and cuts [first, first+trials) into K
+// contiguous non-empty ranges of near-equal size. The split depends only
+// on (first, trials, K), so shard boundaries are stable across resumes.
+func (c *Coordinator) plan(req server.JobRequest) ([]trialRange, error) {
+	if len(c.Servers) == 0 {
+		return nil, errors.New("shard: no servers configured")
+	}
+	probe := dispersion.Job{
+		Process:    req.Process,
+		Spec:       req.Spec,
+		Origin:     req.Origin,
+		Trials:     req.Trials,
+		FirstTrial: req.FirstTrial,
+	}
+	if err := probe.Validate(); err != nil {
+		return nil, err
+	}
+	k := c.Shards
+	if k <= 0 {
+		k = len(c.Servers)
+	}
+	k = min(k, req.Trials)
+	ranges := make([]trialRange, 0, k)
+	for i := range k {
+		lo := req.FirstTrial + i*req.Trials/k
+		hi := req.FirstTrial + (i+1)*req.Trials/k
 		if hi > lo {
-			out = append(out, trialRange{first: lo, trials: hi - lo})
+			ranges = append(ranges, trialRange{first: lo, trials: hi - lo})
 		}
 	}
-	return out
+	return ranges, nil
 }
 
 // client returns the configured HTTP client.
@@ -124,9 +149,16 @@ func (c *Coordinator) retries() int {
 	return 5
 }
 
+// resultSyncEvery is how many results Run's log may accumulate between
+// fsyncs. A crash loses at most this many trials of progress — they are
+// simply recomputed on resume — while million-trial runs avoid a sync
+// per line.
+const resultSyncEvery = 4096
+
 // shardStream carries one shard's in-order results to the merger. err is
 // set before ch is closed.
 type shardStream struct {
+	rg  trialRange
 	ch  chan dispersion.Trial
 	err error
 }
@@ -141,80 +173,54 @@ type shardStream struct {
 // With Checkpoint set, results already in the log are replayed to each
 // from disk first and only the remainder is computed, so Run is
 // restartable: kill it at any point and call it again with the same
-// request. Run returns the first unrecoverable error — a context
-// cancellation, a callback or checkpoint error, or a shard that
-// exhausted its retry budget.
+// request. The log must hold the contiguous trial prefix req.FirstTrial,
+// req.FirstTrial+1, ... of this request. Run returns the first
+// unrecoverable error — a context cancellation, a callback or checkpoint
+// error, or a shard that exhausted its retry budget.
 func (c *Coordinator) Run(ctx context.Context, req server.JobRequest, each func(dispersion.Trial) error) error {
-	if len(c.Servers) == 0 {
-		return errors.New("shard: no servers configured")
-	}
-	// Mirror the server's submit-time validation locally so a malformed
-	// request fails before any shard is queued anywhere.
-	probe := dispersion.Job{
-		Process:    req.Process,
-		Spec:       req.Spec,
-		Origin:     req.Origin,
-		Trials:     req.Trials,
-		FirstTrial: req.FirstTrial,
-	}
-	if err := probe.Validate(); err != nil {
+	ranges, err := c.plan(req)
+	if err != nil {
 		return err
 	}
-
 	delivered := 0
-	var ckpt *checkpoint
+	var log *wal[sink.Record]
 	if c.Checkpoint != "" {
-		var err error
-		ckpt, delivered, err = resumeCheckpoint(c.Checkpoint, req, each)
+		log, err = openWAL(c.Checkpoint, req, resultSyncEvery, func(rec sink.Record) error {
+			if want := req.FirstTrial + delivered; rec.Trial != want || delivered >= req.Trials {
+				return fmt.Errorf("holds trial %d at record %d, want trial %d of %d — not this run's checkpoint",
+					rec.Trial, delivered, want, req.Trials)
+			}
+			delivered++
+			if each == nil {
+				return nil
+			}
+			return each(dispersion.Trial{Index: rec.Trial, Result: rec.Result})
+		})
 		if err != nil {
 			return err
 		}
 	}
-	closeCkpt := func() error {
-		if ckpt == nil {
-			return nil
-		}
-		cp := ckpt
-		ckpt = nil
-		return cp.Close()
-	}
-	defer closeCkpt()
-	if delivered == req.Trials {
-		return closeCkpt()
-	}
+	defer log.Close()
 
-	k := c.Shards
-	if k <= 0 {
-		k = len(c.Servers)
-	}
-	if k > req.Trials {
-		k = req.Trials
-	}
-	// Split the full logical range so shard boundaries are stable across
-	// resumes, then clip away the prefix the checkpoint already holds.
+	// Clip away the prefix the log already holds.
 	resumeFrom := req.FirstTrial + delivered
-	var ranges []trialRange
-	for _, rg := range splitRange(req.FirstTrial, req.Trials, k) {
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var streams []*shardStream
+	for _, rg := range ranges {
 		end := rg.first + rg.trials
 		if end <= resumeFrom {
 			continue
 		}
-		if rg.first < resumeFrom {
-			rg = trialRange{first: resumeFrom, trials: end - resumeFrom}
-		}
-		ranges = append(ranges, rg)
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	streams := make([]*shardStream, len(ranges))
-	for i := range ranges {
-		ss := &shardStream{ch: make(chan dispersion.Trial, 256)}
-		streams[i] = ss
-		go func(idx int, rg trialRange, ss *shardStream) {
+		rg.first = max(rg.first, resumeFrom)
+		rg.trials = end - rg.first
+		ss := &shardStream{rg: rg, ch: make(chan dispersion.Trial, 256)}
+		idx := len(streams)
+		streams = append(streams, ss)
+		go func() {
 			defer close(ss.ch)
-			ss.err = c.runShard(runCtx, idx, rg, req, ss.ch)
-		}(i, ranges[i], ss)
+			ss.err = c.runShard(runCtx, idx, rg, req, streamMode{c: c, ch: ss.ch})
+		}()
 	}
 
 	// Merge: shards cover contiguous ranges in index order, so draining
@@ -226,10 +232,8 @@ func (c *Coordinator) Run(ctx context.Context, req server.JobRequest, each func(
 			if tr.Index != next {
 				return fmt.Errorf("shard: shard %d delivered trial %d, want %d", i, tr.Index, next)
 			}
-			if ckpt != nil {
-				if err := ckpt.Append(tr); err != nil {
-					return fmt.Errorf("shard: checkpoint: %w", err)
-				}
+			if err := log.Append(sink.Record{Trial: tr.Index, Result: tr.Result}); err != nil {
+				return fmt.Errorf("shard: checkpoint: %w", err)
 			}
 			if each != nil {
 				if err := each(tr); err != nil {
@@ -239,188 +243,52 @@ func (c *Coordinator) Run(ctx context.Context, req server.JobRequest, each func(
 			next++
 		}
 		if ss.err != nil {
-			rg := ranges[i]
-			return fmt.Errorf("shard: shard %d (trials [%d,%d)): %w", i, rg.first, rg.first+rg.trials, ss.err)
+			return fmt.Errorf("shard: shard %d (trials [%d,%d)): %w", i, ss.rg.first, ss.rg.first+ss.rg.trials, ss.err)
 		}
 	}
-	return closeCkpt()
+	return log.Close()
 }
 
-// errJobGone reports that a shard's job no longer exists on its server
-// (e.g. the server restarted), so reconnecting is pointless and the
-// remaining range must be resubmitted.
-var errJobGone = errors.New("job no longer exists on its server")
-
-// runShard drives one shard to completion: submit its trial range as a
-// job, follow the job's result stream, and on any interruption resume
-// without recomputation — reconnect with ?from= while the job is alive,
-// resubmit the undelivered remainder (rotating servers) when it is not.
-// Results are pushed into ch in trial order.
-func (c *Coordinator) runShard(ctx context.Context, idx int, rg trialRange, req server.JobRequest, ch chan<- dispersion.Trial) (err error) {
-	var (
-		done      int    // trials of this shard already pushed into ch
-		jobURL    string // active job, "" when a (re)submit is needed
-		streamed  int    // result lines already consumed from the active job
-		fails     int    // consecutive attempts with no progress
-		throttles int    // consecutive 429-throttled submissions
-		lastErr   error
-	)
-	rng := c.shardRNG(idx)
-	// An abandoned exit leaves the active job computing a range nobody
-	// will ever consume; cancel it so the server stops burning cores.
-	defer func() {
-		if err != nil && jobURL != "" {
-			c.cancelJob(jobURL)
-		}
-	}()
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if fails >= c.retries() {
-			return fmt.Errorf("no progress after %d attempts: %w", fails, lastErr)
-		}
-		if fails > 0 {
-			// Back off after a no-progress attempt so a brief outage — a
-			// server restart, say — does not burn the whole retry budget
-			// in microseconds. The wait is jittered so K followers of one
-			// recovering server spread out instead of retrying in
-			// lockstep.
-			select {
-			case <-time.After(jitteredBackoff(rng, fails)):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		if jobURL == "" {
-			shardReq := req
-			shardReq.FirstTrial = rg.first + done
-			shardReq.Trials = rg.trials - done
-			base := c.Servers[(idx+attempt)%len(c.Servers)]
-			st, err := c.submit(ctx, base, shardReq)
-			var te *throttleError
-			if errors.As(err, &te) && throttles < maxThrottles {
-				// Admission control shed the job: the server is healthy
-				// and pacing us, so obey its Retry-After hint without
-				// consuming the no-progress retry budget.
-				throttles++
-				lastErr = err
-				select {
-				case <-time.After(throttleWait(rng, te.retryAfter)):
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-				continue
-			}
-			if err != nil {
-				lastErr = err
-				fails++
-				continue
-			}
-			throttles = 0
-			jobURL = strings.TrimSuffix(base, "/") + "/v1/jobs/" + st.ID
-			streamed = 0
-		}
-		n, state, err := c.follow(ctx, jobURL, streamed, rg.first+done, ch)
-		streamed += n
-		done += n
-		if n > 0 {
-			fails = 0
-		}
-		if done == rg.trials {
-			// Every trial of the range is delivered and merged; whatever
-			// terminal label the job ends up with afterwards (e.g.
-			// "failed" because a server-side archive close failed) cannot
-			// change the results, and resubmitting a zero-trial
-			// remainder would be rejected anyway.
-			return nil
-		}
-		if err == nil && state == "" {
-			// A clean EOF without the trailer (e.g. a trailer-stripping
-			// proxy between coordinator and server): the status endpoint
-			// disambiguates a finished job from a cut connection.
-			if st, ok := c.jobStatus(ctx, jobURL); ok && st.State.Terminal() {
-				state = st.State
-			}
-		}
-		switch {
-		case err == nil && state == server.StateDone:
-			// done == rg.trials returned above, so this stream ended
-			// short of the submitted range: a server-side bug.
-			return fmt.Errorf("job reported done after %d of %d trials", done, rg.trials)
-		case err == nil && (state == server.StateFailed || state == server.StateCancelled):
-			// The job is terminally dead; resubmit the rest of the range
-			// on the next server. A deterministic failure will exhaust
-			// the retry budget and surface here.
-			lastErr = fmt.Errorf("job ended %s%s", state, c.jobError(ctx, jobURL))
-			jobURL = ""
-			fails++
-		case errors.Is(err, errJobGone):
-			lastErr = err
-			jobURL = ""
-			fails++
-		default:
-			// Transport cut (connection drop, truncated line, or a clean
-			// EOF without the state trailer): the job itself may be fine,
-			// so reconnect to it with ?from= advanced.
-			if err == nil {
-				err = errors.New("stream ended without a job-state trailer")
-			}
-			lastErr = err
-			fails++
-		}
-	}
+// streamMode is Run's shardMode: it follows the job's NDJSON result
+// stream, pushing every result into ch, and resubmits only the part of
+// the shard not yet delivered.
+type streamMode struct {
+	c  *Coordinator
+	ch chan<- dispersion.Trial
 }
 
-// submit POSTs one shard's job request to the given server and returns
-// the accepted status.
-func (c *Coordinator) submit(ctx context.Context, base string, req server.JobRequest) (server.Status, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return server.Status{}, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(base, "/")+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return server.Status{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.client().Do(hreq)
-	if err != nil {
-		return server.Status{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return server.Status{}, &throttleError{
-			server:     base,
-			retryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-			msg:        string(bytes.TrimSpace(msg)),
-		}
-	}
-	if resp.StatusCode != http.StatusCreated {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return server.Status{}, fmt.Errorf("submit to %s: HTTP %d: %s", base, resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	var st server.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return server.Status{}, fmt.Errorf("submit to %s: %w", base, err)
-	}
-	return st, nil
+func (streamMode) resubmit(rg trialRange, done int) trialRange {
+	return trialRange{first: rg.first + done, trials: rg.trials - done}
 }
 
-// follow streams the active job's results from line offset from, pushing
-// each record into ch and checking that indices continue at wantNext. It
-// returns the number of records pushed and, when the stream ended at a
-// terminal job state, that state from the X-Job-State trailer; a
-// transport-level interruption returns the error instead.
-func (c *Coordinator) follow(ctx context.Context, jobURL string, from, wantNext int, ch chan<- dispersion.Trial) (int, server.State, error) {
+func (m streamMode) read(ctx context.Context, jobURL string, sub trialRange, from int) (int, server.State, time.Duration, error) {
+	n, state, err := m.follow(ctx, jobURL, sub.first, from)
+	if err == nil && !state.Terminal() && from+n < sub.trials {
+		// A clean EOF without the trailer (e.g. a trailer-stripping proxy
+		// between coordinator and server): the status endpoint
+		// disambiguates a finished job from a cut connection.
+		if st, ok := m.c.jobStatus(ctx, jobURL); ok && st.State.Terminal() {
+			state = st.State
+		} else {
+			err = errors.New("stream ended without a job-state trailer")
+		}
+	}
+	return n, state, 0, err
+}
+
+// follow streams the results of the job computing trials from first on,
+// starting at line offset from, and pushes each record into ch after
+// checking that indices continue in order. It returns the number of
+// records pushed and, when the stream ended, the job state from the
+// X-Job-State trailer; a transport-level interruption returns the error
+// instead.
+func (m streamMode) follow(ctx context.Context, jobURL string, first, from int) (int, server.State, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		fmt.Sprintf("%s/results?from=%d", jobURL, from), nil)
 	if err != nil {
 		return 0, "", err
 	}
-	resp, err := c.client().Do(hreq)
+	resp, err := m.c.client().Do(hreq)
 	if err != nil {
 		return 0, "", err
 	}
@@ -458,60 +326,14 @@ func (c *Coordinator) follow(ctx context.Context, jobURL string, from, wantNext 
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return n, "", fmt.Errorf("bad result line %d: %w", from+n, err)
 		}
-		if rec.Trial != wantNext+n {
-			return n, "", fmt.Errorf("stream out of order: got trial %d, want %d", rec.Trial, wantNext+n)
+		if want := first + from + n; rec.Trial != want {
+			return n, "", fmt.Errorf("stream out of order: got trial %d, want %d", rec.Trial, want)
 		}
 		select {
-		case ch <- dispersion.Trial{Index: rec.Trial, Result: rec.Result}:
+		case m.ch <- dispersion.Trial{Index: rec.Trial, Result: rec.Result}:
 		case <-ctx.Done():
 			return n, "", ctx.Err()
 		}
 		n++
 	}
-}
-
-// cancelJob best-effort DELETEs an abandoned job. It runs on its own
-// short-lived context, because cleanup is needed exactly when the run
-// context is already dead.
-func (c *Coordinator) cancelJob(jobURL string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodDelete, jobURL, nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.client().Do(hreq)
-	if err != nil {
-		return
-	}
-	resp.Body.Close()
-}
-
-// jobStatus polls the job's status endpoint, best-effort: ok is false
-// when the job is unreachable or undecodable.
-func (c *Coordinator) jobStatus(ctx context.Context, jobURL string) (server.Status, bool) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, jobURL, nil)
-	if err != nil {
-		return server.Status{}, false
-	}
-	resp, err := c.client().Do(hreq)
-	if err != nil {
-		return server.Status{}, false
-	}
-	defer resp.Body.Close()
-	var st server.Status
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil {
-		return server.Status{}, false
-	}
-	return st, true
-}
-
-// jobError fetches the dead job's failure message for error reporting,
-// best-effort: it returns "" when the status is unreachable.
-func (c *Coordinator) jobError(ctx context.Context, jobURL string) string {
-	st, ok := c.jobStatus(ctx, jobURL)
-	if !ok || st.Error == "" {
-		return ""
-	}
-	return ": " + st.Error
 }

@@ -66,12 +66,11 @@ func direct(t *testing.T, req server.JobRequest) []string {
 	return lines
 }
 
-// collectLines runs the coordinator and renders every delivered trial as
+// runLines runs the coordinator and renders every delivered trial as
 // its JSONL line.
-func collectLines(t *testing.T, c *shard.Coordinator, req server.JobRequest) []string {
-	t.Helper()
+func runLines(ctx context.Context, c *shard.Coordinator, req server.JobRequest) ([]string, error) {
 	var lines []string
-	err := c.Run(context.Background(), req, func(tr dispersion.Trial) error {
+	err := c.Run(ctx, req, func(tr dispersion.Trial) error {
 		b, err := json.Marshal(sink.Record{Trial: tr.Index, Result: tr.Result})
 		if err != nil {
 			return err
@@ -79,10 +78,86 @@ func collectLines(t *testing.T, c *shard.Coordinator, req server.JobRequest) []s
 		lines = append(lines, string(b))
 		return nil
 	})
+	return lines, err
+}
+
+// collectLines is runLines for runs that must succeed.
+func collectLines(t *testing.T, c *shard.Coordinator, req server.JobRequest) []string {
+	t.Helper()
+	lines, err := runLines(context.Background(), c, req)
 	if err != nil {
 		t.Fatalf("coordinator run: %v", err)
 	}
 	return lines
+}
+
+// coordMode is one of the coordinator's two modes, run to an output that
+// compares byte for byte with a contiguous run's: Run's result lines, or
+// RunSummary's merged summary JSON.
+type coordMode struct {
+	name string
+	run  func(ctx context.Context, c *shard.Coordinator, req server.JobRequest) (string, error)
+	want func(t *testing.T, req server.JobRequest) string
+	// remainder reports that a dead shard job is resubmitted for its
+	// undelivered remainder only, not for the whole shard.
+	remainder bool
+	// interrupt leaves c's checkpoint as a coordinator killed partway
+	// through the run would.
+	interrupt func(t *testing.T, c *shard.Coordinator, req server.JobRequest)
+	// logged renders a finished checkpoint as the run's output.
+	logged func(t *testing.T, log []byte) string
+}
+
+// modes is the table the coordinator's lifecycle tests run over.
+var modes = []coordMode{
+	{
+		name: "Run",
+		run: func(ctx context.Context, c *shard.Coordinator, req server.JobRequest) (string, error) {
+			lines, err := runLines(ctx, c, req)
+			return strings.Join(lines, "\n"), err
+		},
+		want: func(t *testing.T, req server.JobRequest) string {
+			return strings.Join(direct(t, req), "\n")
+		},
+		remainder: true,
+		interrupt: killRun,
+		logged: func(_ *testing.T, log []byte) string {
+			return strings.Join(strings.Fields(strings.TrimSpace(string(log))), "\n")
+		},
+	},
+	{
+		name: "RunSummary",
+		run: func(ctx context.Context, c *shard.Coordinator, req server.JobRequest) (string, error) {
+			sum, err := c.RunSummary(ctx, req)
+			if err != nil {
+				return "", err
+			}
+			b, err := json.Marshal(sum)
+			return string(b), err
+		},
+		want: func(t *testing.T, req server.JobRequest) string {
+			return string(directSummary(t, req))
+		},
+		interrupt: cutSummaryLog,
+		logged:    mergeSummaryLog,
+	},
+}
+
+// killRun aborts a Run from its callback after 11 deliveries, simulating
+// a kill mid-run.
+func killRun(t *testing.T, c *shard.Coordinator, req server.JobRequest) {
+	t.Helper()
+	killed := errors.New("killed")
+	seen := 0
+	err := c.Run(context.Background(), req, func(dispersion.Trial) error {
+		if seen++; seen == 11 {
+			return killed
+		}
+		return nil
+	})
+	if !errors.Is(err, killed) {
+		t.Fatalf("killed run returned %v", err)
+	}
 }
 
 // The acceptance path: a K-shard coordinator run over live servers is
@@ -149,52 +224,49 @@ func TestCheckpointHoldsMergedResults(t *testing.T) {
 }
 
 // Killing the coordinator mid-run and resuming from its checkpoint still
-// produces the exact contiguous result set, computing only the missing
-// suffix.
+// produces the exact contiguous output, computing only what is missing,
+// and a torn final log line is dropped.
 func TestCheckpointResumeAfterKill(t *testing.T) {
 	servers := newServers(t, 2)
-	ckpt := filepath.Join(t.TempDir(), "run.jsonl")
 	req := server.JobRequest{
 		Process: "parallel", Spec: "complete:48", Trials: 30, Seed: 11, Experiment: 4,
 	}
-	want := direct(t, req)
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "run.jsonl")
+			want := mode.want(t, req)
 
-	// First run: abort from the callback after 11 deliveries, simulating
-	// a kill mid-run. Then corrupt the log with a torn final line,
-	// simulating a crash mid-append.
-	c := &shard.Coordinator{Servers: servers, Shards: 3, Checkpoint: ckpt}
-	killed := errors.New("killed")
-	seen := 0
-	err := c.Run(context.Background(), req, func(dispersion.Trial) error {
-		if seen++; seen == 11 {
-			return killed
-		}
-		return nil
-	})
-	if !errors.Is(err, killed) {
-		t.Fatalf("killed run returned %v", err)
-	}
-	f, err := os.OpenFile(ckpt, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"trial":999,"res`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+			// First run: kill it partway. Then corrupt the log with a torn
+			// final line, simulating a crash mid-append.
+			mode.interrupt(t, &shard.Coordinator{Servers: servers, Shards: 3, Checkpoint: ckpt}, req)
+			f, err := os.OpenFile(ckpt, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(`{"trial":999,"res`); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	// Resume in a fresh coordinator (a new process would look like this):
-	// replayed prefix + computed suffix must equal the contiguous run.
-	c2 := &shard.Coordinator{Servers: servers, Shards: 3, Checkpoint: ckpt}
-	if got := collectLines(t, c2, req); !reflect.DeepEqual(got, want) {
-		t.Fatal("resumed run diverged from contiguous Engine.Run")
-	}
-	data, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Fields(strings.TrimSpace(string(data))); !reflect.DeepEqual(got, want) {
-		t.Fatal("checkpoint after resume diverged from contiguous run")
+			// Resume in a fresh coordinator (a new process would look like
+			// this): replayed prefix + computed rest must equal the
+			// contiguous run.
+			c := &shard.Coordinator{Servers: servers, Shards: 3, Checkpoint: ckpt}
+			got, err := mode.run(context.Background(), c, req)
+			if err != nil {
+				t.Fatalf("resumed run: %v", err)
+			}
+			if got != want {
+				t.Fatal("resumed run diverged from contiguous Engine.Run")
+			}
+			data, err := os.ReadFile(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mode.logged(t, data); got != want {
+				t.Fatal("checkpoint after resume diverged from contiguous run")
+			}
+		})
 	}
 }
 
@@ -299,57 +371,72 @@ func TestRetryReconnectsDroppedStream(t *testing.T) {
 	}
 }
 
-// A shard whose job is cancelled server-side — the trailer says
-// "cancelled", not a transport error — is resubmitted with FirstTrial
-// advanced past the results already delivered.
+// A shard whose job is cancelled server-side — the job ends
+// "cancelled", not with a transport error — is resubmitted: by Run with
+// FirstTrial advanced past the results already delivered, by RunSummary
+// as the whole shard.
 func TestRetryResubmitsDeadJob(t *testing.T) {
-	// A single engine worker and a few thousand trials keep the job
-	// running for a long, comfortable window, so the cancel below cannot
-	// race its completion.
-	m, err := server.NewManager(server.ManagerOptions{EngineWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(server.New(m))
-	t.Cleanup(func() {
-		ts.Close()
-		m.Close()
-	})
-	req := server.JobRequest{
-		Process: "sequential", Spec: "complete:256", Trials: 1200, Seed: 13,
-	}
-
-	// Cancel the first submitted job once it has produced some results.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			for _, st := range m.List() {
-				if st.State == server.StateRunning && st.Completed >= 3 {
-					j, _ := m.Get(st.ID)
-					j.Cancel()
-					return
-				}
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			// A single engine worker and a few thousand trials keep the job
+			// running for a long, comfortable window, so the cancel below
+			// cannot race its completion.
+			m, err := server.NewManager(server.ManagerOptions{EngineWorkers: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
+			ts := httptest.NewServer(server.New(m))
+			t.Cleanup(func() {
+				ts.Close()
+				m.Close()
+			})
+			req := server.JobRequest{
+				Process: "sequential", Spec: "complete:256", Trials: 1200, Seed: 13,
+			}
 
-	c := &shard.Coordinator{Servers: []string{ts.URL}, Shards: 1}
-	got := collectLines(t, c, req)
-	<-done
-	if want := direct(t, req); !reflect.DeepEqual(got, want) {
-		t.Fatal("run with a cancelled-and-resubmitted shard diverged")
-	}
-	// The recovery really was a second job starting past trial 0.
-	jobs := m.List()
-	if len(jobs) < 2 {
-		t.Fatalf("expected a resubmission, saw %d jobs", len(jobs))
-	}
-	resub := jobs[len(jobs)-1].Request
-	if resub.FirstTrial == 0 || resub.Trials == req.Trials {
-		t.Fatalf("resubmission did not advance past delivered results: first_trial=%d trials=%d",
-			resub.FirstTrial, resub.Trials)
+			// Cancel the first submitted job once it has produced some
+			// results.
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					for _, st := range m.List() {
+						if st.State == server.StateRunning && st.Completed >= 3 {
+							j, _ := m.Get(st.ID)
+							j.Cancel()
+							return
+						}
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}()
+
+			c := &shard.Coordinator{Servers: []string{ts.URL}, Shards: 1}
+			got, err := mode.run(context.Background(), c, req)
+			<-done
+			if err != nil {
+				t.Fatalf("coordinator run: %v", err)
+			}
+			if got != mode.want(t, req) {
+				t.Fatal("run with a cancelled-and-resubmitted shard diverged")
+			}
+			// The recovery really was a second job, covering what the mode
+			// resubmits.
+			jobs := m.List()
+			if len(jobs) < 2 {
+				t.Fatalf("expected a resubmission, saw %d jobs", len(jobs))
+			}
+			resub := jobs[len(jobs)-1].Request
+			if mode.remainder {
+				if resub.FirstTrial == 0 || resub.Trials == req.Trials {
+					t.Fatalf("resubmission did not advance past delivered results: first_trial=%d trials=%d",
+						resub.FirstTrial, resub.Trials)
+				}
+			} else if resub.FirstTrial != req.FirstTrial || resub.Trials != req.Trials {
+				t.Fatalf("resubmission did not cover the whole shard: first_trial=%d trials=%d",
+					resub.FirstTrial, resub.Trials)
+			}
+		})
 	}
 }
 
@@ -394,20 +481,32 @@ func TestFullyDeliveredShardSurvivesFailedLabel(t *testing.T) {
 func TestRetryRotatesDeadServer(t *testing.T) {
 	live := newServers(t, 1)
 	req := server.JobRequest{Process: "parallel", Spec: "complete:16", Trials: 9, Seed: 2}
-	c := &shard.Coordinator{Servers: []string{"http://127.0.0.1:1", live[0]}, Shards: 2}
-	if got := collectLines(t, c, req); !reflect.DeepEqual(got, direct(t, req)) {
-		t.Fatal("run with a dead server in the pool diverged")
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			c := &shard.Coordinator{Servers: []string{"http://127.0.0.1:1", live[0]}, Shards: 2}
+			got, err := mode.run(context.Background(), c, req)
+			if err != nil {
+				t.Fatalf("coordinator run: %v", err)
+			}
+			if got != mode.want(t, req) {
+				t.Fatal("run with a dead server in the pool diverged")
+			}
+		})
 	}
 }
 
 // A shard that can make no progress anywhere exhausts its retry budget
 // and surfaces an error instead of spinning forever.
 func TestRetriesExhausted(t *testing.T) {
-	c := &shard.Coordinator{Servers: []string{"http://127.0.0.1:1"}, Retries: 2}
 	req := server.JobRequest{Process: "parallel", Spec: "complete:8", Trials: 4, Seed: 1}
-	err := c.Run(context.Background(), req, nil)
-	if err == nil || !strings.Contains(err.Error(), "no progress after 2 attempts") {
-		t.Fatalf("err = %v, want retry exhaustion", err)
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			c := &shard.Coordinator{Servers: []string{"http://127.0.0.1:1"}, Retries: 2}
+			_, err := mode.run(context.Background(), c, req)
+			if err == nil || !strings.Contains(err.Error(), "no progress after 2 attempts") {
+				t.Fatalf("err = %v, want retry exhaustion", err)
+			}
+		})
 	}
 }
 
@@ -415,21 +514,29 @@ func TestRetriesExhausted(t *testing.T) {
 // submitted; a cancelled context aborts the run.
 func TestValidationAndCancellation(t *testing.T) {
 	servers := newServers(t, 1)
-	c := &shard.Coordinator{Servers: servers}
-	if err := c.Run(context.Background(), server.JobRequest{Process: "nope", Spec: "complete:8", Trials: 1}, nil); err == nil {
-		t.Fatal("unknown process accepted")
-	}
-	if err := c.Run(context.Background(), server.JobRequest{Process: "parallel", Spec: "complete:8"}, nil); err == nil {
-		t.Fatal("zero trials accepted")
-	}
-	if err := (&shard.Coordinator{}).Run(context.Background(), server.JobRequest{Process: "parallel", Spec: "complete:8", Trials: 1}, nil); err == nil {
-		t.Fatal("empty server pool accepted")
-	}
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			run := func(ctx context.Context, c *shard.Coordinator, req server.JobRequest) error {
+				_, err := mode.run(ctx, c, req)
+				return err
+			}
+			c := &shard.Coordinator{Servers: servers}
+			if err := run(context.Background(), c, server.JobRequest{Process: "nope", Spec: "complete:8", Trials: 1}); err == nil {
+				t.Fatal("unknown process accepted")
+			}
+			if err := run(context.Background(), c, server.JobRequest{Process: "parallel", Spec: "complete:8"}); err == nil {
+				t.Fatal("zero trials accepted")
+			}
+			if err := run(context.Background(), &shard.Coordinator{}, server.JobRequest{Process: "parallel", Spec: "complete:8", Trials: 1}); err == nil {
+				t.Fatal("empty server pool accepted")
+			}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := c.Run(ctx, server.JobRequest{Process: "parallel", Spec: "complete:8", Trials: 4}, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			err := run(ctx, c, server.JobRequest{Process: "parallel", Spec: "complete:8", Trials: 4})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		})
 	}
 }

@@ -1,19 +1,14 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"strings"
 	"time"
 
-	"dispersion"
 	"dispersion/agg"
 	"dispersion/server"
 )
@@ -28,10 +23,13 @@ import (
 // trial multiset, the merged summary marshals to bytes identical to
 // the summary of one contiguous unsharded run of the same request.
 //
-// req.SummaryOnly is forced on for every shard submission. Retries
-// mirror Run: a failed or vanished shard job is resubmitted on the
-// next server, with the no-progress budget reset whenever a poll
-// observes the shard's completed-trial count advance.
+// req.SummaryOnly is forced on for every shard submission. Shards go
+// through the same attempt loop as Run's: a failed or vanished shard
+// job is resubmitted whole on the next server, with the no-progress
+// budget reset whenever a poll observes the shard's completed-trial
+// count advance. A poll that answers at the server's long-poll bound
+// with the job still queued or running is polled again after its
+// Retry-After, without consuming the budget.
 //
 // With Checkpoint set, each completed shard's summary is appended to a
 // JSONL write-ahead log (pinned to the request by the same
@@ -40,40 +38,34 @@ import (
 // shards and recomputing only the rest. The log is not interchangeable
 // with Run's result log — use a distinct path per mode.
 func (c *Coordinator) RunSummary(ctx context.Context, req server.JobRequest) (*agg.Summary, error) {
-	if len(c.Servers) == 0 {
-		return nil, errors.New("shard: no servers configured")
-	}
 	req.SummaryOnly = true
-	probe := dispersion.Job{
-		Process:    req.Process,
-		Spec:       req.Spec,
-		Origin:     req.Origin,
-		Trials:     req.Trials,
-		FirstTrial: req.FirstTrial,
-	}
-	if err := probe.Validate(); err != nil {
+	ranges, err := c.plan(req)
+	if err != nil {
 		return nil, err
 	}
-
-	k := c.Shards
-	if k <= 0 {
-		k = len(c.Servers)
-	}
-	if k > req.Trials {
-		k = req.Trials
-	}
-	ranges := splitRange(req.FirstTrial, req.Trials, k)
-
-	have := map[int]json.RawMessage{}
-	var wal *summaryWAL
+	have := make(map[int]json.RawMessage, len(ranges))
+	var log *wal[summaryRecord]
 	if c.Checkpoint != "" {
-		var err error
-		wal, have, err = resumeSummaryWAL(c.Checkpoint, req, ranges)
+		// The split is a pure function of (FirstTrial, Trials, shard
+		// count), so a record off the current split means the log
+		// belongs to a different configuration. Shard completions are
+		// rare (seconds to hours apart), so every record is synced.
+		log, err = openWAL(c.Checkpoint, req, 1, func(rec summaryRecord) error {
+			if rec.Shard < 0 || rec.Shard >= len(ranges) || ranges[rec.Shard] != (trialRange{rec.First, rec.Trials}) {
+				return fmt.Errorf("record %d covers shard %d trials [%d,%d), which is not part of this split — was the shard count changed?",
+					len(have), rec.Shard, rec.First, rec.First+rec.Trials)
+			}
+			if _, dup := have[rec.Shard]; dup {
+				return fmt.Errorf("duplicate record for shard %d", rec.Shard)
+			}
+			have[rec.Shard] = rec.Summary
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		defer wal.Close()
 	}
+	defer log.Close()
 
 	type shardDone struct {
 		idx     int
@@ -89,25 +81,24 @@ func (c *Coordinator) RunSummary(ctx context.Context, req server.JobRequest) (*a
 			continue
 		}
 		outstanding++
-		go func(idx int, rg trialRange) {
-			b, err := c.runShardSummary(runCtx, idx, rg, req)
+		go func() {
+			m := &summaryMode{c: c}
+			err := c.runShard(runCtx, i, rg, req, m)
 			select {
-			case done <- shardDone{idx: idx, summary: b, err: err}:
+			case done <- shardDone{idx: i, summary: m.summary, err: err}:
 			case <-runCtx.Done():
 			}
-		}(i, rg)
+		}()
 	}
 	for ; outstanding > 0; outstanding-- {
 		select {
 		case d := <-done:
+			rg := ranges[d.idx]
 			if d.err != nil {
-				rg := ranges[d.idx]
 				return nil, fmt.Errorf("shard: shard %d (trials [%d,%d)): %w", d.idx, rg.first, rg.first+rg.trials, d.err)
 			}
-			if wal != nil {
-				if err := wal.Append(d.idx, ranges[d.idx], d.summary); err != nil {
-					return nil, fmt.Errorf("shard: summary checkpoint: %w", err)
-				}
+			if err := log.Append(summaryRecord{Shard: d.idx, First: rg.first, Trials: rg.trials, Summary: d.summary}); err != nil {
+				return nil, fmt.Errorf("shard: summary checkpoint: %w", err)
 			}
 			have[d.idx] = d.summary
 		case <-ctx.Done():
@@ -125,131 +116,10 @@ func (c *Coordinator) RunSummary(ctx context.Context, req server.JobRequest) (*a
 			return nil, fmt.Errorf("shard: merge shard %d: %w", i, err)
 		}
 	}
-	if wal != nil {
-		if err := wal.Close(); err != nil {
-			return nil, fmt.Errorf("shard: summary checkpoint: %w", err)
-		}
+	if err := log.Close(); err != nil {
+		return nil, fmt.Errorf("shard: summary checkpoint: %w", err)
 	}
 	return merged, nil
-}
-
-// runShardSummary drives one shard of the sketch-merge mode: submit its
-// range as a summary_only job, long-poll the summary endpoint until the
-// job is terminal, and return the summary JSON. Failures follow Run's
-// retry ladder — reconnect to a live job, resubmit (rotating servers)
-// a dead or vanished one — with observed completed-trial growth
-// counting as progress against the no-progress budget.
-func (c *Coordinator) runShardSummary(ctx context.Context, idx int, rg trialRange, req server.JobRequest) (_ json.RawMessage, err error) {
-	var (
-		jobURL    string
-		completed int // latest observed completed-trial count
-		fails     int
-		throttles int // consecutive 429-throttled submissions
-		lastErr   error
-	)
-	rng := c.shardRNG(idx)
-	defer func() {
-		if err != nil && jobURL != "" {
-			c.cancelJob(jobURL)
-		}
-	}()
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if fails >= c.retries() {
-			return nil, fmt.Errorf("no progress after %d attempts: %w", fails, lastErr)
-		}
-		if fails > 0 {
-			select {
-			case <-time.After(jitteredBackoff(rng, fails)):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		if jobURL == "" {
-			shardReq := req
-			shardReq.FirstTrial = rg.first
-			shardReq.Trials = rg.trials
-			base := c.Servers[(idx+attempt)%len(c.Servers)]
-			st, err := c.submit(ctx, base, shardReq)
-			var te *throttleError
-			if errors.As(err, &te) && throttles < maxThrottles {
-				// Obey the server's 429 Retry-After pacing on the throttle
-				// budget, not the no-progress retry budget (see runShard).
-				throttles++
-				lastErr = err
-				select {
-				case <-time.After(throttleWait(rng, te.retryAfter)):
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-				continue
-			}
-			if err != nil {
-				lastErr = err
-				fails++
-				continue
-			}
-			throttles = 0
-			jobURL = strings.TrimSuffix(base, "/") + "/v1/jobs/" + st.ID
-			completed = 0
-		}
-		sr, err := c.fetchSummary(ctx, jobURL)
-		if err != nil {
-			if errors.Is(err, errJobGone) {
-				jobURL = ""
-			}
-			lastErr = err
-			fails++
-			continue
-		}
-		if sr.Completed > completed {
-			completed = sr.Completed
-			fails = 0
-		}
-		switch sr.State {
-		case server.StateDone:
-			if sr.Completed != rg.trials {
-				return nil, fmt.Errorf("job reported done after %d of %d trials", sr.Completed, rg.trials)
-			}
-			return sr.Summary, nil
-		case server.StateFailed, server.StateCancelled:
-			lastErr = fmt.Errorf("job ended %s%s", sr.State, c.jobError(ctx, jobURL))
-			jobURL = ""
-			fails++
-		default:
-			// The long poll returned early (e.g. its connection was cut
-			// before the job finished); poll again.
-			lastErr = fmt.Errorf("summary poll ended with job still %s", sr.State)
-			fails++
-		}
-	}
-}
-
-// fetchSummary long-polls one job's summary endpoint with ?wait=1.
-func (c *Coordinator) fetchSummary(ctx context.Context, jobURL string) (server.SummaryResponse, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, jobURL+"/summary?wait=1", nil)
-	if err != nil {
-		return server.SummaryResponse{}, err
-	}
-	resp, err := c.client().Do(hreq)
-	if err != nil {
-		return server.SummaryResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return server.SummaryResponse{}, errJobGone
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return server.SummaryResponse{}, fmt.Errorf("summary: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	var sr server.SummaryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return server.SummaryResponse{}, fmt.Errorf("summary: %w", err)
-	}
-	return sr, nil
 }
 
 // summaryRecord is one line of the sketch-merge write-ahead log: a
@@ -261,96 +131,39 @@ type summaryRecord struct {
 	Summary json.RawMessage `json:"summary"`
 }
 
-// summaryWAL is the sketch-merge checkpoint: one summaryRecord per
-// completed shard, fsynced per append — shard completions are rare
-// (seconds to hours apart), so durability per record costs nothing.
-type summaryWAL struct {
-	f   *os.File
-	enc *json.Encoder
+// summaryMode is RunSummary's shardMode: it long-polls the job's summary
+// endpoint, keeps the latest snapshot, and resubmits the whole shard,
+// since a dead job's partial sketch is not kept.
+type summaryMode struct {
+	c *Coordinator
+	// summary is the latest snapshot; it covers exactly the trials the
+	// job had completed, so the whole shard once all are done.
+	summary json.RawMessage
 }
 
-// resumeSummaryWAL opens (creating if absent) the log at path, pins it
-// to req via the "<path>.meta" sidecar, and returns the append handle
-// plus the summaries of every durably completed shard, keyed by shard
-// index. Records are validated against the current split — the split
-// is a pure function of (FirstTrial, Trials, shard count), so a
-// mismatch means the log belongs to a different configuration. A torn
-// final line (a crash mid-append) is truncated away.
-func resumeSummaryWAL(path string, req server.JobRequest, ranges []trialRange) (*summaryWAL, map[int]json.RawMessage, error) {
-	if err := pinRequest(path, req); err != nil {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+func (*summaryMode) resubmit(rg trialRange, _ int) trialRange { return rg }
+
+func (m *summaryMode) read(ctx context.Context, jobURL string, _ trialRange, from int) (int, server.State, time.Duration, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, jobURL+"/summary?wait=1", nil)
 	if err != nil {
-		return nil, nil, err
+		return 0, "", 0, err
 	}
-	have := map[int]json.RawMessage{}
-	br := bufio.NewReaderSize(f, 1<<20)
-	var good int64
-	n := 0
-	for {
-		line, rerr := br.ReadBytes('\n')
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("summary checkpoint %s: %w", path, rerr)
-		}
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) == 0 {
-			good += int64(len(line))
-			continue
-		}
-		var rec summaryRecord
-		if uerr := json.Unmarshal(trimmed, &rec); uerr != nil {
-			if _, perr := br.Peek(1); perr == io.EOF {
-				break // torn final line
-			}
-			f.Close()
-			return nil, nil, fmt.Errorf("summary checkpoint %s: bad record %d: %w", path, n, uerr)
-		}
-		if rec.Shard < 0 || rec.Shard >= len(ranges) ||
-			ranges[rec.Shard].first != rec.First || ranges[rec.Shard].trials != rec.Trials {
-			f.Close()
-			return nil, nil, fmt.Errorf("summary checkpoint %s: record %d covers shard %d trials [%d,%d), which is not part of this split — was the shard count changed?",
-				path, n, rec.Shard, rec.First, rec.First+rec.Trials)
-		}
-		if _, dup := have[rec.Shard]; dup {
-			f.Close()
-			return nil, nil, fmt.Errorf("summary checkpoint %s: duplicate record for shard %d", path, rec.Shard)
-		}
-		have[rec.Shard] = rec.Summary
-		good += int64(len(line))
-		n++
+	resp, err := m.c.client().Do(hreq)
+	if err != nil {
+		return 0, "", 0, err
 	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("summary checkpoint %s: %w", path, err)
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		return 0, "", 0, errJobGone
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("summary checkpoint %s: %w", path, err)
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return 0, "", 0, fmt.Errorf("summary: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	return &summaryWAL{f: f, enc: json.NewEncoder(f)}, have, nil
-}
-
-// Append durably logs one completed shard's summary.
-func (w *summaryWAL) Append(idx int, rg trialRange, summary json.RawMessage) error {
-	if err := w.enc.Encode(summaryRecord{Shard: idx, First: rg.first, Trials: rg.trials, Summary: summary}); err != nil {
-		return err
+	var sr server.SummaryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		return 0, "", 0, fmt.Errorf("summary: %w", err)
 	}
-	return w.f.Sync()
-}
-
-// Close closes the log; Append already synced every record. Close is
-// idempotent so RunSummary can both check its error on success and
-// defer it for cleanup.
-func (w *summaryWAL) Close() error {
-	if w.f == nil {
-		return nil
-	}
-	f := w.f
-	w.f = nil
-	return f.Close()
+	m.summary = sr.Summary
+	return max(sr.Completed-from, 0), sr.State, parseRetryAfter(resp.Header.Get("Retry-After")), nil
 }

@@ -5,10 +5,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dispersion"
 	"dispersion/agg"
@@ -56,6 +62,54 @@ func runSummaryJSON(t *testing.T, c *shard.Coordinator, req server.JobRequest) [
 		t.Fatal(err)
 	}
 	return b
+}
+
+// summaryLogKeys are the keys of every summary log record. Logs written
+// with them must keep resuming, so they are pinned here.
+var summaryLogKeys = []string{"first", "shard", "summary", "trials"}
+
+// mergeSummaryLog checks that every record of a summary log carries
+// exactly summaryLogKeys and returns the JSON of the merge of the
+// logged shard summaries.
+func mergeSummaryLog(t *testing.T, log []byte) string {
+	t.Helper()
+	merged := agg.NewSummary()
+	for _, line := range strings.Split(strings.TrimSpace(string(log)), "\n") {
+		var rec map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("summary log line %q: %v", line, err)
+		}
+		if keys := slices.Sorted(maps.Keys(rec)); !slices.Equal(keys, summaryLogKeys) {
+			t.Fatalf("summary log record has keys %v, want %v", keys, summaryLogKeys)
+		}
+		var s agg.Summary
+		if err := json.Unmarshal(rec["summary"], &s); err != nil {
+			t.Fatal(err)
+		}
+		if err := merged.Merge(&s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := json.Marshal(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// cutSummaryLog runs RunSummary to completion, then cuts its log back to
+// the first shard record: the footprint of a coordinator killed after
+// one shard.
+func cutSummaryLog(t *testing.T, c *shard.Coordinator, req server.JobRequest) {
+	t.Helper()
+	runSummaryJSON(t, c, req)
+	data, err := os.ReadFile(c.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.Checkpoint, data[:bytes.IndexByte(data, '\n')+1], 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // The sketch-merge acceptance path: shard-merged summaries are
@@ -113,6 +167,9 @@ func TestRunSummaryCheckpointResume(t *testing.T) {
 	if lines != 3 {
 		t.Fatalf("summary WAL holds %d records, want 3", lines)
 	}
+	if got := mergeSummaryLog(t, data); got != string(want) {
+		t.Fatal("summary WAL records do not merge to the run's summary")
+	}
 
 	// Truncate the WAL to its first record — the footprint of a
 	// coordinator killed after one shard — and rerun.
@@ -157,18 +214,67 @@ func TestRunSummaryCheckpointMismatch(t *testing.T) {
 	}
 }
 
-// A dead server in the pool is rotated past, same as in result mode.
-func TestRunSummaryRotatesDeadServer(t *testing.T) {
-	live := newServers(t, 1)
-	c := &shard.Coordinator{
-		Servers: []string{"http://127.0.0.1:1", live[0]},
-		Shards:  2,
+// queueWatch counts the summary long polls that answer before their job
+// ends — the answers that carry a Retry-After hint — and calls release
+// once it has seen after of them.
+type queueWatch struct {
+	inner   http.Handler
+	after   int
+	release func()
+
+	mu    sync.Mutex
+	waits int
+}
+
+func (h *queueWatch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	h.inner.ServeHTTP(w, r)
+	if strings.HasSuffix(r.URL.Path, "/summary") && w.Header().Get("Retry-After") != "" {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		if h.waits++; h.waits == h.after {
+			h.release()
+		}
 	}
-	req := server.JobRequest{
-		Process: "sequential", Spec: "complete:12", Trials: 8, Seed: 2,
+}
+
+// A shard job that only waits its turn has not failed. With the server's
+// one run slot held by a long job and its long poll bounded at 20 ms,
+// the shard's polls keep answering "queued"; they must not consume the
+// retry budget, and the run completes once the slot frees up.
+func TestRunSummaryWaitsForQueuedShard(t *testing.T) {
+	m, err := server.NewManager(server.ManagerOptions{MaxConcurrent: 1, EngineWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := directSummary(t, req)
-	if got := runSummaryJSON(t, c, req); !bytes.Equal(got, want) {
-		t.Fatal("summary with a dead server in the pool diverged")
+	blocker, err := m.Submit(server.JobRequest{
+		Process: "sequential", Spec: "complete:256", Trials: 1 << 20, Seed: 1, SummaryOnly: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for blocker.Status().State != server.StateRunning {
+		time.Sleep(time.Millisecond)
+	}
+	srv := server.New(m)
+	srv.SummaryMaxWait = 20 * time.Millisecond
+	// Free the slot only once the shard has been told to wait as many
+	// times as its retry budget allows failures.
+	const retries = 2
+	watch := &queueWatch{inner: srv, after: retries, release: blocker.Cancel}
+	ts := httptest.NewServer(watch)
+	t.Cleanup(func() {
+		ts.Close()
+		m.Close()
+	})
+
+	req := server.JobRequest{Process: "sequential", Spec: "complete:12", Trials: 8, Seed: 2}
+	c := &shard.Coordinator{Servers: []string{ts.URL}, Shards: 1, Retries: retries, JitterSeed: 1}
+	if got := runSummaryJSON(t, c, req); !bytes.Equal(got, directSummary(t, req)) {
+		t.Fatal("summary of a shard that waited in the queue diverged")
+	}
+	watch.mu.Lock()
+	defer watch.mu.Unlock()
+	if watch.waits < retries {
+		t.Fatalf("the shard was told to wait %d times, want at least %d", watch.waits, retries)
 	}
 }

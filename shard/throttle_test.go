@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"dispersion"
 	"dispersion/server"
 	"dispersion/shard"
 )
@@ -45,30 +44,27 @@ func (h *throttleFirst) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // only succeeds if throttled submissions are paced on their own budget
 // instead of burning no-progress retries.
 func TestSubmitHonorsRetryAfter(t *testing.T) {
-	m, err := server.NewManager(server.ManagerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(&throttleFirst{inner: server.New(m), n: 3})
-	t.Cleanup(func() {
-		ts.Close()
-		m.Close()
-	})
-
-	c := &shard.Coordinator{Servers: []string{ts.URL}, Shards: 1, Retries: 2, JitterSeed: 1}
 	req := server.JobRequest{Process: "parallel", Spec: "complete:16", Trials: 5, Seed: 3}
-	got := 0
-	err = c.Run(context.Background(), req, func(tr dispersion.Trial) error {
-		if tr.Index != got {
-			t.Errorf("trial %d delivered out of order (want %d)", tr.Index, got)
-		}
-		got++
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Run through 3 throttled submissions: %v", err)
-	}
-	if got != req.Trials {
-		t.Fatalf("delivered %d trials, want %d", got, req.Trials)
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			m, err := server.NewManager(server.ManagerOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(&throttleFirst{inner: server.New(m), n: 3})
+			t.Cleanup(func() {
+				ts.Close()
+				m.Close()
+			})
+
+			c := &shard.Coordinator{Servers: []string{ts.URL}, Shards: 1, Retries: 2, JitterSeed: 1}
+			got, err := mode.run(context.Background(), c, req)
+			if err != nil {
+				t.Fatalf("%s through 3 throttled submissions: %v", mode.name, err)
+			}
+			if got != mode.want(t, req) {
+				t.Fatal("throttled run diverged from contiguous Engine.Run")
+			}
+		})
 	}
 }
