@@ -27,6 +27,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -93,6 +94,7 @@ func main() {
 	var (
 		writers []sink.Writer
 		flush   []func() error
+		files   []io.Closer
 	)
 	for _, sel := range []struct {
 		path string
@@ -114,7 +116,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
+		files = append(files, f)
 		sel.open(f)
 	}
 	var aggregator *sink.Aggregator
@@ -153,12 +155,18 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			defer f.Close()
+			files = append(files, f)
 			out = f
 		}
 		if err := sink.WriteSummary(out, aggregator.Summary()); err != nil {
 			fatal(err)
 		}
+	}
+	// Close the output files before printing: a close-time write failure
+	// means a file may be truncated, and the statistics must not report a
+	// complete run over it.
+	if err := closeAll(files); err != nil {
+		fatal(err)
 	}
 
 	s := stats.Summarize(xs)
@@ -175,6 +183,17 @@ func main() {
 		s.Median, s.Min, s.Max, s.StdDev)
 	fmt.Printf("normalised   t/n = %.4g   t/(n ln n) = %.4g\n",
 		s.Mean/float64(g.N()), s.Mean/(float64(g.N())*math.Log(float64(g.N()))))
+}
+
+// closeAll closes every file and returns the first close error.
+func closeAll(files []io.Closer) error {
+	var first error
+	for _, f := range files {
+		if err := f.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 func fatal(err error) {

@@ -39,7 +39,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -185,7 +184,7 @@ func (c *Coordinator) Run(ctx context.Context, req server.JobRequest, each func(
 	delivered := 0
 	var log *wal[sink.Record]
 	if c.Checkpoint != "" {
-		log, err = openWAL(c.Checkpoint, req, resultSyncEvery, func(rec sink.Record) error {
+		log, err = openWAL(c.Checkpoint, req, resultSyncEvery, sink.AppendRecord, func(rec sink.Record) error {
 			if want := req.FirstTrial + delivered; rec.Trial != want || delivered >= req.Trials {
 				return fmt.Errorf("holds trial %d at record %d, want trial %d of %d — not this run's checkpoint",
 					rec.Trial, delivered, want, req.Trials)
@@ -323,7 +322,7 @@ func (m streamMode) follow(ctx context.Context, jobURL string, first, from int) 
 			continue
 		}
 		var rec sink.Record
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if err := rec.UnmarshalJSON(line); err != nil {
 			return n, "", fmt.Errorf("bad result line %d: %w", from+n, err)
 		}
 		if want := first + from + n; rec.Trial != want {

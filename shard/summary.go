@@ -50,7 +50,7 @@ func (c *Coordinator) RunSummary(ctx context.Context, req server.JobRequest) (*a
 		// count), so a record off the current split means the log
 		// belongs to a different configuration. Shard completions are
 		// rare (seconds to hours apart), so every record is synced.
-		log, err = openWAL(c.Checkpoint, req, 1, func(rec summaryRecord) error {
+		log, err = openWAL(c.Checkpoint, req, 1, appendSummaryRecord, func(rec summaryRecord) error {
 			if rec.Shard < 0 || rec.Shard >= len(ranges) || ranges[rec.Shard] != (trialRange{rec.First, rec.Trials}) {
 				return fmt.Errorf("record %d covers shard %d trials [%d,%d), which is not part of this split — was the shard count changed?",
 					len(have), rec.Shard, rec.First, rec.First+rec.Trials)
@@ -129,6 +129,13 @@ type summaryRecord struct {
 	First   int             `json:"first"`
 	Trials  int             `json:"trials"`
 	Summary json.RawMessage `json:"summary"`
+}
+
+// appendSummaryRecord appends rec's JSON to dst: RunSummary's log
+// encoder.
+func appendSummaryRecord(dst []byte, rec summaryRecord) ([]byte, error) {
+	b, err := json.Marshal(rec)
+	return append(dst, b...), err
 }
 
 // summaryMode is RunSummary's shardMode: it long-polls the job's summary

@@ -21,8 +21,9 @@ import (
 // and Close do nothing.
 type wal[R any] struct {
 	f         *os.File
-	enc       *json.Encoder
-	syncEvery int // appended records between fsyncs
+	encode    func(dst []byte, rec R) ([]byte, error) // appends rec's JSON
+	line      []byte                                  // reused encoding buffer
+	syncEvery int                                     // appended records between fsyncs
 	unsynced  int
 }
 
@@ -34,8 +35,9 @@ type wal[R any] struct {
 // trial range is rejected instead of silently mixing stale records. A
 // partial or corrupt final line — the footprint of a crash mid-append —
 // is truncated away, not an error. Appends then continue after the last
-// intact record and are fsynced every syncEvery records.
-func openWAL[R any](path string, req server.JobRequest, syncEvery int, check func(R) error) (*wal[R], error) {
+// intact record, each written by encode, and are fsynced every
+// syncEvery records.
+func openWAL[R any](path string, req server.JobRequest, syncEvery int, encode func([]byte, R) ([]byte, error), check func(R) error) (*wal[R], error) {
 	if err := pinRequest(path, req); err != nil {
 		return nil, err
 	}
@@ -56,7 +58,7 @@ func openWAL[R any](path string, req server.JobRequest, syncEvery int, check fun
 		f.Close()
 		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
-	return &wal[R]{f: f, enc: json.NewEncoder(f), syncEvery: syncEvery}, nil
+	return &wal[R]{f: f, encode: encode, syncEvery: syncEvery}, nil
 }
 
 // replay decodes the log's records into check and returns the byte
@@ -123,7 +125,12 @@ func (w *wal[R]) Append(rec R) error {
 	if w == nil {
 		return nil
 	}
-	if err := w.enc.Encode(rec); err != nil {
+	line, err := w.encode(w.line[:0], rec)
+	if err != nil {
+		return err
+	}
+	w.line = append(line, '\n')
+	if _, err := w.f.Write(w.line); err != nil {
 		return err
 	}
 	if w.unsynced++; w.unsynced >= w.syncEvery {

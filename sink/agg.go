@@ -12,8 +12,8 @@ import (
 // Aggregator is the streaming-aggregation sink: instead of persisting
 // trials it folds each Result into an agg.Summary, so a million-trial
 // run retains kilobytes. It reads only scalar Result fields and retains
-// nothing, which makes it safe under Engine.ReuseResults — the one sink
-// in this package that is.
+// nothing, which makes it safe under Engine.ReuseResults, like every
+// sink in this package.
 //
 // Like the other sinks, an Aggregator is not safe for concurrent Write
 // calls; Engine.Run delivers trials from a single goroutine.

@@ -16,9 +16,12 @@
 //
 // A third sink keeps nothing per trial: Aggregator folds each Result
 // into a mergeable agg.Summary (moments, quantile sketch, makespan
-// histogram), so arbitrarily long runs retain kilobytes. It is the only
-// sink safe under Engine.ReuseResults. WriteSummary and ReadSummary
-// persist summaries as JSON.
+// histogram), so arbitrarily long runs retain kilobytes. WriteSummary
+// and ReadSummary persist summaries as JSON.
+//
+// All three sinks serialize or fold a trial during Write and keep no
+// reference to its Result, so all are safe under Engine.ReuseResults,
+// which recycles a Result once the callback returns.
 //
 // Writers implement the one-method Writer interface; Tee fans a single
 // Engine.Run callback out to any number of them:
@@ -30,4 +33,10 @@
 //
 // ReadJSONL and ReadCSV read files back for verification and resumption;
 // a JSONL round trip reproduces the in-memory results exactly.
+//
+// One codec reads and writes every JSONL line: AppendRecord writes the
+// exact bytes encoding/json writes for a Record, and Record.UnmarshalJSON
+// parses that layout without reflection, handing any other input to
+// encoding/json. The line format is therefore byte-stable, and every
+// line encoding/json accepts decodes as it always did.
 package sink

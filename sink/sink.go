@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
@@ -16,9 +15,11 @@ import (
 // Writer consumes one trial at a time, in the strict trial order
 // Engine.Run delivers them.
 type Writer interface {
-	// Write records one trial. Implementations may retain t.Result: the
-	// engine hands over ownership and never reuses or mutates a
-	// delivered Result.
+	// Write records one trial. Under Engine.ReuseResults the engine
+	// recycles t.Result once the callback returns, so an implementation
+	// that keeps the Result past Write must copy it. JSONL, CSV and
+	// Aggregator serialize or fold the trial during Write and keep
+	// nothing, so all three are safe under ReuseResults.
 	Write(t dispersion.Trial) error
 }
 
@@ -38,6 +39,9 @@ func Tee(ws ...Writer) func(dispersion.Trial) error {
 
 // Record is the wire form of one trial in the JSONL format — and, line by
 // line, the NDJSON schema of the dispersion server's results stream.
+// AppendRecord encodes it and UnmarshalJSON decodes it without
+// reflection; json.Marshal and json.Unmarshal give the same bytes and
+// values.
 type Record struct {
 	// Trial is the trial index in [0, Trials).
 	Trial int `json:"trial"`
@@ -48,18 +52,31 @@ type Record struct {
 // JSONL writes one Record per line. It is the lossless sink: ReadJSONL
 // reproduces the written trials exactly.
 type JSONL struct {
-	enc *json.Encoder
+	w    io.Writer
+	line []byte // reused across Writes
+	err  error  // the first failed write; later Writes return it
 }
 
 // NewJSONL returns a JSONL sink writing to w. Every Write emits one
-// complete line; no flushing is needed beyond what w itself buffers.
+// complete line in a single w.Write call; no flushing is needed beyond
+// what w itself buffers.
 func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{enc: json.NewEncoder(w)}
+	return &JSONL{w: w}
 }
 
-// Write appends one trial as a JSON line.
+// Write appends one trial as a JSON line: the bytes json.Encoder.Encode
+// writes for its Record.
 func (s *JSONL) Write(t dispersion.Trial) error {
-	return s.enc.Encode(Record{Trial: t.Index, Result: t.Result})
+	if s.err != nil {
+		return s.err
+	}
+	line, err := AppendRecord(s.line[:0], Record{Trial: t.Index, Result: t.Result})
+	if err != nil {
+		return err
+	}
+	s.line = append(line, '\n')
+	_, s.err = s.w.Write(s.line)
+	return s.err
 }
 
 // ReadJSONL reads back a JSONL stream written by a JSONL sink (or by the
@@ -78,7 +95,7 @@ func ReadJSONL(r io.Reader) ([]dispersion.Trial, error) {
 		}
 		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
 			var rec Record
-			if err := json.Unmarshal(trimmed, &rec); err != nil {
+			if err := rec.UnmarshalJSON(trimmed); err != nil {
 				return nil, fmt.Errorf("sink: bad JSONL record %d: %w", len(out), err)
 			}
 			if rec.Result != nil && rec.Result.Capacity == 0 {

@@ -158,3 +158,25 @@ func TestTee(t *testing.T) {
 		t.Errorf("got %d trials, want 3", len(got))
 	}
 }
+
+// JSONL serializes during Write and keeps nothing, so a file written
+// while the engine recycles Results is byte-identical to one written
+// without recycling.
+func TestJSONLUnderReuseResults(t *testing.T) {
+	for _, process := range []string{"parallel", "ct-uniform", "capacity"} {
+		job := dispersion.Job{Process: process, Spec: "cycle:24", Trials: 40}
+		var plain, reused bytes.Buffer
+		for _, c := range []struct {
+			reuse bool
+			buf   *bytes.Buffer
+		}{{false, &plain}, {true, &reused}} {
+			eng := dispersion.Engine{Seed: 11, Experiment: 5, Workers: 3, ReuseResults: c.reuse}
+			if err := eng.Run(context.Background(), job, sink.Tee(sink.NewJSONL(c.buf))); err != nil {
+				t.Fatalf("%s: Engine.Run: %v", process, err)
+			}
+		}
+		if plain.Len() == 0 || !bytes.Equal(plain.Bytes(), reused.Bytes()) {
+			t.Errorf("%s: JSONL under ReuseResults differs (%d vs %d bytes)", process, reused.Len(), plain.Len())
+		}
+	}
+}
