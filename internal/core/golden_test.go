@@ -1,0 +1,257 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"dispersion/internal/graph"
+	"dispersion/internal/rng"
+)
+
+// goldenDigests pins the complete output of every process. Each digest
+// folds, over every configuration goldenDigest enumerates, every Result
+// field, the continuous-time clock bits, any error text and the source's
+// next draw after the run. The other bit-identity suites compare two paths
+// of one build (dense against sparse, recording against fused); these
+// digests compare a build against the commit that recorded them, so a
+// refactor that changes any sample path of any process fails here. Update a
+// digest only together with a deliberate, documented change to that
+// process's stream.
+var goldenDigests = map[string]string{
+	"sequential":           "b9e38219b64545d3",
+	"parallel":             "c4c1ee94b2be5bc9",
+	"uniform":              "6e9a557583eefc0f",
+	"ct-uniform":           "fc3d1637e843e3e1",
+	"ct-sequential":        "72572a165327b78f",
+	"sequential-geom":      "57388fc0138f5e7f",
+	"sequential-threshold": "e5384f46aa09a039",
+	"capacity":             "6e56b565f3339851",
+	"capacity-parallel":    "34d3360a95243387",
+	"lane-standard":        "031cc277728dee4b",
+	"lane-geom":            "58345d02b96472e5",
+	"lane-threshold":       "f62738893da36005",
+	"lane-capacity":        "9f266dd4f844a527",
+}
+
+// goldenRule is the custom settle rule of the golden option sets: it
+// rejects some vacant standings early in a walk and accepts every one from
+// step 3 on, so vetoes and acceptances both occur.
+func goldenRule(v int32, step int64) bool { return step >= 3 || v%4 == 1 }
+
+type goldenOpt struct {
+	name string
+	opt  func(n int) Options
+}
+
+// goldenOptions lists the option sets every process runs under. The
+// Capacities vector depends on the graph size, hence the constructor.
+func goldenOptions() []goldenOpt {
+	caps := func(n int) []int {
+		c := make([]int, n)
+		for v := range c {
+			c[v] = 1 + v%3
+		}
+		return c
+	}
+	fixed := func(o Options) func(int) Options { return func(int) Options { return o } }
+	return []goldenOpt{
+		{"default", fixed(Options{})},
+		{"lazy", fixed(Options{Lazy: true})},
+		{"record", fixed(Options{Record: true})},
+		{"record-lazy", fixed(Options{Record: true, Lazy: true})},
+		{"random-origins-7", fixed(Options{RandomOrigins: true, Particles: 7})},
+		{"particles-3", fixed(Options{Particles: 3})},
+		{"truncated", fixed(Options{MaxSteps: 25})},
+		{"truncated-record", fixed(Options{MaxSteps: 25, Record: true})},
+		{"random-priority", fixed(Options{RandomPriority: true})},
+		{"param-0.3", fixed(Options{SettleParam: 0.3})},
+		{"param-3", fixed(Options{SettleParam: 3})},
+		{"capacity-3", fixed(Options{Capacity: 3})},
+		{"capacity-3-record", fixed(Options{Capacity: 3, Record: true})},
+		{"capacities", func(n int) Options { return Options{Capacities: caps(n)} }},
+		{"capacities-record", func(n int) Options { return Options{Capacities: caps(n), Record: true} }},
+		{"rule", fixed(Options{Rule: goldenRule})},
+		{"rule-record", fixed(Options{Rule: goldenRule, Record: true})},
+		{"rule-lazy-truncated", fixed(Options{Rule: goldenRule, Lazy: true, MaxSteps: 25})},
+	}
+}
+
+func goldenGraphs() []graph.Graph {
+	return []graph.Graph{
+		graph.Complete(20),
+		graph.Cycle(16),
+		graph.Grid([]int{4, 4}, true),
+		graph.CliqueWithHair(12),
+		graph.Star(9),
+	}
+}
+
+// goldenHash writes fixed-width little-endian words, so the digest is the
+// same on 32- and 64-bit platforms.
+type goldenHash struct{ h hash.Hash64 }
+
+func (g goldenHash) i64(x int64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(x))
+	g.h.Write(b[:])
+}
+
+func (g goldenHash) str(s string) {
+	g.i64(int64(len(s)))
+	g.h.Write([]byte(s))
+}
+
+func (g goldenHash) i64s(xs []int64) {
+	g.i64(int64(len(xs)))
+	for _, x := range xs {
+		g.i64(x)
+	}
+}
+
+func (g goldenHash) i32s(xs []int32) {
+	g.i64(int64(len(xs)))
+	for _, x := range xs {
+		g.i64(int64(x))
+	}
+}
+
+func (g goldenHash) err(err error) {
+	if err == nil {
+		g.str("")
+		return
+	}
+	g.str("err: " + err.Error())
+}
+
+func (g goldenHash) result(res *Result) {
+	g.i64(res.Dispersion)
+	g.i64(res.TotalSteps)
+	g.i64s(res.Steps)
+	g.i32s(res.SettledAt)
+	g.i32s(res.SettleOrder)
+	g.i64s(res.SettleClock)
+	if res.Trajectories == nil {
+		g.i64(-1)
+	} else {
+		g.i64(int64(len(res.Trajectories)))
+		for _, traj := range res.Trajectories {
+			g.i32s(traj)
+		}
+	}
+	if res.Truncated {
+		g.i64(1)
+	} else {
+		g.i64(0)
+	}
+	g.i64(int64(res.Capacity))
+}
+
+func (g goldenHash) ct(res *CTResult) {
+	g.result(&res.Result)
+	g.i64(int64(math.Float64bits(res.Time)))
+	g.i64(int64(len(res.SettleTimes)))
+	for _, t := range res.SettleTimes {
+		g.i64(int64(math.Float64bits(t)))
+	}
+}
+
+// goldenRun runs one process under one configuration and folds its output
+// into h.
+type goldenRun func(h goldenHash, g graph.Graph, opt Options, seed uint64, s *Scratch)
+
+func goldenDiscrete(into func(graph.Graph, int, Options, *rng.Source, *Scratch, *Result) error) goldenRun {
+	return func(h goldenHash, g graph.Graph, opt Options, seed uint64, s *Scratch) {
+		r := rng.New(seed)
+		var res Result
+		h.err(into(g, 0, opt, r, s, &res))
+		h.result(&res)
+		h.i64(int64(r.Uint64()))
+	}
+}
+
+func goldenContinuous(into func(graph.Graph, int, Options, *rng.Source, *Scratch, *CTResult) error) goldenRun {
+	return func(h goldenHash, g graph.Graph, opt Options, seed uint64, s *Scratch) {
+		r := rng.New(seed)
+		var res CTResult
+		h.err(into(g, 0, opt, r, s, &res))
+		h.ct(&res)
+		h.i64(int64(r.Uint64()))
+	}
+}
+
+// goldenLane runs six trials through a width-4 lane, so slots retire and
+// rehost.
+func goldenLane(variant LaneVariant) goldenRun {
+	return func(h goldenHash, g graph.Graph, opt Options, seed uint64, s *Scratch) {
+		src := rng.New(seed)
+		seeds := make([]uint64, 6)
+		outs := make([]*Result, len(seeds))
+		for i := range seeds {
+			seeds[i] = src.Uint64()
+			outs[i] = new(Result)
+		}
+		opt.Batch = 4
+		h.err(RunLane(g, 0, opt, variant, seeds, s, outs))
+		for _, res := range outs {
+			h.result(res)
+		}
+	}
+}
+
+type goldenProcess struct {
+	name string
+	run  goldenRun
+}
+
+func goldenProcesses() []goldenProcess {
+	return []goldenProcess{
+		{"sequential", goldenDiscrete(SequentialInto)},
+		{"parallel", goldenDiscrete(ParallelInto)},
+		{"uniform", goldenDiscrete(UniformInto)},
+		{"ct-uniform", goldenContinuous(CTUniformInto)},
+		{"ct-sequential", goldenContinuous(CTSequentialInto)},
+		{"sequential-geom", goldenDiscrete(SequentialGeomInto)},
+		{"sequential-threshold", goldenDiscrete(SequentialThresholdInto)},
+		{"capacity", goldenDiscrete(CapacitySequentialInto)},
+		{"capacity-parallel", goldenDiscrete(CapacityParallelInto)},
+		{"lane-standard", goldenLane(LaneStandard)},
+		{"lane-geom", goldenLane(LaneGeom)},
+		{"lane-threshold", goldenLane(LaneThreshold)},
+		{"lane-capacity", goldenLane(LaneCapacity)},
+	}
+}
+
+// goldenDigest runs p over every graph, occupancy backend, option set and
+// seed, and returns the hex digest of all outputs. Each (graph, backend)
+// pair threads one Scratch through all its runs, so reuse is covered too.
+func goldenDigest(p goldenProcess) string {
+	h := goldenHash{fnv.New64a()}
+	for _, g := range goldenGraphs() {
+		for _, sparse := range []bool{false, true} {
+			s := NewScratch()
+			s.forceSparse = sparse
+			for _, o := range goldenOptions() {
+				for seed := uint64(1); seed <= 3; seed++ {
+					h.str(fmt.Sprintf("%s/%v/%s/%d", g.Name(), sparse, o.name, seed))
+					p.run(h, g, o.opt(g.N()), seed, s)
+				}
+			}
+		}
+	}
+	return fmt.Sprintf("%016x", h.h.Sum64())
+}
+
+// TestGoldenDigests checks every process's output against its pinned
+// digest.
+func TestGoldenDigests(t *testing.T) {
+	for _, p := range goldenProcesses() {
+		got := goldenDigest(p)
+		if want := goldenDigests[p.name]; got != want {
+			t.Errorf("%s: digest %s, pinned %s", p.name, got, want)
+		}
+	}
+}

@@ -19,10 +19,11 @@ import (
 	"dispersion/internal/rng"
 )
 
-// LaneVariant selects the Sequential-family settlement law a batched lane
-// run executes. LaneNone marks a process with no batched form: the
-// interacting processes (Parallel, Uniform, the continuous clocks) are
-// inherently cross-particle and stay scalar.
+// LaneVariant selects a settlement law: the one a batched lane run
+// executes, and the one the scalar Sequential and Parallel loops run
+// under. LaneNone marks a process with no batched form: the interacting
+// processes (Parallel, Uniform, the continuous clocks) are inherently
+// cross-particle and stay scalar.
 type LaneVariant uint8
 
 const (
@@ -190,34 +191,11 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 	if err := validateRun(g, origin); err != nil {
 		return err
 	}
-	var (
-		k    int
-		q    float64
-		T    int64
-		plan capPlan
-		err  error
-	)
-	switch variant {
-	case LaneStandard:
-		k, err = opt.numParticles(n)
-	case LaneGeom:
-		if k, err = opt.numParticles(n); err == nil {
-			q, err = opt.geomParam()
-		}
-	case LaneThreshold:
-		if k, err = opt.numParticles(n); err == nil {
-			T, err = opt.thresholdParam(n)
-		}
-	case LaneCapacity:
-		if plan, err = opt.capacityPlan(n); err == nil {
-			k, err = opt.numParticlesCap(n, plan)
-		}
-	default:
-		return fmt.Errorf("core: process has no batched form")
-	}
+	lw, err := opt.law(variant, n)
 	if err != nil {
 		return err
 	}
+	k, q, T, plan := lw.k, lw.q, lw.T, lw.plan
 	if len(seeds) == 0 {
 		return nil
 	}
@@ -245,9 +223,7 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 		ls.trial[j] = int32(next)
 		res := outs[next]
 		res.reset(k, false)
-		if variant == LaneCapacity {
-			res.Capacity = plan.uniform
-		}
+		res.Capacity = plan.uniform
 		ls.beginTrial(j)
 		ls.part[j] = 0
 		ls.steps[j] = 0

@@ -14,10 +14,17 @@
 // its working buffers from a reusable per-worker Scratch — the
 // zero-allocation hot path the public engine drives. Both forms consume
 // the identical RNG stream, so they are interchangeable sample path for
-// sample path. Every walk step dispatches through the step Kernel the
-// graph selected at build time (closed-form for arithmetic families,
-// fused CSR otherwise), which is likewise draw-for-draw identical to the
-// generic CSR lookup.
+// sample path.
+//
+// A settlement law (LaneVariant: the standard rule, Proposition A.1's
+// geometric and threshold rules, or k-per-vertex capacity) is resolved
+// once per run from the Options. The four Sequential-family processes run
+// through one particle loop under their law, and Parallel and
+// CapacityParallel through one round loop; the batched lane (RunLane)
+// resolves the same laws. Every walk step dispatches through the step
+// Kernel the graph selected at build time (closed-form for arithmetic
+// families, fused CSR otherwise), which is likewise draw-for-draw
+// identical to the generic CSR lookup.
 package core
 
 import (
@@ -48,8 +55,13 @@ type Options struct {
 	// Parallel process by a uniformly random priority permutation instead
 	// of least-index (the σ(L) device in the proof of Theorem 4.2).
 	RandomPriority bool
-	// Rule overrides the settlement rule in the Sequential process
-	// (Proposition A.1). Nil means the standard rule: settle immediately.
+	// Rule vetoes settlements of the standard Sequential process
+	// (Proposition A.1): a particle standing on a vacant vertex settles
+	// only if Rule accepts, and otherwise moves on. Nil means the standard
+	// rule: settle immediately. Only Sequential and CTSequential (and so
+	// the "sequential" and "ct-sequential" processes and their lazy
+	// variants) honour it; every other process ignores it, and RunLane
+	// rejects it.
 	Rule SettleRule
 	// MaxSteps aborts a run whose total step count exceeds this bound;
 	// zero means no bound. Guards against misconfigured experiments.
@@ -120,20 +132,9 @@ const DefaultCapacity = 2
 // the Scratch count array reserves next to its epoch stamp.
 const maxCapacity = 1 << 20
 
-// capacity resolves Options.Capacity for the capacity processes.
-func (o *Options) capacity() (int, error) {
-	c := o.Capacity
-	if c == 0 {
-		c = DefaultCapacity
-	}
-	if c < 1 || c > maxCapacity {
-		return 0, fmt.Errorf("core: per-vertex capacity %d (want 1..%d)", c, maxCapacity)
-	}
-	return c, nil
-}
-
-// capPlan is the resolved per-vertex capacity law of a capacity-process
-// run: either a uniform capacity or the Options.Capacities vector.
+// capPlan is the resolved per-vertex capacity law of a run: either a
+// uniform capacity (1 for the unit-capacity laws) or the
+// Options.Capacities vector.
 type capPlan struct {
 	// uniform is the capacity every vertex shares, or the vector's maximum
 	// for vector runs (what Result.Capacity reports either way).
@@ -175,9 +176,12 @@ func (o *Options) capacityPlan(n int) (capPlan, error) {
 		}
 		return p, nil
 	}
-	c, err := o.capacity()
-	if err != nil {
-		return capPlan{}, err
+	c := o.Capacity
+	if c == 0 {
+		c = DefaultCapacity
+	}
+	if c < 1 || c > maxCapacity {
+		return capPlan{}, fmt.Errorf("core: per-vertex capacity %d (want 1..%d)", c, maxCapacity)
 	}
 	return capPlan{uniform: c, total: c * n}, nil
 }
@@ -193,6 +197,48 @@ func (o *Options) numParticlesCap(n int, p capPlan) (int, error) {
 		return 0, fmt.Errorf("core: %d particles on %d vertices of total capacity %d (want 1..%d)", k, n, p.total, p.total)
 	}
 	return k, nil
+}
+
+// law is a run's resolved settlement law: how many particles disperse, how
+// many each vertex hosts, and which vacant standings a particle accepts.
+type law struct {
+	k    int
+	plan capPlan
+	// q is LaneGeom's per-visit acceptance probability.
+	q float64
+	// T is LaneThreshold's count of forced moves, blind to occupancy.
+	T int64
+	// rule is Options.Rule; only LaneStandard honours it.
+	rule SettleRule
+}
+
+// law resolves the options under the settlement law variant on a graph
+// with n vertices. The scalar Sequential and Parallel loops and RunLane
+// resolve their run through it; only RunLane can pass a variant outside the four
+// laws.
+func (o *Options) law(variant LaneVariant, n int) (law, error) {
+	lw := law{plan: capPlan{uniform: 1, total: n}}
+	var err error
+	switch variant {
+	case LaneStandard:
+		lw.k, err = o.numParticles(n)
+		lw.rule = o.Rule
+	case LaneGeom:
+		if lw.k, err = o.numParticles(n); err == nil {
+			lw.q, err = o.geomParam()
+		}
+	case LaneThreshold:
+		if lw.k, err = o.numParticles(n); err == nil {
+			lw.T, err = o.thresholdParam(n)
+		}
+	case LaneCapacity:
+		if lw.plan, err = o.capacityPlan(n); err == nil {
+			lw.k, err = o.numParticlesCap(n, lw.plan)
+		}
+	default:
+		return law{}, fmt.Errorf("core: process has no batched form")
+	}
+	return lw, err
 }
 
 // startVertex returns the origin for the next particle under the options.
@@ -287,8 +333,20 @@ func Sequential(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result,
 // one). res is fully overwritten, reusing its backing arrays; the RNG
 // stream consumed is identical to Sequential's.
 func SequentialInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
+	return sequential(g, origin, opt, LaneStandard, r, s, res)
+}
+
+// sequential runs every Sequential-family process: one particle loop
+// under the settlement law variant. Each particle in turn owes the law's forced
+// moves (T of them under LaneThreshold), then walks to a vacant standing
+// and puts it to the law's acceptance test: a geometric coin, or
+// Options.Rule under LaneStandard. A rejected standing owes one forced
+// move and the walk goes on. An accepted one is settled: it counts towards
+// the vertex's capacity, and a vertex that fills is marked occupied, so
+// every walk tests the same occupancy map whatever the law.
+func sequential(g graph.Graph, origin int, opt Options, variant LaneVariant, r *rng.Source, s *Scratch, res *Result) error {
 	n := g.N()
-	k, err := opt.numParticles(n)
+	lw, err := opt.law(variant, n)
 	if err != nil {
 		return err
 	}
@@ -298,65 +356,53 @@ func SequentialInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Sc
 	if s == nil {
 		s = NewScratch()
 	}
-	res.reset(k, opt.Record)
-	s.beginRun(n, k)
+	res.reset(lw.k, opt.Record)
+	res.Capacity = lw.plan.uniform
+	s.beginRun(n, lw.k)
+	counting := variant == LaneCapacity
+	if counting {
+		s.counts(n)
+	}
+	geom, rule := variant == LaneGeom, lw.rule
+	fused := !s.sparse && !opt.Record
 	kern := g.Kernel()
-	rule := opt.Rule
-	if rule == nil && !opt.Record {
-		// Hot path: the entire settlement walk of each particle runs as
-		// one scratch-dispatched kernel call (the fused dense loop, or the
-		// draw-identical sparse Step loop), so the per-step arithmetic
-		// (including the RNG) inlines into the kernel's concrete loop
-		// instead of paying an interface dispatch per step. Draw-for-draw
-		// identical to the general loop below.
-		for i := 0; i < k; i++ {
-			v := opt.startVertex(origin, n, r)
+	for i := 0; i < lw.k; i++ {
+		v := opt.startVertex(origin, n, r)
+		var steps int64
+		var traj *[]int32
+		if opt.Record {
+			res.Trajectories[i] = []int32{v}
+			traj = &res.Trajectories[i]
+		}
+		for owed := lw.T; ; owed = 1 {
 			budget := int64(math.MaxInt64)
 			if opt.MaxSteps > 0 {
 				budget = opt.MaxSteps - res.TotalSteps
 			}
-			v, steps := s.walkUntilVacant(kern, v, opt.Lazy, budget, r)
-			res.TotalSteps += steps
-			if steps >= budget {
-				// The MaxSteps guard fires mid-walk, exactly as the
-				// step-by-step loop would have: the particle does not
+			var walked int64
+			if owed == 0 && fused {
+				v, walked = kern.WalkUntilVacant(v, opt.Lazy, s.occ, s.epoch, budget, r)
+			} else {
+				v, walked = s.walk(kern, v, owed, opt.Lazy, budget, r, traj)
+			}
+			steps += walked
+			res.TotalSteps += walked
+			if walked >= budget {
+				// The MaxSteps guard fired mid-walk: the particle does not
 				// settle even if its last move reached a vacant vertex.
 				res.Truncated = true
 				res.Steps[i] = steps
 				return nil
 			}
+			// The acceptance coin is drawn only on vacant standings.
+			if !(geom && r.Float64() >= lw.q || rule != nil && !rule(v, steps)) {
+				break
+			}
+		}
+		if !counting || s.fill(v, lw.plan.at(v)) {
 			s.occupy(v)
-			res.settle(i, v, steps, res.TotalSteps)
 		}
-		return nil
-	}
-	for i := 0; i < k; i++ {
-		v := opt.startVertex(origin, n, r)
-		var steps int64
-		var traj []int32
-		if opt.Record {
-			traj = append(traj, v)
-		}
-		// A particle standing on a vacant vertex settles instantly (this
-		// is how the first particle claims the origin); a settlement rule
-		// may veto it, exactly as ρ̃ does in Proposition A.1.
-		for s.occupied(v) || (rule != nil && !rule(v, steps)) {
-			v = step(kern, v, opt.Lazy, r)
-			steps++
-			res.TotalSteps++
-			if opt.Record {
-				traj = append(traj, v)
-			}
-			if opt.MaxSteps > 0 && res.TotalSteps >= opt.MaxSteps {
-				res.Truncated = true
-				res.Steps[i] = steps
-				res.Trajectories = appendTraj(res.Trajectories, i, traj, opt.Record)
-				return nil
-			}
-		}
-		s.occupy(v)
 		res.settle(i, v, steps, res.TotalSteps)
-		res.Trajectories = appendTraj(res.Trajectories, i, traj, opt.Record)
 	}
 	return nil
 }
@@ -376,12 +422,23 @@ func Parallel(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, e
 }
 
 // ParallelInto is Parallel writing into a caller-owned Result, drawing its
-// occupancy map and position/priority/active buffers from the given
-// Scratch (nil allocates a transient one). res is fully overwritten; the
-// RNG stream consumed is identical to Parallel's.
+// occupancy map and position/priority buffers from the given Scratch (nil
+// allocates a transient one). res is fully overwritten; the RNG stream
+// consumed is identical to Parallel's.
 func ParallelInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
+	return parallel(g, origin, opt, LaneStandard, r, s, res)
+}
+
+// parallel runs both Parallel-family processes: one round loop under the
+// settlement law variant (LaneStandard or LaneCapacity). Each round first
+// resolves settlements in priority order, each arrival taking a vertex that
+// is not yet full, then moves every unsettled particle once. Round 0 only
+// resolves: with a common origin, the origin's capacity worth of particles
+// settles there instantly. A vertex that fills is marked occupied, so the
+// resolution tests the same occupancy map under either law.
+func parallel(g graph.Graph, origin int, opt Options, variant LaneVariant, r *rng.Source, s *Scratch, res *Result) error {
 	n := g.N()
-	k, err := opt.numParticles(n)
+	lw, err := opt.law(variant, n)
 	if err != nil {
 		return err
 	}
@@ -391,19 +448,26 @@ func ParallelInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scra
 	if s == nil {
 		s = NewScratch()
 	}
+	k := lw.k
 	res.reset(k, opt.Record)
+	res.Capacity = lw.plan.uniform
 	s.beginRun(n, k)
+	counting := variant == LaneCapacity
+	if counting {
+		s.counts(n)
+	}
 	kern := g.Kernel()
 
 	// Priority order for settlement conflicts: least index, or a uniform
-	// permutation under RandomPriority.
+	// permutation under RandomPriority. Unsettled particles stay listed in
+	// this order, so the list doubles as the active set.
 	s.prio = growI32(s.prio, k)
-	prio := s.prio
-	for i := range prio {
-		prio[i] = int32(i)
+	active := s.prio
+	for i := range active {
+		active[i] = int32(i)
 	}
 	if opt.RandomPriority {
-		r.Shuffle(len(prio), func(i, j int) { prio[i], prio[j] = prio[j], prio[i] })
+		r.Shuffle(len(active), func(i, j int) { active[i], active[j] = active[j], active[i] })
 	}
 	s.pos = growI32(s.pos, k)
 	pos := s.pos
@@ -415,39 +479,15 @@ func ParallelInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scra
 			res.Trajectories[i] = []int32{pos[i]}
 		}
 	}
-	// Round 0 settlement: every particle standing on a vacant vertex
-	// settles, one per vertex in priority order. With a common origin
-	// this is exactly "one of them instantaneously settles at the
-	// origin".
-	s.active = growI32(s.active, k)[:0]
-	active := s.active
-	for _, p := range prio {
-		if !s.occupied(pos[p]) {
-			s.occupy(pos[p])
-			res.settle(int(p), pos[p], 0, 0)
-		} else {
-			active = append(active, p)
-		}
-	}
-
 	var round int64
-	for len(active) > 0 {
-		round++
-		// Every unsettled particle moves simultaneously.
-		for _, p := range active {
-			pos[p] = step(kern, pos[p], opt.Lazy, r)
-			res.Steps[p]++
-			res.TotalSteps++
-			if opt.Record {
-				res.Trajectories[p] = append(res.Trajectories[p], pos[p])
-			}
-		}
-		// Settlement resolution in priority order: one settler per vertex.
+	for {
 		keep := active[:0]
 		for _, p := range active {
-			if !s.occupied(pos[p]) {
-				s.occupy(pos[p])
-				res.settle(int(p), pos[p], res.Steps[p], round)
+			if v := pos[p]; !s.occupied(v) {
+				if !counting || s.fill(v, lw.plan.at(v)) {
+					s.occupy(v)
+				}
+				res.settle(int(p), v, res.Steps[p], round)
 			} else {
 				keep = append(keep, p)
 			}
@@ -457,8 +497,20 @@ func ParallelInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scra
 			res.Truncated = true
 			return nil
 		}
+		if len(active) == 0 {
+			return nil
+		}
+		// Every unsettled particle moves simultaneously.
+		round++
+		for _, p := range active {
+			pos[p] = step(kern, pos[p], opt.Lazy, r)
+			res.Steps[p]++
+			res.TotalSteps++
+			if opt.Record {
+				res.Trajectories[p] = append(res.Trajectories[p], pos[p])
+			}
+		}
 	}
-	return nil
 }
 
 // Uniform runs the (discrete) Uniform-IDLA of Section 4.2: at every tick a
@@ -548,13 +600,6 @@ func (res *Result) settle(particle int, v int32, steps, clock int64) {
 	if steps > res.Dispersion {
 		res.Dispersion = steps
 	}
-}
-
-func appendTraj(trajs [][]int32, i int, traj []int32, record bool) [][]int32 {
-	if record {
-		trajs[i] = traj
-	}
-	return trajs
 }
 
 // event is a pending clock ring in the continuous-time processes.

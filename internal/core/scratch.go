@@ -113,6 +113,14 @@ func (s *Scratch) setCount(v int32, c int32) {
 	s.cnt[v] = uint32(s.epoch)<<24 | uint32(c)
 }
 
+// fill records one more settled particle on vertex v, whose capacity is c,
+// and reports whether v is now full.
+func (s *Scratch) fill(v int32, c int) bool {
+	cv := s.count(v) + 1
+	s.setCount(v, cv)
+	return int(cv) == c
+}
+
 // occupied reports whether vertex v hosts a settled particle this run (is
 // at capacity, for the capacity processes).
 func (s *Scratch) occupied(v int32) bool {

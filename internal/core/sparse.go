@@ -8,8 +8,8 @@
 // for small or dense runs, where it is both faster and smaller.
 //
 // Both backends produce bit-identical RNG streams: the sparse settlement
-// walk is the explicit Step loop that the Kernel contract defines
-// WalkUntilVacant to be draw-for-draw equivalent to.
+// walk is the explicit Step loop (Scratch.walk) that the Kernel contract
+// defines WalkUntilVacant to be draw-for-draw equivalent to.
 
 package core
 
@@ -103,26 +103,44 @@ func (t *sparseTable) set(v int32, val int32) {
 	t.vals[i] = val
 }
 
-// walkUntilVacant runs one particle's settlement walk from v under the
-// scratch's occupancy backend: the kernel's fused WalkUntilVacant against
-// the dense epoch map, or — in sparse mode — the explicit Step loop that
-// the Kernel contract defines it to be draw-for-draw identical to. Either
-// way the walk stops on the first vacant standing vertex or after budget
-// steps, whichever comes first, and returns the final vertex and the
-// number of steps consumed.
-func (s *Scratch) walkUntilVacant(kern graph.Kernel, v int32, lazy bool, budget int64, r *rng.Source) (int32, int64) {
-	if !s.sparse {
-		return kern.WalkUntilVacant(v, lazy, s.occ, s.epoch, budget, r)
-	}
+// walk runs one stretch of a particle's settlement walk from v: first the
+// owed forced moves, blind to occupancy, then moves while the particle
+// stands on an occupied vertex. It also stops once it has taken budget
+// steps, whatever the vertex, and returns the final vertex and the steps
+// taken. A non-nil traj records the walk: every vertex reached is
+// appended to *traj.
+//
+// This is the explicit Step loop the Kernel contract defines
+// WalkUntilVacant to equal draw for draw, and it serves sparse occupancy,
+// recorded walks and forced moves alike. A dense unrecorded walk hands
+// over to the kernel's fused WalkUntilVacant once its forced moves are
+// paid (sequential calls the kernel directly when nothing is owed). The loop keeps the occupancy probe and the lazy coin inline:
+// calling Scratch.occupied and step per move costs the sparse walk
+// measurably.
+func (s *Scratch) walk(kern graph.Kernel, v int32, owed int64, lazy bool, budget int64, r *rng.Source, traj *[]int32) (int32, int64) {
 	var steps int64
-	for s.table.get(v)&sparseFull != 0 {
+	for {
+		if steps >= owed {
+			if s.sparse {
+				if s.table.get(v)&sparseFull == 0 {
+					return v, steps
+				}
+			} else if traj == nil {
+				end, walked := kern.WalkUntilVacant(v, lazy, s.occ, s.epoch, budget-steps, r)
+				return end, steps + walked
+			} else if s.occ[v] != s.epoch {
+				return v, steps
+			}
+		}
 		if !lazy || !r.Bool() {
 			v = kern.Step(v, r)
 		}
 		steps++
+		if traj != nil {
+			*traj = append(*traj, v)
+		}
 		if steps >= budget {
-			break
+			return v, steps
 		}
 	}
-	return v, steps
 }

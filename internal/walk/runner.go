@@ -231,17 +231,3 @@ func (rn *Runner) Run(trials int, fn func(trial int, r *rng.Source) float64) []f
 		func(i int, v float64) error { out[i] = v; return nil })
 	return out
 }
-
-// RunPairs is Run for trial functions producing two paired values (e.g.
-// the sequential and parallel dispersion time under a shared coupling).
-func (rn *Runner) RunPairs(trials int, fn func(trial int, r *rng.Source) (float64, float64)) ([]float64, []float64) {
-	a := make([]float64, trials)
-	b := make([]float64, trials)
-	_ = Stream(context.Background(), rn, trials,
-		func(i int, r *rng.Source) ([2]float64, error) {
-			x, y := fn(i, r)
-			return [2]float64{x, y}, nil
-		},
-		func(i int, v [2]float64) error { a[i], b[i] = v[0], v[1]; return nil })
-	return a, b
-}

@@ -244,16 +244,3 @@ func TestRunnerDeterminismAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
-
-func TestRunPairsAligned(t *testing.T) {
-	rn := NewRunner(3, 5)
-	a, b := rn.RunPairs(100, func(i int, r *rng.Source) (float64, float64) {
-		x := float64(r.Intn(1000))
-		return x, x + float64(i)
-	})
-	for i := range a {
-		if b[i]-a[i] != float64(i) {
-			t.Fatalf("pair misaligned at %d", i)
-		}
-	}
-}

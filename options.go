@@ -48,9 +48,12 @@ func WithRandomOrigins() Option {
 	return func(c *config) { c.core.RandomOrigins = true }
 }
 
-// WithSettleRule overrides the settlement rule in the Sequential process
-// (Proposition A.1). The default rule settles immediately on any vacant
-// vertex.
+// WithSettleRule overrides the settlement rule of the standard Sequential
+// process (Proposition A.1): a particle standing on a vacant vertex
+// settles only if rule accepts, and otherwise moves on. The default rule
+// settles immediately on any vacant vertex. Only "sequential",
+// "ct-sequential" and their lazy variants honour it; every other process
+// ignores it, and WithBatch rejects it.
 func WithSettleRule(rule SettleRule) Option {
 	return func(c *config) { c.core.Rule = rule }
 }
