@@ -9,6 +9,7 @@
 //	dispersion-server -addr :8080 -max-jobs 4 -engine-workers 2
 //	dispersion-server -results-dir /var/lib/dispersion
 //	dispersion-server -max-queued 256 -tenant-quota 'teamA=weight:3,max-queued:64'
+//	dispersion-server -max-graph-bytes 2147483648
 //
 // The API (see package dispersion/server and README.md for the full
 // reference):
@@ -25,7 +26,11 @@
 // Quota flags take a comma-separated key:value list with keys weight,
 // max-queued, max-running, and max-resident-bytes; -tenant-quota
 // prefixes it with '<api key>=' and may repeat. Submissions over budget
-// answer 429 with a Retry-After header. The server logs one structured
+// answer 429 with a Retry-After header. -max-graph-bytes (default 512
+// MiB) bounds the modeled resident bytes of the graph a job may ask for
+// — a larger spec answers 400 — and of the cache that keeps each built
+// graph for later jobs on its spec; it does not bound the memory a
+// build touches on its way. The server logs one structured
 // key=value line per request and per scheduler transition.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight jobs are
@@ -135,6 +140,7 @@ func main() {
 		evict         = flag.Bool("evict-consumed", false, "drop a job's in-memory results once it is terminal and its stream was fully consumed (re-reads answer 410)")
 		maxQueued     = flag.Int("max-queued", 0, "global queued-job bound; submissions beyond it answer 429 (0 = default 1024)")
 		maxResident   = flag.Int64("max-resident-bytes", 0, "global resident result-buffer byte budget; submissions over it answer 429 (0 = unbounded)")
+		maxGraph      = flag.Int64("max-graph-bytes", server.DefaultMaxGraphBytes, "largest modeled resident graph a job may build (larger specs answer 400), and the byte budget of the cache of built graphs; builds in progress are not charged")
 		metrics       = flag.Bool("metrics", true, "serve Prometheus metrics at GET /metrics")
 		summaryWait   = flag.Duration("summary-max-wait", 0, "bound on the ?wait=1 summary long-poll (0 = 30s default)")
 		retryAfter    = flag.Duration("retry-after", 0, "Retry-After hint on 429 rejections (0 = 1s default)")
@@ -175,6 +181,7 @@ func main() {
 		EvictConsumed:    *evict,
 		MaxQueued:        *maxQueued,
 		MaxResidentBytes: *maxResident,
+		MaxGraphBytes:    *maxGraph,
 		DefaultQuota:     defaultQuota,
 		TenantQuotas:     tenantQuotas,
 		RetryAfter:       *retryAfter,

@@ -2,11 +2,11 @@ package graphspec_test
 
 import (
 	"math"
-	"strconv"
-	"strings"
+	"reflect"
 	"testing"
 
 	"dispersion/graphspec"
+	"dispersion/internal/graph"
 )
 
 // FuzzParse fuzzes the graph-spec parser: it must never panic, and every
@@ -51,11 +51,14 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzBuild fuzzes graph construction: a spec whose numeric arguments
-// are all at most 64 in magnitude must build or return an error, never
-// panic. Within that bound a few families can still ask for a large CSR
-// build (a depth-30 tree, a 64^5 grid); build cost has no bound yet, so
-// specs whose CSR vertex count would pass 2^16 are skipped.
+// FuzzBuild fuzzes graph construction against the cost model: a spec
+// must build or return an error, never panic, and every spec that builds
+// must have a Cost equal to the built graph's footprint — its vertices,
+// its undirected edges and its graph.Footprint bytes. Equality is exact
+// for the deterministic families. A gnp build is a sample conditioned on
+// connectivity, so its edges (and with them its bytes) may differ from
+// the modeled count by gnpTolerance. Specs whose Cost passes
+// maxFuzzBytes are skipped, which bounds each build's memory and time.
 func FuzzBuild(f *testing.F) {
 	for _, seed := range []string{
 		"path:0", "path:1", "path:64", "cycle:2", "cycle:3", "complete:0",
@@ -70,51 +73,136 @@ func FuzzBuild(f *testing.F) {
 		"rregular:30,4", "regular:7,3", "regular:16,3", "regular:64,63",
 		"gnp:0,0.5", "gnp:10,0", "gnp:32,0.5", "gnp:8,NaN", "wcomplete:1,1",
 		"wcomplete:8,64", "wcomplete:8,-64", "wcycle:2,1", "wcycle:9,64",
+		// Specs the cost model prices without building: large CSR graphs
+		// and an implicit family whose degree sum is not walked.
+		"hypercube:14", "hypercube:15", "grid:40000x40000", "bintree:30",
+		"hair:100000", "regular:40000000,50", "wcomplete:100000,1",
+		"complete:2000000000", "circulant:12,6", "gnp:200,0.02", "gnp:3,0.1", "gnp:1,1",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
 		s, err := graphspec.Parse(spec)
-		if err != nil || !small(s) {
+		if err != nil {
+			return
+		}
+		c, costErr := s.Cost()
+		if costErr == nil && c.Bytes > maxFuzzBytes {
 			return
 		}
 		g, err := s.Build(1)
-		if err == nil && g.N() < 1 {
+		if err != nil {
+			return
+		}
+		if costErr != nil {
+			t.Fatalf("Build(%q) succeeded, but Cost failed: %v", spec, costErr)
+		}
+		if g.N() < 1 {
 			t.Fatalf("Build(%q) returned a graph with %d vertices", spec, g.N())
+		}
+		if int64(g.N()) != c.Vertices {
+			t.Fatalf("Cost(%q).Vertices = %d, built %d", spec, c.Vertices, g.N())
+		}
+		m, counted := edges(g)
+		bytes := graph.Footprint(g)
+		if s.Kind == "gnp" {
+			tol := gnpTolerance(c.Vertices, c.Edges)
+			if d := abs(m - c.Edges); d > tol {
+				t.Fatalf("Cost(%q).Edges = %d, built %d: off by %d, tolerance %d", spec, c.Edges, m, d, tol)
+			}
+			if want := graph.CSRBytes(c.Vertices, m); c.Bytes != graph.CSRBytes(c.Vertices, c.Edges) || bytes != want {
+				t.Fatalf("Cost(%q).Bytes = %d, footprint %d: not the CSR bytes of the counted edges", spec, c.Bytes, bytes)
+			}
+			return
+		}
+		if counted && m != c.Edges {
+			t.Fatalf("Cost(%q).Edges = %d, built %d", spec, c.Edges, m)
+		}
+		if bytes != c.Bytes {
+			t.Fatalf("Cost(%q).Bytes = %d, graph.Footprint = %d", spec, c.Bytes, bytes)
 		}
 	})
 }
 
-// small reports whether every numeric argument of s is at most 64 in
-// magnitude and its CSR build, if any, stays under 2^16 vertices.
-func small(s graphspec.Spec) bool {
-	fields := strings.FieldsFunc(s.Args, func(r rune) bool { return r == ',' || r == 'x' })
-	nums := make([]float64, len(fields))
-	for i, a := range fields {
-		x, err := strconv.ParseFloat(strings.TrimSpace(a), 64)
+// FuzzCanonical fuzzes Spec.Canonical against Build: a spec's Canonical
+// form exists exactly when its arguments parse, is its own Canonical
+// form, and builds a graph identical to the spec's own. Specs whose Cost
+// passes maxFuzzBytes are skipped.
+func FuzzCanonical(f *testing.F) {
+	for _, seed := range []string{
+		"complete:08", "complete:+8", "complete: 8", "complete:3.0", "path:1",
+		"torus: 8 x08x+8", "grid:-0x3", "grid:2x 3", "circulant:12,01,-3",
+		"regular:016, 3", "tree:+9", "gnp:32, 0.50", "gnp:32,5e-1",
+		"wcomplete:8,1.0", "wcomplete:8,0x1p-2", "wcomplete:8,-0x1p-2",
+		"wcomplete:8,-0", "wcomplete:8,NaN", "wcycle:9, 3", "wcycle:9,3,1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := graphspec.Parse(spec)
 		if err != nil {
-			return true // a malformed argument must fail cleanly too
+			return
 		}
-		if !(math.Abs(x) <= 64) {
-			return false
+		c, costErr := s.Cost()
+		canon, err := s.Canonical()
+		if (err == nil) != (costErr == nil) {
+			t.Fatalf("Canonical(%q) error %v, Cost error %v", spec, err, costErr)
 		}
-		nums[i] = x
+		if err != nil || c.Bytes > maxFuzzBytes {
+			return
+		}
+		if again, err := canon.Canonical(); err != nil || again != canon {
+			t.Fatalf("Canonical(%q) = %q, whose Canonical is %q, %v", spec, canon, again, err)
+		}
+		g, err := s.Build(1)
+		g2, err2 := canon.Build(1)
+		if (err == nil) != (err2 == nil) {
+			t.Fatalf("Build(%q) error %v, Build of its Canonical %q error %v", spec, err, canon, err2)
+		}
+		if err == nil && !reflect.DeepEqual(g, g2) {
+			t.Fatalf("Build(%q) and Build of its Canonical %q differ", spec, canon)
+		}
+	})
+}
+
+// maxFuzzBytes is the largest modeled footprint FuzzBuild builds.
+const maxFuzzBytes = 1 << 20
+
+// edges counts g's undirected edges: M for the CSR-backed graphs, half
+// the degree sum for implicit ones. counted is false for an implicit
+// graph of more than 2^20 vertices, whose degree sum is not walked.
+func edges(g graph.Graph) (m int64, counted bool) {
+	if c, ok := g.(interface{ M() int }); ok {
+		return int64(c.M()), true
 	}
-	const maxCSR = 1 << 16
-	switch s.Kind {
-	case "bintree", "treepath":
-		return len(nums) == 0 || nums[0] <= 16
-	case "grid", "torus":
-		// A torus with at most 8 sides >= 3 builds the implicit backend,
-		// whatever its size; larger shapes build a CSR grid.
-		n, eff := 1.0, 0
-		for _, x := range nums {
-			n *= math.Abs(x)
-			if x >= 3 {
-				eff++
-			}
-		}
-		return (s.Kind == "torus" && eff <= 8) || n <= maxCSR
+	if g.N() > 1<<20 {
+		return 0, false
 	}
-	return true
+	var deg int64
+	for v := range g.N() {
+		deg += int64(g.Degree(v))
+	}
+	return deg / 2, true
+}
+
+// gnpTolerance is how far a built gnp graph's edges may sit from its
+// modeled count: eight binomial standard deviations of G(n, p)'s edge
+// count, plus 3 for small graphs whose deviation is near 0. The model's
+// count stands in for the mean, which the connectivity conditioning lifts
+// by less than a deviation wherever a connected sample is likely
+// enough to be drawn.
+func gnpTolerance(n, modeled int64) int64 {
+	pairs := float64(n) * float64(n-1) / 2
+	if pairs == 0 {
+		return 3
+	}
+	p := min(float64(modeled)/pairs, 1)
+	return int64(8*math.Sqrt(pairs*p*(1-p))) + 3
+}
+
+func abs(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }

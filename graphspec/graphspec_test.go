@@ -1,7 +1,10 @@
 package graphspec
 
 import (
+	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"dispersion/internal/graph"
@@ -127,6 +130,109 @@ func TestBuildOutOfRange(t *testing.T) {
 	}
 }
 
+// Cost's figures, worked out by hand from each backend's layout: 4-byte
+// offsets and adjacency entries, 20 more bytes per weighted adjacency
+// slot, 16-byte torus move-table entries and dimension records.
+func TestCost(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		want Cost
+	}{
+		{"path:1", Cost{1, 0, 8}},
+		{"complete:256", Cost{256, 256 * 255 / 2, 0}},
+		{"cycle:1000", Cost{1000, 1000, 0}},
+		{"hypercube:9", Cost{512, 9 * 256, 4*513 + 8*9*256}},
+		{"hypercube:16", Cost{1 << 16, 16 << 15, 0}},
+		{"grid:3x4", Cost{12, 2*4 + 3*3, 4*13 + 8*17}},
+		{"torus:8x8x8", Cost{512, 3 * 512, 3*16 + 27*6*16}},
+		{"torus:1x7", Cost{7, 7, 0}},
+		{"circulant:12,1,6", Cost{12, 12 * 3 / 2, 2 * 4}},
+		{"lollipop:9", Cost{9, 10 + 4, 4*10 + 8*14}},
+		{"pimple:12,4", Cost{12, 45 + 4, 4*13 + 8*49}},
+		{"treepath:3,4", Cost{11, 10, 4*12 + 8*10}},
+		{"regular:16,3", Cost{16, 24, 4*17 + 8*24}},
+		{"tree:25", Cost{25, 24, 4*26 + 8*24}},
+		{"gnp:30,0.4", Cost{30, 174, 4*31 + 8*174}},
+		{"gnp:100,0.001", Cost{100, 99, 4*101 + 8*99}},
+		{"wcomplete:512,1", Cost{512, 130816, 4*513 + 48*130816}},
+		{"wcycle:12,3", Cost{12, 12, 4*13 + 48*12}},
+	} {
+		got, err := mustParse(t, c.spec).Cost()
+		if err != nil {
+			t.Errorf("%s: %v", c.spec, err)
+		} else if got != c.want {
+			t.Errorf("Cost(%s) = %+v, want %+v", c.spec, got, c.want)
+		}
+	}
+}
+
+// Specs far too large to build are priced without allocating for them,
+// and a Build of one fails before allocating too.
+func TestCostOfUnbuildableSpecs(t *testing.T) {
+	for _, spec := range []string{
+		"grid:40000x40000", "bintree:30", "hair:100000",
+		"regular:40000000,50", "wcomplete:100000,1", "hair:2147483647",
+	} {
+		s := mustParse(t, spec)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := s.Cost()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("Cost(%s): %v", spec, err)
+		}
+		if c.Bytes < 1<<30 {
+			t.Errorf("Cost(%s).Bytes = %d, want over 1 GiB", spec, c.Bytes)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<16 {
+			t.Errorf("Cost(%s) allocated %d bytes", spec, d)
+		}
+		if 2*c.Edges > maxVertices {
+			if _, err := s.Build(1); err == nil || !strings.Contains(err.Error(), "adjacency entries") {
+				t.Errorf("Build(%s) = %v, want the adjacency-entries error", spec, err)
+			}
+		}
+	}
+	if c, _ := mustParse(t, "hair:2147483647").Cost(); c.Bytes != math.MaxInt64 {
+		t.Errorf("hair:2147483647 costs %d bytes, want the saturated %d", c.Bytes, int64(math.MaxInt64))
+	}
+}
+
+// Spellings of one argument list share one Canonical spec; specs whose
+// arguments do not parse have none.
+func TestCanonical(t *testing.T) {
+	for spec, want := range map[string]string{
+		"complete:8": "complete:8", "complete:08": "complete:8", "complete:+8": "complete:8",
+		"complete: 8 ": "complete:8", "torus: 8 x08x+8": "torus:8x8x8", "grid:-0x3": "",
+		"circulant:12,01,-3": "circulant:12,1,-3", "regular:016, 3": "regular:16,3",
+		"gnp:64, 0.50": "gnp:64,0.5", "gnp:64,5e-1": "gnp:64,0.5",
+		"wcomplete:8,1.0": "wcomplete:8,1", "wcomplete:8,0x1p-2": "wcomplete:8,0.25",
+		"wcomplete:8,-0x1p-2": "wcomplete:8,-0.25", "wcomplete:8,-0": "wcomplete:8,-0",
+		"wcycle:9, 3":  "wcycle:9,3",
+		"complete:3.0": "", "cycle:2": "", "gnp:8,2": "", "wcycle:9,3,1": "",
+	} {
+		c, err := mustParse(t, spec).Canonical()
+		switch {
+		case want == "" && err == nil:
+			t.Errorf("Canonical(%q) = %q, want an argument error", spec, c)
+		case want != "" && err != nil:
+			t.Errorf("Canonical(%q): %v", spec, err)
+		case want != "" && c.String() != want:
+			t.Errorf("Canonical(%q) = %q, want %q", spec, c, want)
+		}
+	}
+}
+
+// mustParse parses spec or fails the test.
+func mustParse(t *testing.T, spec string) Spec {
+	t.Helper()
+	s, err := Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestParse(t *testing.T) {
 	s, err := Parse("torus:16x16")
 	if err != nil {
@@ -168,8 +274,8 @@ func TestRandomFamilies(t *testing.T) {
 
 func TestKinds(t *testing.T) {
 	kinds := Kinds()
-	if len(kinds) != len(builders) {
-		t.Fatalf("Kinds() has %d entries, want %d", len(kinds), len(builders))
+	if len(kinds) != len(families) {
+		t.Fatalf("Kinds() has %d entries, want %d", len(kinds), len(families))
 	}
 	for i := 1; i < len(kinds); i++ {
 		if kinds[i-1] >= kinds[i] {
@@ -177,7 +283,7 @@ func TestKinds(t *testing.T) {
 		}
 	}
 	for _, k := range kinds {
-		if _, ok := builders[k]; !ok {
+		if _, ok := families[k]; !ok {
 			t.Errorf("Kinds() lists unknown %q", k)
 		}
 	}

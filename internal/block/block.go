@@ -64,9 +64,6 @@ func (b *Block) Clone() *Block {
 	return nb
 }
 
-// NumRows returns the number of particles.
-func (b *Block) NumRows() int { return len(b.Rows) }
-
 // TotalLength returns m(L) = Σ ρ_i, the total number of moves recorded.
 func (b *Block) TotalLength() int64 {
 	var m int64

@@ -341,19 +341,6 @@ func SeqDispersionCDF(g *graph.CSR, origin int, v SeqVariant, T int) ([]float64,
 	return cdf, nil
 }
 
-// SeqExpectedDispersion returns the variant's exact E[dispersion] up to
-// the truncation error of horizon T, plus the residual tail mass P(τ > T).
-func SeqExpectedDispersion(g *graph.CSR, origin int, v SeqVariant, T int) (mean, tailMass float64, err error) {
-	cdf, err := SeqDispersionCDF(g, origin, v, T)
-	if err != nil {
-		return 0, 0, err
-	}
-	for t := 0; t < T; t++ {
-		mean += 1 - cdf[t]
-	}
-	return mean, 1 - cdf[T], nil
-}
-
 // lawCache memoizes SettleLaw per (start, occupied set): the random-origin
 // DPs revisit the same pair once per predecessor state.
 type lawCache struct {

@@ -223,9 +223,6 @@ func Lollipop(n int) *CSR {
 	return b.MustBuild()
 }
 
-// LollipopPathEnd returns the vertex at the far end of the lollipop path.
-func LollipopPathEnd(n int) int { return n - 1 }
-
 // LollipopPathMid returns the vertex half way down the lollipop's path,
 // the target w in the proof of Proposition 5.16.
 func LollipopPathMid(n int) int {

@@ -108,16 +108,16 @@ func ImplicitHypercube(k int) *Implicit {
 	}
 }
 
-// maxTorusDims bounds the effective (side >= 3) dimensions of an implicit
+// MaxTorusDims bounds the effective (side >= 3) dimensions of an implicit
 // torus, which bounds its move table (3^D rows) and lets a walk keep its
 // coordinates in a fixed-size stack array.
-const maxTorusDims = 8
+const MaxTorusDims = 8
 
 // ImplicitTorus returns the d-dimensional torus with the given side
 // lengths as an implicit graph, indexed in row-major order exactly like
 // Grid(sides, true). Sides of length 1 are allowed and contribute no
 // edges; sides of length 2 would create parallel edges and are rejected;
-// at least one side must be >= 3 and at most maxTorusDims may be.
+// at least one side must be >= 3 and at most MaxTorusDims may be.
 //
 // The graph stores no adjacency. With D >= 2 effective dimensions its
 // kernel holds a move table of 3^D·2D entries of 16 bytes, whatever the
@@ -142,8 +142,8 @@ func ImplicitTorus(sides []int) (*Implicit, error) {
 	if eff == 0 {
 		return nil, fmt.Errorf("graph: torus needs at least one side >= 3")
 	}
-	if eff > maxTorusDims {
-		return nil, fmt.Errorf("graph: torus supports at most %d effective dimensions, got %d", maxTorusDims, eff)
+	if eff > MaxTorusDims {
+		return nil, fmt.Errorf("graph: torus supports at most %d effective dimensions, got %d", MaxTorusDims, eff)
 	}
 	g := &Implicit{
 		name:      fmt.Sprintf("torus-%dd-%d", len(sides), n),
@@ -191,7 +191,7 @@ func ImplicitCirculant(n int, offsets []int) (*Implicit, error) {
 	offs := make([]int, len(offsets))
 	copy(offs, offsets)
 	sort.Ints(offs)
-	k := circulantKernel{n: int32(n)}
+	k := circulantKernel{n: int32(n), offs: make([]int32, 0, len(offs))}
 	gcd := n
 	for i, s := range offs {
 		if s < 1 || 2*s > n {
@@ -242,7 +242,7 @@ func ImplicitRandomRegular(n, d int, seed uint64) (*Implicit, error) {
 	if d < 2 || d%2 != 0 || d > maxRRegularDegree {
 		return nil, fmt.Errorf("graph: implicit random-regular requires even d in [2, %d], got %d", maxRRegularDegree, d)
 	}
-	k := rregKernel{n: int32(n), deg: int32(d)}
+	k := rregKernel{n: int32(n), deg: int32(d), perms: make([]feistel, 0, d/2)}
 	for j := 0; j < d/2; j++ {
 		k.perms = append(k.perms, newFeistel(n, splitmix(seed, uint64(j))))
 	}
@@ -337,7 +337,7 @@ type torusMove struct {
 func newTorusKernel(sides []int32) torusKernel {
 	k := torusKernel{deg: int32(2 * len(sides)), dims: make([]torusDim, len(sides))}
 	rows, stride := int32(1), int32(1)
-	var strides [maxTorusDims]int32
+	var strides [MaxTorusDims]int32
 	for d, side := range sides {
 		k.dims[d] = torusDim{side: side, pow3: rows, recip: ^uint64(0)/uint64(side) + 1}
 		strides[d] = stride
@@ -367,13 +367,13 @@ func newTorusKernel(sides []int32) torusKernel {
 }
 
 // locate writes v's coordinates into coord and returns its class index.
-func (k torusKernel) locate(v int32, coord *[maxTorusDims]int32) int32 {
+func (k torusKernel) locate(v int32, coord *[MaxTorusDims]int32) int32 {
 	x, cls := uint64(v), int32(0)
 	for d, td := range k.dims {
 		q, _ := bits.Mul64(td.recip, x)
 		c := int32(x - q*uint64(td.side))
 		x = q
-		coord[d&(maxTorusDims-1)] = c
+		coord[d&(MaxTorusDims-1)] = c
 		// The digit is (c > 0) + (c == side-1), computed from sign bits
 		// so random coordinates cost no branch mispredictions.
 		digit := int32(uint32(-c)>>31) + int32(1^uint32(c-td.side+1)>>31)
@@ -384,7 +384,7 @@ func (k torusKernel) locate(v int32, coord *[maxTorusDims]int32) int32 {
 
 // row returns the move-table row of v's class.
 func (k torusKernel) row(v int32) []torusMove {
-	var coord [maxTorusDims]int32
+	var coord [MaxTorusDims]int32
 	i := int(k.locate(v, &coord) * k.deg)
 	return k.moves[i : i+int(k.deg)]
 }
@@ -405,9 +405,9 @@ func (k torusKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint
 	if occ[v] != epoch {
 		return v, 0
 	}
-	var coord, last, pow3 [maxTorusDims]int32
+	var coord, last, pow3 [MaxTorusDims]int32
 	for d, td := range k.dims {
-		last[d&(maxTorusDims-1)], pow3[d&(maxTorusDims-1)] = td.side-1, td.pow3
+		last[d&(MaxTorusDims-1)], pow3[d&(MaxTorusDims-1)] = td.side-1, td.pow3
 	}
 	cls := k.locate(v, &coord)
 	moves, deg := k.moves, int(k.deg)
@@ -430,7 +430,7 @@ func (k torusKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint
 			}
 			m := moves[int(cls)*deg+int(hi)]
 			v += m.off
-			d := m.dim & (maxTorusDims - 1) // the mask drops the bounds checks
+			d := m.dim & (MaxTorusDims - 1) // the mask drops the bounds checks
 			c := coord[d] + m.dc
 			coord[d] = c
 			cls = m.mid

@@ -413,7 +413,7 @@ func TestImplicitValidation(t *testing.T) {
 		t.Error("torus with no effective side accepted")
 	}
 	if _, err := ImplicitTorus([]int{3, 3, 3, 3, 3, 3, 3, 3, 3}); err == nil {
-		t.Error("torus beyond maxTorusDims accepted")
+		t.Error("torus beyond MaxTorusDims accepted")
 	}
 	if _, err := ImplicitCirculant(10, []int{0}); err == nil {
 		t.Error("circulant offset 0 accepted")

@@ -107,17 +107,6 @@ func (h *Hitting) Max() (float64, int, int) {
 	return best, bu, bv
 }
 
-// MaxFrom returns max_v H(u, v) for a fixed start u.
-func (h *Hitting) MaxFrom(u int) float64 {
-	best := 0.0
-	for v := 0; v < h.g.N(); v++ {
-		if t := h.Hit(u, v); t > best {
-			best = t
-		}
-	}
-	return best
-}
-
 // HitSetFrom returns the expected time for the simple (or lazy) walk to
 // hit the set S, for every start vertex, by solving the absorbing linear
 // system (I - Q) h = 1 over the complement of S with dense LU. Entries of

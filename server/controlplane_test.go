@@ -500,10 +500,19 @@ func TestMetricsEndpoint(t *testing.T) {
 		`dispersion_jobs_submitted_total{tenant="keyA"}`:                                2,
 		`dispersion_tenant_jobs_queued{tenant="keyA"}`:                                  1,
 		`dispersion_admission_rejected_total{tenant="keyA",reason="tenant-queue-full"}`: 1,
+		// The three complete:8 jobs that ran share one build: the first
+		// misses, the two identical ones after it hit. The plug's
+		// complete:256 misses. Both graphs are implicit, with no arrays:
+		// each is charged its key, its name and the entry overhead.
+		"dispersion_graph_cache_misses_total":    2,
+		"dispersion_graph_cache_hits_total":      2,
+		"dispersion_graph_cache_evictions_total": 0,
+		"dispersion_graph_cache_entries":         2,
+		"dispersion_graph_cache_bytes":           graphCharge(t, "complete:8") + graphCharge(t, "complete:256"),
 	}
 	for name, v := range want {
-		if got[name] != v {
-			t.Errorf("%s = %v, want %v", name, got[name], v)
+		if g, ok := got[name]; !ok || g != v {
+			t.Errorf("%s = %v (reported %t), want %v", name, g, ok, v)
 		}
 	}
 	if got["dispersion_resident_bytes_total"] <= 0 {

@@ -48,6 +48,25 @@
 // summary long-poll is bounded by Server.SummaryMaxWait (non-terminal
 // answers carry Retry-After: 1).
 //
+// What a submission may ask the server to read or build is bounded too.
+// A POST /v1/jobs body over MaxJobRequestBytes answers 413. A spec whose
+// graph the cost model (graphspec.Spec.Cost) prices above
+// ManagerOptions.MaxGraphBytes — 512 MiB by default — answers 400 before
+// anything is allocated for it. Within that bound a job resolves its
+// spec through the manager's graph cache, keyed by the spec's Canonical
+// text (and by the seed for random families), before Engine.Run starts.
+// Concurrent jobs and shards on one key wait for a single build, and
+// later jobs reuse the kept graph. Each kept graph is charged its
+// footprint plus a fixed entry overhead, and the least recently used
+// graphs are evicted once the cache holds more than MaxGraphBytes. A
+// graph that no second job has asked for waits in a probation segment
+// of 8 graphs and 1/8 of the budget, so a sweep over sizes or fresh
+// random seeds keeps little. The bound is on resident graphs:
+// builds in progress, which can touch several times their modeled
+// bytes, and evicted graphs still held by running jobs are not charged.
+// Graphs are read-only, so sharing one never changes a result. /metrics
+// reports the cache's hits, misses, evictions, bytes and entries.
+//
 // Every NDJSON line is a sink.Record: {"trial": i, "result": {...}}.
 // Results are bit-for-bit identical to a direct Engine.Run with the same
 // (seed, experiment, trials) — the engine derives trial i's randomness

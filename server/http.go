@@ -28,6 +28,12 @@ const APIKeyHeader = "X-API-Key"
 // instead of holding the handler goroutine indefinitely.
 const DefaultSummaryMaxWait = 30 * time.Second
 
+// MaxJobRequestBytes bounds the body of POST /v1/jobs: 16 MiB, room for
+// a capacities vector of four million vertices at up to three digits
+// each. A larger body answers 413 Request Entity Too Large before it is
+// decoded in full.
+const MaxJobRequestBytes = 16 << 20
+
 // Server is the HTTP layer over a Manager: an http.Handler serving the
 // /v1 job API documented in the package comment and README.md.
 type Server struct {
@@ -99,14 +105,19 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 
 // submit handles POST /v1/jobs: decode, validate, and queue the request
 // under the tenant named by the X-API-Key header, echoing the new job's
-// status with a Location header. Admission-control rejections answer
-// 429 Too Many Requests with a Retry-After header (in seconds, rounded
-// up) carrying the scheduler's backoff hint.
+// status with a Location header. A body over MaxJobRequestBytes answers
+// 413. Admission-control rejections answer 429 Too Many Requests with a
+// Retry-After header (in seconds, rounded up) carrying the scheduler's
+// backoff hint.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxJobRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			fail(w, http.StatusRequestEntityTooLarge, "job request body over %d bytes", tooBig.Limit)
+			return
+		}
 		fail(w, http.StatusBadRequest, "bad job request: %v", err)
 		return
 	}

@@ -15,6 +15,7 @@ import (
 
 	"dispersion"
 	"dispersion/agg"
+	"dispersion/graphspec"
 	"dispersion/sink"
 )
 
@@ -234,6 +235,7 @@ type Job struct {
 	runCtx      context.Context
 	evict       bool // ManagerOptions.EvictConsumed, frozen at submit
 	summaryOnly bool // JobRequest.SummaryOnly, frozen at submit
+	spec        graphspec.Spec
 	priority    int
 	deadline    time.Time // zero = no queue deadline
 
@@ -505,6 +507,25 @@ type ManagerOptions struct {
 	// TenantQuotas assigns specific tenants (API keys) their own quotas
 	// and fair-share weights.
 	TenantQuotas map[string]TenantQuota
+	// MaxGraphBytes bounds the resident size of one job's graph, in
+	// modeled bytes (graphspec.Spec.Cost): a submission whose spec
+	// models more is rejected as invalid (HTTP 400) before anything is
+	// allocated for it. The same figure budgets the manager's cache of
+	// built graphs, which keeps each graph for later jobs and shards on
+	// its spec and evicts the least recently used beyond the budget;
+	// each kept graph is charged its footprint plus a fixed entry
+	// overhead. Graphs no second job has asked for stay in a small
+	// probation segment (8 graphs, 1/8 of the budget), so traffic that
+	// never repeats a spec keeps little. Every job's graph goes through
+	// the cache.
+	//
+	// The bound is on resident graphs, not on the memory a build
+	// touches on its way: a regular:N,D build holds its stub list, its
+	// edge set and its builder besides the CSR it returns, about four
+	// to five times the modeled bytes. Builds in progress (up to
+	// MaxConcurrent at once) and evicted graphs that running jobs still
+	// hold are not charged to the cache. 0 means DefaultMaxGraphBytes.
+	MaxGraphBytes int64
 	// RetryAfter is the backoff hint attached to admission rejections
 	// (the HTTP Retry-After header). 0 means DefaultRetryAfter.
 	RetryAfter time.Duration
@@ -538,6 +559,7 @@ type Manager struct {
 	stop     context.CancelFunc
 	wg       sync.WaitGroup
 	resident atomic.Int64 // estimated resident result bytes, all tenants
+	graphs   *graphCache
 
 	mu          sync.Mutex
 	closed      bool
@@ -558,6 +580,9 @@ type Manager struct {
 func NewManager(opts ManagerOptions) (*Manager, error) {
 	if opts.MaxConcurrent <= 0 {
 		opts.MaxConcurrent = 2
+	}
+	if opts.MaxGraphBytes <= 0 {
+		opts.MaxGraphBytes = DefaultMaxGraphBytes
 	}
 	if opts.ResultsDir != "" {
 		f, err := os.CreateTemp(opts.ResultsDir, ".probe-*")
@@ -581,6 +606,7 @@ func NewManager(opts ManagerOptions) (*Manager, error) {
 		runID:   hex.EncodeToString(buf[:]),
 		baseCtx: ctx,
 		stop:    cancel,
+		graphs:  newGraphCache(opts.MaxGraphBytes),
 		jobs:    map[string]*Job{},
 		tenants: map[string]*tenant{},
 	}, nil
@@ -597,13 +623,25 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 // the tenant's and the server's admission budgets, queues it for
 // fair-share dispatch, returning the new job. The tenant is the
 // submission's API key; an empty key is accounted to the shared
-// AnonymousTenant. Validation failures are reported synchronously and
+// AnonymousTenant. Validation failures — among them a spec whose
+// modeled graph exceeds MaxGraphBytes — are reported synchronously and
 // leave no job behind; budget exhaustion returns a *QuotaError (mapped
 // to 429 + Retry-After by the HTTP layer); after Close has begun it
-// reports ErrClosed.
+// reports ErrClosed. A spec whose arguments do not parse passes
+// validation and fails its job at run time, when the build reports the
+// argument error.
 func (m *Manager) SubmitAs(tenantName string, req JobRequest) (*Job, error) {
 	if err := req.job().Validate(); err != nil {
 		return nil, err
+	}
+	spec, err := graphspec.Parse(req.Spec)
+	if err != nil {
+		return nil, err
+	}
+	cost, costErr := spec.Cost()
+	if costErr == nil && cost.Bytes > m.opts.MaxGraphBytes {
+		return nil, fmt.Errorf("server: spec %q models %d graph bytes, over the %d allowed (MaxGraphBytes)",
+			req.Spec, cost.Bytes, m.opts.MaxGraphBytes)
 	}
 	if req.DeadlineMS < 0 {
 		return nil, fmt.Errorf("server: deadline_ms must be non-negative, got %d", req.DeadlineMS)
@@ -617,6 +655,7 @@ func (m *Manager) SubmitAs(tenantName string, req JobRequest) (*Job, error) {
 		runCtx:      ctx,
 		evict:       m.opts.EvictConsumed,
 		summaryOnly: req.SummaryOnly,
+		spec:        spec,
 		priority:    req.Priority,
 		notify:      make(chan struct{}),
 		summary:     agg.NewSummary(),
@@ -735,7 +774,15 @@ func (m *Manager) run(ctx context.Context, j *Job) {
 		// scalars only — so the engine can recycle Result memory.
 		ReuseResults: j.summaryOnly,
 	}
-	err := eng.Run(ctx, j.req.job(), each)
+	// Every job on one spec (and, for random families, one seed) shares
+	// one graph: Build is deterministic in (spec, seed), so the cached
+	// graph is the one Engine.Run would have built from the spec.
+	g, err := m.graphs.get(ctx, j.spec, j.req.Seed)
+	if err == nil {
+		job := j.req.job()
+		job.Graph = g
+		err = eng.Run(ctx, job, each)
+	}
 	// Close the archive before the terminal-state transition: a close
 	// error means the archive may have lost its final buffered bytes, and
 	// a job must not report done over a truncated archive.

@@ -34,7 +34,8 @@ type metricsSnapshot struct {
 // Prometheus text exposition format. All series are labelled by tenant;
 // the global gauges (queue depth, running jobs, resident bytes) are
 // additionally exported unlabelled so a dashboard needs no sum() to see
-// server totals. Counters are cumulative since the manager started.
+// server totals. The graph cache's series are server-wide and
+// unlabelled. Counters are cumulative since the manager started.
 func (m *Manager) WriteMetrics(w io.Writer) error {
 	m.mu.Lock()
 	snaps := make([]metricsSnapshot, 0, len(m.tenantOrder))
@@ -64,6 +65,7 @@ func (m *Manager) WriteMetrics(w io.Writer) error {
 	queued, running := m.queued, m.running
 	m.mu.Unlock()
 	resident := m.resident.Load()
+	graphs := m.graphs.stats()
 
 	bw := bufio.NewWriter(w)
 	header := func(name, help, typ string) {
@@ -87,6 +89,16 @@ func (m *Manager) WriteMetrics(w io.Writer) error {
 	sample("dispersion_jobs_running", "", int64(running))
 	header("dispersion_resident_bytes_total", "Estimated bytes of buffered results across all tenants.", "gauge")
 	sample("dispersion_resident_bytes_total", "", resident)
+	header("dispersion_graph_cache_hits_total", "Jobs whose graph was cached or already being built.", "counter")
+	sample("dispersion_graph_cache_hits_total", "", graphs.hits)
+	header("dispersion_graph_cache_misses_total", "Graph builds, one per job whose graph was neither cached nor being built.", "counter")
+	sample("dispersion_graph_cache_misses_total", "", graphs.misses)
+	header("dispersion_graph_cache_evictions_total", "Graphs evicted from the cache to keep it within MaxGraphBytes.", "counter")
+	sample("dispersion_graph_cache_evictions_total", "", graphs.evictions)
+	header("dispersion_graph_cache_bytes", "Modeled resident bytes of the cached graphs.", "gauge")
+	sample("dispersion_graph_cache_bytes", "", graphs.bytes)
+	header("dispersion_graph_cache_entries", "Graphs in the cache.", "gauge")
+	sample("dispersion_graph_cache_entries", "", graphs.entries)
 
 	header("dispersion_tenant_jobs_queued", "Jobs waiting in the tenant's queue.", "gauge")
 	for _, s := range snaps {

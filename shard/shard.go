@@ -218,7 +218,9 @@ func (c *Coordinator) Run(ctx context.Context, req server.JobRequest, each func(
 		streams = append(streams, ss)
 		go func() {
 			defer close(ss.ch)
-			ss.err = c.runShard(runCtx, idx, rg, req, streamMode{c: c, ch: ss.ch})
+			lr := lineReaders.Get().(*lineReader)
+			defer lr.release()
+			ss.err = c.runShard(runCtx, idx, rg, req, streamMode{c: c, ch: ss.ch, lr: lr})
 		}()
 	}
 
@@ -250,10 +252,11 @@ func (c *Coordinator) Run(ctx context.Context, req server.JobRequest, each func(
 
 // streamMode is Run's shardMode: it follows the job's NDJSON result
 // stream, pushing every result into ch, and resubmits only the part of
-// the shard not yet delivered.
+// the shard not yet delivered. Every read of the shard reuses lr.
 type streamMode struct {
 	c  *Coordinator
 	ch chan<- dispersion.Trial
+	lr *lineReader
 }
 
 func (streamMode) resubmit(rg trialRange, done int) trialRange {
@@ -300,12 +303,9 @@ func (m streamMode) follow(ctx context.Context, jobURL string, first, from int) 
 		return 0, "", fmt.Errorf("results: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
 	n := 0
-	// A plain reader, not a Scanner: record=true result lines have no
-	// a-priori size bound, and a fixed cap would misread an oversized
-	// line as a transport failure.
-	br := bufio.NewReaderSize(resp.Body, 64*1024)
+	m.lr.br.Reset(resp.Body)
 	for {
-		line, rerr := br.ReadBytes('\n')
+		line, rerr := m.lr.line()
 		if rerr == io.EOF {
 			if len(bytes.TrimSpace(line)) != 0 {
 				// Data after the last newline: the connection was cut
@@ -335,4 +335,54 @@ func (m streamMode) follow(ctx context.Context, jobURL string, first, from int) 
 		}
 		n++
 	}
+}
+
+// lineReaderSize is the buffer of a lineReader's reader: a result line
+// up to this long is decoded in place, and only longer ones (record=true
+// trajectories, say) are copied into the line buffer.
+const lineReaderSize = 64 << 10
+
+// maxPooledLine caps the line buffer a lineReader keeps when it goes back
+// to the pool, so one huge record line does not stay resident.
+const maxPooledLine = 1 << 20
+
+// lineReaders recycles lineReaders across shard streams, so a stream
+// allocates neither a reader nor per-line copies once the pool is warm.
+var lineReaders = sync.Pool{New: func() any {
+	return &lineReader{br: bufio.NewReaderSize(nil, lineReaderSize)}
+}}
+
+// lineReader reads newline-terminated lines from a stream into reused
+// memory. A plain reader, not a Scanner: record=true result lines have no
+// a-priori size bound, and a fixed cap would misread an oversized line as
+// a transport failure.
+type lineReader struct {
+	br  *bufio.Reader
+	buf []byte // holds lines longer than br's buffer
+}
+
+// line returns the next line, including its newline unless the stream
+// ended first, with ReadBytes' errors. The line is valid only until the
+// next call: it aliases the reader's buffer or lr.buf.
+func (lr *lineReader) line() ([]byte, error) {
+	line, err := lr.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	lr.buf = append(lr.buf[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = lr.br.ReadSlice('\n')
+		lr.buf = append(lr.buf, line...)
+	}
+	return lr.buf, err
+}
+
+// release returns lr to the pool, dropping its stream and any oversized
+// line buffer.
+func (lr *lineReader) release() {
+	lr.br.Reset(nil)
+	if cap(lr.buf) > maxPooledLine {
+		lr.buf = nil
+	}
+	lineReaders.Put(lr)
 }

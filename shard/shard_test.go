@@ -177,6 +177,35 @@ func TestCoordinatorMatchesEngine(t *testing.T) {
 	}
 }
 
+// record=true result lines carry whole trajectories and run past the
+// coordinator's stream reader; they must still arrive whole and in
+// order, byte-identical to Engine.Run's.
+func TestCoordinatorStreamsLinesLongerThanReader(t *testing.T) {
+	req := server.JobRequest{Process: "sequential", Spec: "complete:2048", Trials: 4, Seed: 5,
+		Options: server.Options{Record: true}}
+	eng := dispersion.Engine{Seed: req.Seed}
+	var want []string
+	err := eng.Run(context.Background(), dispersion.Job{
+		Process: req.Process, Spec: req.Spec, Trials: req.Trials, Options: req.Options.Build(),
+	}, func(tr dispersion.Trial) error {
+		b, err := json.Marshal(sink.Record{Trial: tr.Index, Result: tr.Result})
+		want = append(want, string(b))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range want {
+		if len(line) <= shard.LineReaderSize {
+			t.Fatalf("line %d is %d bytes, not longer than the %d-byte reader", i, len(line), shard.LineReaderSize)
+		}
+	}
+	c := &shard.Coordinator{Servers: newServers(t, 2), Shards: 2}
+	if got := collectLines(t, c, req); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sharded record=true run diverged from Engine.Run: %d lines, want %d", len(got), len(want))
+	}
+}
+
 // A logical job that is itself offset (FirstTrial > 0) shards correctly
 // too: shards of shards are still just ranges.
 func TestCoordinatorOffsetLogicalJob(t *testing.T) {
