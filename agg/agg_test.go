@@ -299,12 +299,22 @@ func TestQuantilesJSONRoundTrip(t *testing.T) {
 	if !bytes.Equal(b, b2) {
 		t.Fatalf("round trip changed the JSON:\n%s\n%s", b, b2)
 	}
-	var bad Quantiles
-	if err := json.Unmarshal([]byte(`{"alpha":0.01,"n":1,"keys":[2,1],"counts":[1,1]}`), &bad); err == nil {
-		t.Fatal("unsorted keys accepted")
-	}
-	if err := json.Unmarshal([]byte(`{"alpha":2,"n":0,"keys":[],"counts":[]}`), &bad); err == nil {
-		t.Fatal("bad alpha accepted")
+	for name, in := range map[string]string{
+		"unsorted keys":       `{"alpha":0.01,"n":2,"keys":[2,1],"counts":[1,1]}`,
+		"repeated key":        `{"alpha":0.01,"n":2,"keys":[1,1],"counts":[1,1]}`,
+		"bad alpha":           `{"alpha":2,"n":0,"keys":[],"counts":[]}`,
+		"n without buckets":   `{"alpha":0.01,"n":5,"keys":[],"counts":[]}`,
+		"n above the counts":  `{"alpha":0.01,"n":3,"zero":1,"keys":[4],"counts":[1]}`,
+		"zero count":          `{"alpha":0.01,"n":1,"keys":[4,5],"counts":[1,0]}`,
+		"negative count":      `{"alpha":0.01,"n":1,"keys":[4,5],"counts":[2,-1]}`,
+		"negative zeros":      `{"alpha":0.01,"n":1,"zero":-1,"keys":[4],"counts":[2]}`,
+		"overflowing counts":  `{"alpha":0.01,"n":-2,"keys":[4,5],"counts":[9223372036854775807,9223372036854775807]}`,
+		"overflow from zeros": `{"alpha":0.01,"n":0,"zero":9223372036854775807,"keys":[4],"counts":[1]}`,
+	} {
+		var bad Quantiles
+		if err := json.Unmarshal([]byte(in), &bad); err == nil {
+			t.Errorf("%s accepted: %s", name, in)
+		}
 	}
 }
 
@@ -427,6 +437,15 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{"buckets":4,"width0":1,"width":1,"n":0,"counts":[0]}`), &bad); err == nil {
 		t.Fatal("short counts accepted")
+	}
+	if err := json.Unmarshal([]byte(`{"buckets":2,"width0":1,"width":1,"n":0,"counts":[1,-1]}`), &bad); err == nil {
+		t.Fatal("negative count accepted")
+	}
+	if err := json.Unmarshal([]byte(`{"buckets":2,"width0":1,"width":1,"n":5,"counts":[1,1]}`), &bad); err == nil {
+		t.Fatal("n that disagrees with the counts accepted")
+	}
+	if err := json.Unmarshal([]byte(`{"buckets":2,"width0":1,"width":1,"n":-2,"counts":[9223372036854775807,9223372036854775807]}`), &bad); err == nil {
+		t.Fatal("overflowing counts accepted")
 	}
 }
 

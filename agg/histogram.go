@@ -182,6 +182,19 @@ func (h *Histogram) UnmarshalJSON(b []byte) error {
 	if len(w.Counts) != w.Buckets {
 		return fmt.Errorf("agg: histogram holds %d counts for %d buckets", len(w.Counts), w.Buckets)
 	}
+	var total int64
+	for _, c := range w.Counts {
+		if c < 0 {
+			return fmt.Errorf("agg: histogram holds a negative count %d", c)
+		}
+		if total > math.MaxInt64-c {
+			return fmt.Errorf("agg: histogram counts overflow int64")
+		}
+		total += c
+	}
+	if total != w.N {
+		return fmt.Errorf("agg: histogram has n = %d but holds %d values", w.N, total)
+	}
 	*h = Histogram{k: w.Buckets, w0: w.Width0, width: w.Width, n: w.N, counts: w.Counts}
 	return nil
 }

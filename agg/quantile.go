@@ -199,8 +199,27 @@ func (s *Quantiles) UnmarshalJSON(b []byte) error {
 	if len(w.Keys) != len(w.Counts) {
 		return fmt.Errorf("agg: quantile sketch holds %d keys but %d counts", len(w.Keys), len(w.Counts))
 	}
-	if !sort.SliceIsSorted(w.Keys, func(i, j int) bool { return w.Keys[i] < w.Keys[j] }) {
-		return fmt.Errorf("agg: quantile sketch keys are not sorted")
+	// Queries walk the buckets trusting that the zero and bucket counts
+	// are positive and add up to n; a sketch breaking that would fail
+	// later, in a merge or a marshal, far from the bytes at fault.
+	if w.Zero < 0 {
+		return fmt.Errorf("agg: quantile sketch holds %d zeros", w.Zero)
+	}
+	total := w.Zero
+	for i, c := range w.Counts {
+		if i > 0 && w.Keys[i-1] >= w.Keys[i] {
+			return fmt.Errorf("agg: quantile sketch keys are not strictly increasing")
+		}
+		if c <= 0 {
+			return fmt.Errorf("agg: quantile sketch bucket %d holds count %d", w.Keys[i], c)
+		}
+		if total > math.MaxInt64-c {
+			return fmt.Errorf("agg: quantile sketch counts overflow int64")
+		}
+		total += c
+	}
+	if total != w.N {
+		return fmt.Errorf("agg: quantile sketch has n = %d but holds %d values", w.N, total)
 	}
 	*s = *NewQuantiles(w.Alpha)
 	s.n, s.zero = w.N, w.Zero

@@ -37,6 +37,25 @@ var goldenDigests = map[string]string{
 	"lane-capacity":        "9f266dd4f844a527",
 }
 
+// goldenTorusDigests pins every process over goldenTori the same way, so
+// the implicit torus kernel's walks, dense and sparse, are held to the
+// commit that recorded them too.
+var goldenTorusDigests = map[string]string{
+	"sequential":           "5cc54241993cfec9",
+	"parallel":             "31827493d7beb1d5",
+	"uniform":              "aa300c3479de26b7",
+	"ct-uniform":           "e2c6f89d59c47dd5",
+	"ct-sequential":        "a7fdc7c19a857139",
+	"sequential-geom":      "98d3d3cb6b8e2607",
+	"sequential-threshold": "05fab01ae9f5b1d1",
+	"capacity":             "091c4795e9d57a27",
+	"capacity-parallel":    "fdadc855538513bf",
+	"lane-standard":        "9e9fe39154a49e0d",
+	"lane-geom":            "3eb1f57c82dda5b7",
+	"lane-threshold":       "07e8deae8deafcd9",
+	"lane-capacity":        "f8b594609c08d859",
+}
+
 // goldenRule is the custom settle rule of the golden option sets: it
 // rejects some vacant standings early in a walk and accepts every one from
 // step 3 on, so vetoes and acceptances both occur.
@@ -88,6 +107,21 @@ func goldenGraphs() []graph.Graph {
 		graph.CliqueWithHair(12),
 		graph.Star(9),
 	}
+}
+
+// goldenTori lists the implicit tori of goldenTorusDigests: a plain 2-D
+// torus, a 3-D one, one with a side-1 dimension, and one whose every
+// coordinate sits next to a wrap.
+func goldenTori() []graph.Graph {
+	var gs []graph.Graph
+	for _, sides := range [][]int{{5, 7}, {4, 3, 5}, {6, 1, 4}, {3, 3}} {
+		g, err := graph.ImplicitTorus(sides)
+		if err != nil {
+			panic(err)
+		}
+		gs = append(gs, g)
+	}
+	return gs
 }
 
 // goldenHash writes fixed-width little-endian words, so the digest is the
@@ -228,9 +262,9 @@ func goldenProcesses() []goldenProcess {
 // goldenDigest runs p over every graph, occupancy backend, option set and
 // seed, and returns the hex digest of all outputs. Each (graph, backend)
 // pair threads one Scratch through all its runs, so reuse is covered too.
-func goldenDigest(p goldenProcess) string {
+func goldenDigest(p goldenProcess, graphs []graph.Graph) string {
 	h := goldenHash{fnv.New64a()}
-	for _, g := range goldenGraphs() {
+	for _, g := range graphs {
 		for _, sparse := range []bool{false, true} {
 			s := NewScratch()
 			s.forceSparse = sparse
@@ -246,12 +280,14 @@ func goldenDigest(p goldenProcess) string {
 }
 
 // TestGoldenDigests checks every process's output against its pinned
-// digest.
+// digests.
 func TestGoldenDigests(t *testing.T) {
 	for _, p := range goldenProcesses() {
-		got := goldenDigest(p)
-		if want := goldenDigests[p.name]; got != want {
+		if got, want := goldenDigest(p, goldenGraphs()), goldenDigests[p.name]; got != want {
 			t.Errorf("%s: digest %s, pinned %s", p.name, got, want)
+		}
+		if got, want := goldenDigest(p, goldenTori()), goldenTorusDigests[p.name]; got != want {
+			t.Errorf("%s on tori: digest %s, pinned %s", p.name, got, want)
 		}
 	}
 }

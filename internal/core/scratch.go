@@ -1,5 +1,7 @@
 package core
 
+import "dispersion/internal/graph"
+
 // Scratch holds the reusable per-worker state of the trial hot path: the
 // epoch-stamped occupancy map and the position/priority/active/event
 // buffers every process needs. A worker allocates one Scratch and threads
@@ -31,7 +33,7 @@ type Scratch struct {
 	// it exists so tests can check dense/sparse bit-identity on graphs
 	// small enough to enumerate.
 	forceSparse bool
-	table       sparseTable
+	table       graph.OccupancyTable
 
 	pos    []int32
 	active []int32
@@ -58,7 +60,7 @@ func (s *Scratch) beginRun(n, k int) {
 		if k > n {
 			k = n
 		}
-		s.table.reset(k)
+		s.table.Reset(k)
 		return
 	}
 	if cap(s.occ) < n {
@@ -96,7 +98,7 @@ func (s *Scratch) counts(n int) {
 // count returns how many settled particles vertex v hosts this run.
 func (s *Scratch) count(v int32) int32 {
 	if s.sparse {
-		return s.table.get(v) &^ sparseFull
+		return s.table.Get(v) &^ graph.OccupancyFull
 	}
 	if c := s.cnt[v]; uint8(c>>24) == s.epoch {
 		return int32(c & 0xffffff)
@@ -107,7 +109,7 @@ func (s *Scratch) count(v int32) int32 {
 // setCount records that vertex v hosts c settled particles this run.
 func (s *Scratch) setCount(v int32, c int32) {
 	if s.sparse {
-		s.table.set(v, c|(s.table.get(v)&sparseFull))
+		s.table.Set(v, c|(s.table.Get(v)&graph.OccupancyFull))
 		return
 	}
 	s.cnt[v] = uint32(s.epoch)<<24 | uint32(c)
@@ -125,7 +127,7 @@ func (s *Scratch) fill(v int32, c int) bool {
 // at capacity, for the capacity processes).
 func (s *Scratch) occupied(v int32) bool {
 	if s.sparse {
-		return s.table.get(v)&sparseFull != 0
+		return s.table.Full(v)
 	}
 	return s.occ[v] == s.epoch
 }
@@ -134,7 +136,7 @@ func (s *Scratch) occupied(v int32) bool {
 // capacity, for the capacity processes).
 func (s *Scratch) occupy(v int32) {
 	if s.sparse {
-		s.table.set(v, s.table.get(v)|sparseFull)
+		s.table.Set(v, s.table.Get(v)|graph.OccupancyFull)
 		return
 	}
 	s.occ[v] = s.epoch

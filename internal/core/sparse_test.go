@@ -43,47 +43,52 @@ func allIntoProcesses() map[string]intoRunner {
 
 // TestSparseOccupancyBitIdentity pins the sparse occupancy backend
 // draw-for-draw and result-for-result identical to the dense epoch map:
-// every registered process, on graphs small enough to check exhaustively,
-// forced through the hash table via the forceSparse hook. The trailing RNG
+// every registered process under every golden option set, on graphs small
+// enough to check exhaustively, forced through the hash table via the
+// forceSparse hook. The graphs cover the CSR kernels, the implicit torus
+// kernel and two implicit kernels without a fused sparse walk; the golden
+// MaxSteps of 25 cuts a walk short on every one of them. The trailing RNG
 // probe catches any divergence in the number of draws consumed.
 func TestSparseOccupancyBitIdentity(t *testing.T) {
+	circulant, err := graph.ImplicitCirculant(12, []int{1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rregular, err := graph.ImplicitRandomRegular(14, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	graphs := []graph.Graph{
 		graph.Complete(20),
 		graph.Cycle(16),
 		graph.Grid([]int{4, 4}, true),
 		graph.CliqueWithHair(12),
+		circulant,
+		rregular,
 	}
-	options := map[string]Options{
-		"default":       {},
-		"lazy":          {Lazy: true},
-		"record":        {Record: true},
-		"random-origin": {RandomOrigins: true, Particles: 7},
-		"few-particles": {Particles: 3},
-		"truncated":     {MaxSteps: 25},
-	}
+	graphs = append(graphs, goldenTori()...)
 	for pname, run := range allIntoProcesses() {
 		for _, g := range graphs {
-			for oname, opt := range options {
+			for _, o := range goldenOptions() {
 				var dense, sparse Result
 				sd, ss := NewScratch(), NewScratch()
 				ss.forceSparse = true
 				rd, rs := rng.New(404), rng.New(404)
-				if err := run(g, 0, opt, rd, sd, &dense); err != nil {
-					t.Fatalf("%s/%s on %s dense: %v", pname, oname, g.Name(), err)
+				errD := run(g, 0, o.opt(g.N()), rd, sd, &dense)
+				errS := run(g, 0, o.opt(g.N()), rs, ss, &sparse)
+				if fmt.Sprint(errD) != fmt.Sprint(errS) {
+					t.Fatalf("%s/%s on %s: dense error %v, sparse error %v", pname, o.name, g.Name(), errD, errS)
 				}
-				if err := run(g, 0, opt, rs, ss, &sparse); err != nil {
-					t.Fatalf("%s/%s on %s sparse: %v", pname, oname, g.Name(), err)
-				}
-				if !ss.sparse {
-					t.Fatalf("%s/%s on %s: forceSparse did not engage", pname, oname, g.Name())
+				if errS == nil && !ss.sparse {
+					t.Fatalf("%s/%s on %s: forceSparse did not engage", pname, o.name, g.Name())
 				}
 				if !reflect.DeepEqual(dense, sparse) {
 					t.Errorf("%s/%s on %s: dense and sparse results differ\ndense:  %+v\nsparse: %+v",
-						pname, oname, g.Name(), dense, sparse)
+						pname, o.name, g.Name(), dense, sparse)
 				}
 				if rd.Uint64() != rs.Uint64() {
 					t.Errorf("%s/%s on %s: dense and sparse consumed different draw counts",
-						pname, oname, g.Name())
+						pname, o.name, g.Name())
 				}
 			}
 		}
@@ -146,34 +151,5 @@ func TestSparseOccupancyEligibility(t *testing.T) {
 		if got := sparseOccupancy(c.n, c.k); got != c.want {
 			t.Errorf("sparseOccupancy(%d, %d) = %v, want %v", c.n, c.k, got, c.want)
 		}
-	}
-}
-
-// TestSparseTable exercises the open-addressing table directly, including
-// keys engineered to collide under linear probing.
-func TestSparseTable(t *testing.T) {
-	var tab sparseTable
-	tab.reset(64)
-	for v := int32(0); v < 64; v++ {
-		tab.set(v, v*3)
-	}
-	for v := int32(0); v < 64; v++ {
-		if got := tab.get(v); got != v*3 {
-			t.Fatalf("get(%d) = %d, want %d", v, got, v*3)
-		}
-	}
-	if got := tab.get(1000); got != 0 {
-		t.Fatalf("get(absent) = %d, want 0", got)
-	}
-	tab.reset(64)
-	for v := int32(0); v < 64; v++ {
-		if got := tab.get(v); got != 0 {
-			t.Fatalf("after reset, get(%d) = %d, want 0", v, got)
-		}
-	}
-	// Flag and count coexist in one word.
-	tab.set(5, 7|sparseFull)
-	if tab.get(5)&^sparseFull != 7 || tab.get(5)&sparseFull == 0 {
-		t.Fatalf("packed word = %#x", tab.get(5))
 	}
 }

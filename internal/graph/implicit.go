@@ -306,9 +306,10 @@ func insertSorted(buf []int32, i int, x int32) {
 // class index, digit d being dimension d's class) lists the 2D moves in
 // sorted-neighbour order, and the drawn index i picks entry i of v's row.
 // The stateless Step, StepLane and nth find v's row from its coordinates,
-// computed by multiply-based division; WalkUntilVacant computes the
-// coordinates once per walk and then advances them with v, so a step is
-// one bounded draw and one table lookup.
+// computed by multiply-based division; WalkUntilVacant and
+// WalkUntilVacantSparse compute the coordinates once per walk and then
+// advance them with v, so a step is one bounded draw and one table
+// lookup.
 type torusKernel struct {
 	deg   int32
 	dims  []torusDim  // effective dimensions, stride 1 first
@@ -416,6 +417,60 @@ func (k torusKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint
 	st := r.State()
 	var steps int64
 	for occ[v] == epoch {
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		if x&1 == 0 {
+			// Intn(deg)'s draw law, with its rejection threshold hoisted.
+			st, x = st.Next()
+			hi, lo := bits.Mul64(x, un)
+			for lo < thresh {
+				st, x = st.Next()
+				hi, lo = bits.Mul64(x, un)
+			}
+			m := moves[int(cls)*deg+int(hi)]
+			v += m.off
+			d := m.dim & (MaxTorusDims - 1) // the mask drops the bounds checks
+			c := coord[d] + m.dc
+			coord[d] = c
+			cls = m.mid
+			if c == 0 {
+				cls -= pow3[d]
+			}
+			if c == last[d] {
+				cls += pow3[d]
+			}
+		}
+		steps++
+		if steps >= budget {
+			break
+		}
+	}
+	r.SetState(st)
+	return v, steps
+}
+
+// WalkUntilVacantSparse is WalkUntilVacant over the sparse occupancy
+// backend: the same walk and the same draws, with the occ[v] == epoch
+// test replaced by a probe of t for OccupancyFull. It is a body of its
+// own because one body branching per step between the two tests slows
+// the dense walk.
+func (k torusKernel) WalkUntilVacantSparse(v int32, lazy bool, t *OccupancyTable, budget int64, r *rng.Source) (int32, int64) {
+	if !t.Full(v) {
+		return v, 0
+	}
+	var coord, last, pow3 [MaxTorusDims]int32
+	for d, td := range k.dims {
+		last[d&(MaxTorusDims-1)], pow3[d&(MaxTorusDims-1)] = td.side-1, td.pow3
+	}
+	cls := k.locate(v, &coord)
+	moves, deg := k.moves, int(k.deg)
+	un := uint64(deg)
+	thresh := -un % un
+	st := r.State()
+	var steps int64
+	for t.Full(v) {
 		var x uint64
 		if lazy {
 			st, x = st.Next()

@@ -18,6 +18,14 @@ import (
 // offsets-free kernel for fixed-degree regular graphs (one adjacency load
 // per step), and a fused CSR kernel for everything else (one row-slice
 // fetch instead of separate Degree and Neighbor lookups).
+//
+// A kernel may also have the optional sparse walk
+//
+//	WalkUntilVacantSparse(v int32, lazy bool, t *OccupancyTable, budget int64, r *rng.Source) (int32, int64)
+//
+// which is WalkUntilVacant with the occ[v] == epoch test replaced by a
+// probe of t for OccupancyFull, drawing the same variates. The implicit
+// torus kernel has it; sparse runs on every other kernel walk a Step loop.
 type Kernel interface {
 	// Step returns a uniformly random neighbour of v. Vertices of degree
 	// one move without consuming randomness (matching the generic walk);

@@ -124,6 +124,29 @@ func BenchmarkWalkTorus1024x1024(b *testing.B) {
 	benchWalk(b, mustTorus(b, 1024, 1024).Kernel(), 1<<20, 512+1024*512)
 }
 
+// BenchmarkWalkTorus1024x1024Sparse is BenchmarkWalkTorus1024x1024 on the
+// sparse occupancy backend: the same fixed occupancy, held in an
+// OccupancyTable and walked by the torus kernel's fused sparse walk. The
+// table holds 2^20-1 keys in 32 MiB, far beyond L2, where a run of 4,096
+// particles keeps 128 KiB, so this times the probe at its slowest.
+func BenchmarkWalkTorus1024x1024Sparse(b *testing.B) {
+	k := mustTorus(b, 1024, 1024).Kernel().(torusKernel)
+	n, far := int32(1<<20), int32(512+1024*512)
+	var t OccupancyTable
+	t.Reset(int(n))
+	for v := int32(0); v < n; v++ {
+		if v != far {
+			t.Set(v, OccupancyFull)
+		}
+	}
+	r := rng.New(1)
+	b.ResetTimer()
+	for steps := int64(0); steps < int64(b.N); {
+		_, s := k.WalkUntilVacantSparse(0, false, &t, int64(b.N)-steps, r)
+		steps += s
+	}
+}
+
 func BenchmarkWalkCycle128(b *testing.B) { benchWalk(b, ImplicitCycle(128).Kernel(), 128, 64) }
 
 func BenchmarkWalkHypercube9(b *testing.B) { benchWalk(b, Hypercube(9).Kernel(), 512, 511) }
