@@ -56,6 +56,25 @@ var goldenTorusDigests = map[string]string{
 	"lane-capacity":        "f8b594609c08d859",
 }
 
+// goldenHypercubeDigests pins every process over goldenHypercubes, so the
+// hypercube kernel's Step, fused walk and StepLane are held to the commit
+// that recorded them too.
+var goldenHypercubeDigests = map[string]string{
+	"sequential":           "f0061be7453e3207",
+	"parallel":             "0cac625dd34820c9",
+	"uniform":              "fa51f6357e90580f",
+	"ct-uniform":           "8c673dd769744f6b",
+	"ct-sequential":        "5bace858ac61a14b",
+	"sequential-geom":      "3c263a3860fc2ceb",
+	"sequential-threshold": "077f3f866deb2c39",
+	"capacity":             "1e0cda065838fc8f",
+	"capacity-parallel":    "44ddfaf65894e14d",
+	"lane-standard":        "6df00d1e244b0fc9",
+	"lane-geom":            "e5aa6c8d84468561",
+	"lane-threshold":       "5d8ecca63c048585",
+	"lane-capacity":        "422bdec17dbacaab",
+}
+
 // goldenRule is the custom settle rule of the golden option sets: it
 // rejects some vacant standings early in a walk and accepts every one from
 // step 3 on, so vetoes and acceptances both occur.
@@ -122,6 +141,13 @@ func goldenTori() []graph.Graph {
 		gs = append(gs, g)
 	}
 	return gs
+}
+
+// goldenHypercubes lists the implicit hypercubes of
+// goldenHypercubeDigests: Q_1, whose walk moves without a draw, and Q_4
+// and Q_7, whose selects read one and both bytes of v.
+func goldenHypercubes() []graph.Graph {
+	return []graph.Graph{graph.ImplicitHypercube(1), graph.ImplicitHypercube(4), graph.ImplicitHypercube(7)}
 }
 
 // goldenHash writes fixed-width little-endian words, so the digest is the
@@ -288,6 +314,9 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		if got, want := goldenDigest(p, goldenTori()), goldenTorusDigests[p.name]; got != want {
 			t.Errorf("%s on tori: digest %s, pinned %s", p.name, got, want)
+		}
+		if got, want := goldenDigest(p, goldenHypercubes()), goldenHypercubeDigests[p.name]; got != want {
+			t.Errorf("%s on hypercubes: digest %s, pinned %s", p.name, got, want)
 		}
 	}
 }

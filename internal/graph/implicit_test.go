@@ -235,45 +235,54 @@ func TestImplicitWalkUntilVacantBitIdentity(t *testing.T) {
 }
 
 // The random occupancy above ends most walks within a few steps. Here
-// every vertex but one is occupied, so the torus walk runs long enough to
-// wrap every dimension and cross every class row many times while it
-// tracks its coordinates; it must stay in lockstep with the Grid twin's
-// step loop for about 10^5 steps, lazy and not.
-func TestImplicitTorusLongWalkBitIdentity(t *testing.T) {
+// every vertex but one is occupied, so each walk runs long: on the torus
+// it wraps every dimension and crosses every class row many times while
+// it tracks its coordinates, and on Q_17 it flips bits of both 16-bit
+// halves. Each input must stay in lockstep with its CSR twin's step loop
+// for at least 10^5 steps, lazy and not.
+func TestImplicitLongWalkBitIdentity(t *testing.T) {
 	sides := []int{3, 1, 9, 1, 4, 5}
-	g, err := ImplicitTorus(sides)
+	torus, err := ImplicitTorus(sides)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin := Grid(sides, true)
-	kern, n := g.Kernel(), g.N()
-	const epoch, minSteps = 1, 100000
-	occ := make([]uint8, n)
-	for _, lazy := range []bool{false, true} {
-		pick := rng.New(7)
-		rw, rs := rng.New(8), rng.New(8)
-		var total int64
-		for walk := 0; total < minSteps; walk++ {
-			for v := range occ {
-				occ[v] = epoch
-			}
-			occ[pick.Intn(n)] = 0
-			start := int32(pick.Intn(n))
-			gotV, gotSteps := kern.WalkUntilVacant(start, lazy, occ, epoch, 1<<40, rw)
-			v, steps := start, int64(0)
-			for occ[v] == epoch {
-				if !lazy || !rs.Bool() {
-					v = genericStep(twin, v, rs)
+	for _, tc := range []struct {
+		g    *Implicit
+		twin *CSR
+	}{
+		{torus, Grid(sides, true)},
+		{ImplicitHypercube(12), Hypercube(12)},
+		{ImplicitHypercube(17), Hypercube(17)},
+	} {
+		kern, n := tc.g.Kernel(), tc.g.N()
+		const epoch, minSteps = 1, 100000
+		occ := make([]uint8, n)
+		for _, lazy := range []bool{false, true} {
+			pick := rng.New(7)
+			rw, rs := rng.New(8), rng.New(8)
+			var total int64
+			for walk := 0; total < minSteps; walk++ {
+				for v := range occ {
+					occ[v] = epoch
 				}
-				steps++
+				occ[pick.Intn(n)] = 0
+				start := int32(pick.Intn(n))
+				gotV, gotSteps := kern.WalkUntilVacant(start, lazy, occ, epoch, 1<<40, rw)
+				v, steps := start, int64(0)
+				for occ[v] == epoch {
+					if !lazy || !rs.Bool() {
+						v = genericStep(tc.twin, v, rs)
+					}
+					steps++
+				}
+				if gotV != v || gotSteps != steps {
+					t.Fatalf("%s lazy=%v walk %d: (%d, %d), twin (%d, %d)", tc.g.Name(), lazy, walk, gotV, gotSteps, v, steps)
+				}
+				if rw.Uint64() != rs.Uint64() {
+					t.Fatalf("%s lazy=%v walk %d: different draw counts", tc.g.Name(), lazy, walk)
+				}
+				total += steps
 			}
-			if gotV != v || gotSteps != steps {
-				t.Fatalf("lazy=%v walk %d: (%d, %d), twin (%d, %d)", lazy, walk, gotV, gotSteps, v, steps)
-			}
-			if rw.Uint64() != rs.Uint64() {
-				t.Fatalf("lazy=%v walk %d: different draw counts", lazy, walk)
-			}
-			total += steps
 		}
 	}
 }

@@ -14,10 +14,11 @@ import (
 //
 // Every CSR selects its kernel once at Build time: closed-form kernels
 // for the families whose neighbour structure is pure arithmetic (complete
-// graphs, cycles, paths, hypercubes — no memory touched per step), an
-// offsets-free kernel for fixed-degree regular graphs (one adjacency load
-// per step), and a fused CSR kernel for everything else (one row-slice
-// fetch instead of separate Degree and Neighbor lookups).
+// graphs, cycles and paths touch no memory per step; hypercubes read one
+// 2 KiB package-level table, shared by every graph), an offsets-free
+// kernel for fixed-degree regular graphs (one adjacency load per step),
+// and a fused CSR kernel for everything else (one row-slice fetch instead
+// of separate Degree and Neighbor lookups).
 //
 // A kernel may also have the optional sparse walk
 //
@@ -98,18 +99,19 @@ func detectKernel(g *CSR) Kernel {
 }
 
 // hypercubeClosedFormMinBytes gates the hypercube closed form on the CSR
-// adjacency footprint. The kernel's bit-select loop costs more than an
-// L1/L2-resident adjacency load (measured ~19ns vs ~8ns on Q_9), but far
-// less than the cache misses of a multi-megabyte adjacency (~22ns vs
-// ~46ns on Q_16), so small hypercubes take the offsets-free regular
-// kernel instead and only cache-hostile ones go arithmetic. Complete
-// graphs and cycles need no such gate: their closed forms beat the fused
-// CSR load at every size.
+// adjacency footprint. The kernel's table select costs more than an
+// L1-resident adjacency load (fused walk, 8.6-10.7 vs 3.8-5.9 ns/step on
+// Q_9) and about the same as an L2-resident one (8.6-10.5 vs 8.3-9.4 on
+// Q_14), but less than the cache misses of a multi-megabyte adjacency
+// (8.7-11.4 vs 25.6-35.9 on Q_16), so small hypercubes take the
+// offsets-free regular kernel instead and only cache-hostile ones go
+// arithmetic. Complete graphs and cycles need no such gate: their closed
+// forms beat the fused CSR load at every size.
 const hypercubeClosedFormMinBytes = 1 << 20
 
 // HypercubePrefersCSR reports whether Q_k falls below the closed-form
 // footprint gate, i.e. its CSR adjacency is small enough that the
-// cache-resident regular kernel beats the bit-select arithmetic. Backend
+// cache-resident regular kernel beats the table select. Backend
 // routing (graphspec) uses it to decide implicit-vs-CSR for hypercubes.
 func HypercubePrefersCSR(k int) bool {
 	if k < 1 || k > 30 {
@@ -515,9 +517,71 @@ func (k pathKernel) degree(v int32) int32 {
 // hypercubeKernel is the closed-form kernel for the canonical hypercube
 // Q_k (u ~ v iff u xor v is a power of two). The sorted neighbour list of
 // v is: v - 2^d over the set bits d of v in descending bit order, then
-// v + 2^d over the clear bits in ascending order — selected with pure
-// register arithmetic, no memory touched.
+// v + 2^d over the clear bits in ascending order. hypercubeDim selects the
+// i-th entry's dimension without a loop, from the 2 KiB hypercubeRows
+// table, which is the only memory a step reads.
 type hypercubeKernel struct{ k int32 }
+
+// hypercubeRows holds, for each byte value b, the dimensions of b's eight
+// sorted Q_8 neighbours as nibbles (entry i in bits 4i..4i+3) and b's
+// popcount in bits 32 and up. Keeping the popcount in the table spares
+// the walk bits.OnesCount32, which under GOAMD64=v1 is a CPU-feature test
+// with a fallback call.
+var hypercubeRows = func() (rows [256]uint64) {
+	for b := range rows {
+		var row uint64
+		i := 0
+		for d := 7; d >= 0; d-- { // set bits, descending
+			if b>>d&1 == 1 {
+				row |= uint64(d) << (4 * i)
+				i++
+			}
+		}
+		s := i
+		for d := 0; d < 8; d++ { // clear bits, ascending
+			if b>>d&1 == 0 {
+				row |= uint64(d) << (4 * i)
+				i++
+			}
+		}
+		rows[b] = row | uint64(s)<<32
+	}
+	return rows
+}()
+
+// hypercubeDim16 returns the dimension d such that v ^ 1<<d is the i-th
+// sorted neighbour of v in Q_k, for v < 2^16 and i < k <= 16. It splits v
+// into its high byte h and low byte l: v's list is h's set bits, then
+// l's whole sorted list, then h's clear bits, h's dimensions counting
+// from 8. So with s = popcount(h) the list is one 16-nibble word: h's row
+// with 8 added to each nibble, cut after its first s nibbles, with l's
+// row inserted at the cut. The two table loads are independent and the
+// word takes no branch to build. (The compiler keeps a branch rather than
+// a conditional move for a value that feeds a load address, as v does,
+// and with i random such a branch mispredicts often.) It inlines; the
+// walk calls it directly up to k = 16.
+func hypercubeDim16(v, i uint) uint {
+	hr, lr := hypercubeRows[v>>8&255], hypercubeRows[v&255]
+	s4 := uint(hr>>32) * 4
+	hh := hr | 0x88888888
+	m := uint64(1)<<(s4&63) - 1
+	seq := hh&m | uint64(uint32(lr))<<(s4&63) | (hh&^m)<<32
+	return uint(seq>>(4*i&63)) & 15
+}
+
+// hypercubeDim is hypercubeDim16 for every k <= 30: the same split over
+// v's 16-bit halves, with the high half's popcount read from the table.
+func hypercubeDim(v, i uint) uint {
+	hv := v >> 16
+	s := uint(hypercubeRows[hv>>8&255]>>32 + hypercubeRows[hv&255]>>32)
+	if j := i - s; j < 16 {
+		return hypercubeDim16(v&0xffff, j)
+	}
+	if i >= s {
+		i -= 16
+	}
+	return hypercubeDim16(hv, i) + 16
+}
 
 // Kind returns "hypercube".
 func (hypercubeKernel) Kind() string { return "hypercube" }
@@ -530,18 +594,47 @@ func (k hypercubeKernel) Step(v int32, r *rng.Source) int32 {
 	return k.nth(v, r.Int31n(k.k))
 }
 
-// WalkUntilVacant walks v to the first vacant vertex (or the budget).
+// WalkUntilVacant walks v to the first vacant vertex (or the budget),
+// with the generator state in locals for the whole walk (see
+// cycleKernel.WalkUntilVacant). Up to k = 16 a step calls the inlined
+// hypercubeDim16; the branch on k takes the same way on every step.
 func (k hypercubeKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
+	un := uint64(k.k)
+	thresh := -un % un
+	small := k.k <= 16
+	st := r.State()
 	var steps int64
 	for occ[v] == epoch {
-		if !lazy || !r.Bool() {
-			v = k.Step(v, r)
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		switch {
+		case x&1 == 1: // lazy stay
+		case un == 1:
+			v ^= 1
+		default:
+			// Intn(k)'s draw law, with its rejection threshold hoisted.
+			st, x = st.Next()
+			hi, lo := bits.Mul64(x, un)
+			for lo < thresh {
+				st, x = st.Next()
+				hi, lo = bits.Mul64(x, un)
+			}
+			var d uint
+			if small {
+				d = hypercubeDim16(uint(v), uint(hi))
+			} else {
+				d = hypercubeDim(uint(v), uint(hi))
+			}
+			v ^= 1 << d
 		}
 		steps++
 		if steps >= budget {
 			break
 		}
 	}
+	r.SetState(st)
 	return v, steps
 }
 
@@ -572,21 +665,7 @@ func (k hypercubeKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng
 }
 
 func (k hypercubeKernel) nth(v, i int32) int32 {
-	s := int32(bits.OnesCount32(uint32(v)))
-	if i < s {
-		// The (i+1)-th highest set bit of v: clear the top bit i times.
-		x := uint32(v)
-		for ; i > 0; i-- {
-			x &^= 1 << (bits.Len32(x) - 1)
-		}
-		return v ^ int32(1<<(bits.Len32(x)-1))
-	}
-	// The (i-s+1)-th lowest clear bit among the k dimensions.
-	y := ^uint32(v) & (1<<uint32(k.k) - 1)
-	for i -= s; i > 0; i-- {
-		y &= y - 1
-	}
-	return v ^ int32(y&-y)
+	return v ^ 1<<hypercubeDim(uint(v), uint(i))
 }
 
 func (k hypercubeKernel) degree(int32) int32 { return k.k }

@@ -151,6 +151,12 @@ func BenchmarkWalkCycle128(b *testing.B) { benchWalk(b, ImplicitCycle(128).Kerne
 
 func BenchmarkWalkHypercube9(b *testing.B) { benchWalk(b, Hypercube(9).Kernel(), 512, 511) }
 
+// BenchmarkWalkHypercube16 times the closed-form hypercube walk on Q_16
+// (n = 65,536), whose 4 MiB CSR adjacency is above the footprint gate.
+func BenchmarkWalkHypercube16(b *testing.B) {
+	benchWalk(b, ImplicitHypercube(16).Kernel(), 1<<16, 1<<16-1)
+}
+
 func BenchmarkWalkComplete512(b *testing.B) {
 	benchWalk(b, ImplicitComplete(512).Kernel(), 512, 511)
 }

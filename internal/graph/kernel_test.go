@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"testing"
 
 	"dispersion/internal/rng"
@@ -76,9 +77,10 @@ func TestKernelSelection(t *testing.T) {
 
 // The hypercube closed form must reproduce the sorted CSR adjacency for
 // every dimension, whether or not selection would adopt it (small cubes
-// are gated to the regular kernel purely for speed).
+// are gated to the regular kernel purely for speed). Q_17 is the first
+// cube whose high half is nonzero, so it covers both forms of the select.
 func TestHypercubeClosedFormAllDimensions(t *testing.T) {
-	for k := 1; k <= 10; k++ {
+	for k := 1; k <= 17; k++ {
 		g := Hypercube(k)
 		hk := hypercubeKernel{k: int32(k)}
 		if !matchesClosedForm(g, hk) {
@@ -95,6 +97,40 @@ func TestHypercubeClosedFormAllDimensions(t *testing.T) {
 		}
 		if rk.Uint64() != rg.Uint64() {
 			t.Fatalf("Q_%d: kernel consumed a different draw count", k)
+		}
+	}
+}
+
+// loopHypercubeNth is the bit-loop form of the hypercube select: the
+// (i+1)-th highest set bit of v by clearing the top bit i times, or the
+// (i-s+1)-th lowest clear bit among the k dimensions.
+func loopHypercubeNth(k, v, i int32) int32 {
+	s := int32(bits.OnesCount32(uint32(v)))
+	if i < s {
+		x := uint32(v)
+		for ; i > 0; i-- {
+			x &^= 1 << (bits.Len32(x) - 1)
+		}
+		return v ^ int32(1<<(bits.Len32(x)-1))
+	}
+	y := ^uint32(v) & (1<<uint32(k) - 1)
+	for i -= s; i > 0; i-- {
+		y &= y - 1
+	}
+	return v ^ int32(y&-y)
+}
+
+// Cubes too large for a CSR twin: at random vertices and indices the
+// table select must agree with the bit loop, for every k up to 30.
+func TestHypercubeNthMatchesBitLoop(t *testing.T) {
+	for k := int32(18); k <= 30; k++ {
+		hk := hypercubeKernel{k: k}
+		r := rng.New(uint64(k))
+		for trial := 0; trial < 300000; trial++ {
+			v, i := int32(r.Intn(1<<k)), r.Int31n(k)
+			if got, want := hk.nth(v, i), loopHypercubeNth(k, v, i); got != want {
+				t.Fatalf("Q_%d: nth(%d, %d) = %d, want %d", k, v, i, got, want)
+			}
 		}
 	}
 }

@@ -62,7 +62,10 @@ func openWAL[R any](path string, req server.JobRequest, syncEvery int, encode fu
 }
 
 // replay decodes the log's records into check and returns the byte
-// offset just past the last intact one.
+// offset just past the last intact one. It holds one line at a time, plus
+// the 1 MiB reader buffer, so its memory is bounded by the log's longest
+// line, not by the log's length. FuzzWALReplay checks it over arbitrary
+// log bytes.
 func replay[R any](f *os.File, check func(R) error) (int64, error) {
 	br := bufio.NewReaderSize(f, 1<<20)
 	var good int64
