@@ -156,11 +156,19 @@ func (c Config) Job() dispersion.Job {
 	}
 }
 
+// MaxConfigs bounds the configurations one suites file may expand to.
+// Each suite's grid is a product of its axes, so a few kilobytes of JSON
+// could otherwise declare millions of cells; Parse rejects a larger file
+// from the axis lengths alone, before it expands anything. The committed
+// benchsuites.json expands to 30.
+const MaxConfigs = 4096
+
 // Parse decodes and validates a suites file. Unknown JSON fields are
 // rejected (a typo in a budget name must not silently measure the wrong
 // thing), as are unknown graph families (with graphspec.Parse's
-// diagnostics), unregistered processes, empty grids, and suites or
-// expanded configurations whose names collide.
+// diagnostics), unregistered processes, empty grids, grids of more than
+// MaxConfigs configurations in all, and suites or expanded configurations
+// whose names collide.
 func Parse(data []byte) (*File, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -170,6 +178,19 @@ func Parse(data []byte) (*File, error) {
 	}
 	if dec.More() {
 		return nil, fmt.Errorf("benchsuite: trailing data after the suites document")
+	}
+	// An empty JSON array decodes to an empty slice, which String omits;
+	// keep such slices nil so Parse(String(f)) reproduces f.
+	for i := range f.Suites {
+		s := &f.Suites[i]
+		if len(s.Options) == 0 {
+			s.Options = nil
+		}
+		for j := range s.Options {
+			if len(s.Options[j].Capacities) == 0 {
+				s.Options[j].Capacities = nil
+			}
+		}
 	}
 	if err := f.validate(); err != nil {
 		return nil, err
@@ -197,6 +218,7 @@ func (f *File) validate() error {
 		return fmt.Errorf("benchsuite: file declares no suites")
 	}
 	suiteNames := map[string]bool{}
+	cells := 0
 	for i := range f.Suites {
 		s := &f.Suites[i]
 		if s.Name == "" {
@@ -214,6 +236,9 @@ func (f *File) validate() error {
 		}
 		if len(s.Graphs) == 0 {
 			return fmt.Errorf("benchsuite: suite %q lists no graphs", s.Name)
+		}
+		if cells = min(cells+s.cells(), MaxConfigs+1); cells > MaxConfigs {
+			return fmt.Errorf("benchsuite: the suites expand to more than %d configurations", MaxConfigs)
 		}
 		for _, p := range s.Processes {
 			if _, err := dispersion.Lookup(p); err != nil {
@@ -243,6 +268,16 @@ func (f *File) validate() error {
 		seen[c.Name] = true
 	}
 	return nil
+}
+
+// cells returns the number of configurations s expands to, saturating at
+// MaxConfigs+1 so the product of its axis lengths cannot overflow.
+func (s *Suite) cells() int {
+	n := 1
+	for _, k := range []int{max(len(s.Options), 1), len(s.Graphs), len(s.Processes)} {
+		n = min(n*min(k, MaxConfigs+1), MaxConfigs+1)
+	}
+	return n
 }
 
 // Configs expands every suite's grid into its configurations, in file

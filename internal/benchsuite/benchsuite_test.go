@@ -1,7 +1,9 @@
 package benchsuite
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -173,5 +175,58 @@ func TestOptionsLabelDeterministic(t *testing.T) {
 	}
 	if got := OptionsLabel(server.Options{}); got != "" {
 		t.Errorf("zero options label %q, want empty", got)
+	}
+}
+
+// gridDoc returns a suites file of one suite per entry of axes, each
+// crossing that many options, graphs and processes (at most 9).
+func gridDoc(axes ...[3]int) []byte {
+	procs := []string{`"sequential"`, `"parallel"`, `"uniform"`, `"ct-uniform"`, `"ct-sequential"`,
+		`"sequential-geom"`, `"sequential-threshold"`, `"capacity"`, `"capacity-parallel"`}
+	var suites []string
+	for i, a := range axes {
+		var opts, graphs []string
+		for k := 1; k <= a[0]; k++ {
+			opts = append(opts, fmt.Sprintf(`{"particles":%d}`, k))
+		}
+		for k := 1; k <= a[1]; k++ {
+			graphs = append(graphs, fmt.Sprintf(`"complete:%d"`, k+1))
+		}
+		suites = append(suites, fmt.Sprintf(`{"name":"s%d","processes":[%s],"graphs":[%s],"options":[%s]}`,
+			i, strings.Join(procs[:a[2]], ","), strings.Join(graphs, ","), strings.Join(opts, ",")))
+	}
+	return []byte(`{"suites":[` + strings.Join(suites, ",") + `]}`)
+}
+
+// blowUpDoc is a 9.9 KB suites file whose one suite crosses 300 options,
+// 300 graphs and 9 processes: 810,000 configurations.
+func blowUpDoc() []byte { return gridDoc([3]int{300, 300, 9}) }
+
+// Parse accepts exactly MaxConfigs configurations and refuses one more,
+// and it refuses a grid of 810,000 from its axis lengths, before
+// expanding it.
+func TestParseBoundsTheGrid(t *testing.T) {
+	f, err := Parse(gridDoc([3]int{8, 64, 8}))
+	if err != nil {
+		t.Fatalf("a grid of %d configurations: %v", MaxConfigs, err)
+	}
+	if n := len(f.Configs(false)); n != MaxConfigs {
+		t.Fatalf("expanded to %d configurations, want %d", n, MaxConfigs)
+	}
+	for name, doc := range map[string][]byte{
+		"one over":  gridDoc([3]int{8, 64, 8}, [3]int{1, 1, 1}),
+		"810,000":   blowUpDoc(),
+		"one suite": gridDoc([3]int{4097, 1, 1}),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(doc)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "more than 4096 configurations") {
+			t.Fatalf("%s: error %v, want the configuration bound", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+			t.Errorf("%s: Parse allocated %d bytes refusing a %d-byte file", name, alloc, len(doc))
+		}
 	}
 }

@@ -75,6 +75,25 @@ var goldenHypercubeDigests = map[string]string{
 	"lane-capacity":        "422bdec17dbacaab",
 }
 
+// goldenWeightedDigests pins every process over goldenWeighted, so the
+// alias kernels' Step, fused walk and StepLane are held to the commit that
+// recorded them too.
+var goldenWeightedDigests = map[string]string{
+	"sequential":           "c29da33a0961a5eb",
+	"parallel":             "f8441e5a33d716fd",
+	"uniform":              "6b42a9be5abd5b2d",
+	"ct-uniform":           "46e3d910c3be1f15",
+	"ct-sequential":        "b7cc906e508a080b",
+	"sequential-geom":      "b38855c5c9e39005",
+	"sequential-threshold": "5108e46e41c77f7b",
+	"capacity":             "17c748174bccce89",
+	"capacity-parallel":    "b2a97f728e6afc41",
+	"lane-standard":        "5fd2f14718253735",
+	"lane-geom":            "95effcacfb83a39f",
+	"lane-threshold":       "a796e10b39119e9f",
+	"lane-capacity":        "4731ea7f15808065",
+}
+
 // goldenRule is the custom settle rule of the golden option sets: it
 // rejects some vacant standings early in a walk and accepts every one from
 // step 3 on, so vetoes and acceptances both occur.
@@ -148,6 +167,28 @@ func goldenTori() []graph.Graph {
 // and Q_7, whose selects read one and both bytes of v.
 func goldenHypercubes() []graph.Graph {
 	return []graph.Graph{graph.ImplicitHypercube(1), graph.ImplicitHypercube(4), graph.ImplicitHypercube(7)}
+}
+
+// goldenWeighted lists the weighted graphs of goldenWeightedDigests:
+// weighted cliques on 2 (whose degree-1 moves draw nothing), 3, 6 and 9
+// vertices, the last with a negative exponent, and a weighted cycle.
+func goldenWeighted() []graph.Graph {
+	var gs []graph.Graph
+	for _, c := range []struct {
+		n     int
+		alpha float64
+	}{{2, 1}, {3, 1}, {6, 1}, {9, -0.5}} {
+		g, err := graph.WeightedComplete(c.n, c.alpha)
+		if err != nil {
+			panic(err)
+		}
+		gs = append(gs, g)
+	}
+	g, err := graph.WeightedCycle(7, 3)
+	if err != nil {
+		panic(err)
+	}
+	return append(gs, g)
 }
 
 // goldenHash writes fixed-width little-endian words, so the digest is the
@@ -317,6 +358,9 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		if got, want := goldenDigest(p, goldenHypercubes()), goldenHypercubeDigests[p.name]; got != want {
 			t.Errorf("%s on hypercubes: digest %s, pinned %s", p.name, got, want)
+		}
+		if got, want := goldenDigest(p, goldenWeighted()), goldenWeightedDigests[p.name]; got != want {
+			t.Errorf("%s on weighted graphs: digest %s, pinned %s", p.name, got, want)
 		}
 	}
 }

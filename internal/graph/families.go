@@ -37,16 +37,29 @@ func Cycle(n int) *CSR {
 
 // Complete returns the complete graph K_n.
 func Complete(n int) *CSR {
-	b := NewBuilder(fmt.Sprintf("complete-%d", n), n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			b.AddEdge(i, j)
+	name := fmt.Sprintf("complete-%d", n)
+	if n < 2 {
+		return NewBuilder(name, n).MustBuild()
+	}
+	return completeCSR(name, n)
+}
+
+// completeCSR writes K_n (n >= 2) row by row in the sorted order Builder
+// would produce — row v starts at v·(n−1) and lists every u != v — so it
+// needs no edge list, sort, connectivity search or kernel detection.
+func completeCSR(name string, n int) *CSR {
+	offsets := make([]int32, n+1)
+	adj := make([]int32, 0, n*(n-1))
+	for v := 0; v < n; v++ {
+		offsets[v] = int32(len(adj))
+		for u := 0; u < n; u++ {
+			if u != v {
+				adj = append(adj, int32(u))
+			}
 		}
 	}
-	if n >= 2 {
-		b.hint = func(*CSR) Kernel { return completeKernel{n: int32(n)} }
-	}
-	return b.MustBuild()
+	offsets[n] = int32(len(adj))
+	return &CSR{name: name, offsets: offsets, adj: adj, kernel: completeKernel{n: int32(n)}, connected: true}
 }
 
 // Star returns the star S_n: vertex 0 is the centre joined to 1..n-1.

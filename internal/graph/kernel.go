@@ -56,9 +56,11 @@ type Kernel interface {
 	// kernel dispatch across the whole lane.
 	StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneSource)
 	// Kind names the kernel family for introspection and tests: one of
-	// "complete", "cycle", "path", "hypercube", "regular", "csr",
-	// "walias" for weighted alias kernels, or — for the implicit
-	// backends — "torus", "circulant", "rregular".
+	// "complete", "cycle", "path", "hypercube", "regular", "csr"; for
+	// weighted backends "walias" (the generic alias kernel) or
+	// "wcomplete" (a weighted K_n, n >= 3, whose alias walk reads only
+	// the alias tables); or — for the implicit backends — "torus",
+	// "circulant", "rregular".
 	Kind() string
 }
 

@@ -160,3 +160,47 @@ func BenchmarkWalkHypercube16(b *testing.B) {
 func BenchmarkWalkComplete512(b *testing.B) {
 	benchWalk(b, ImplicitComplete(512).Kernel(), 512, 511)
 }
+
+func mustWComplete(b *testing.B, n int, alpha float64) *WeightedCSR {
+	b.Helper()
+	g, err := WeightedComplete(n, alpha)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// BenchmarkWalkWComplete1024 times the fused alias walk on
+// wcomplete:1024,1, whose alias tables and adjacency are 24 MiB.
+func BenchmarkWalkWComplete1024(b *testing.B) {
+	benchWalk(b, mustWComplete(b, 1024, 1).Kernel(), 1024, 1023)
+}
+
+// BenchmarkStepLaneWComplete1024 times StepLane over all 64 slots of a
+// B = 64 lane on wcomplete:1024,1, the perfbench lane probe; it reports
+// ns per slot-step.
+func BenchmarkStepLaneWComplete1024(b *testing.B) {
+	k := mustWComplete(b, 1024, 1).Kernel()
+	const width = 64
+	var lane rng.LaneSource
+	lane.Resize(width)
+	pos := make([]int32, width)
+	idx := make([]int32, width)
+	for j := range idx {
+		lane.Seed(j, uint64(j)+1)
+		idx[j] = int32(j)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.StepLane(pos, idx, false, &lane)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/width, "ns/slot-step")
+}
+
+// BenchmarkBuildWComplete1024 times WeightedComplete(1024, 1), the build
+// behind graphspec's wcomplete:1024,1.
+func BenchmarkBuildWComplete1024(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		mustWComplete(b, 1024, 1)
+	}
+}

@@ -22,6 +22,11 @@ import (
 // probability prob[i], its alias otherwise. The tables are built by
 // Vose's O(d) method at Build time and are exact up to float rounding.
 //
+// A weighted K_n (n >= 3) walks with weightedCompleteKernel, which reads
+// only prob and alt: slot i of row v sits at v·(n−1)+i, and its own
+// neighbour is i + (i >= v). The adjacency stays for Neighbors, CSR and
+// HasEdge.
+//
 // WeightedCSR implements Graph and EdgeChecker, so every registered
 // dispersion process runs on weighted backends unchanged.
 type WeightedCSR struct {
@@ -108,8 +113,8 @@ func (b *WeightedBuilder) AddEdge(u, v int, w float64) {
 func (b *WeightedBuilder) Build() (*WeightedCSR, error) {
 	sb := NewBuilder(b.name, b.n)
 	for _, e := range b.edges {
-		if !(e.w > 0) || math.IsInf(e.w, 1) {
-			return nil, fmt.Errorf("graph: edge {%d,%d} weight %v (want positive and finite)", e.u, e.v, e.w)
+		if err := checkWeight(int(e.u), int(e.v), e.w); err != nil {
+			return nil, err
 		}
 		sb.AddEdge(int(e.u), int(e.v))
 	}
@@ -117,22 +122,50 @@ func (b *WeightedBuilder) Build() (*WeightedCSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &WeightedCSR{
-		csr:  csr,
-		w:    make([]float64, len(csr.adj)),
-		prob: make([]float64, len(csr.adj)),
-		alt:  make([]int32, len(csr.adj)),
-	}
+	g := newWeightedCSR(csr)
 	// Align each edge's weight with both sorted adjacency rows.
 	for _, e := range b.edges {
 		g.setWeight(e.u, e.v, e.w)
 		g.setWeight(e.v, e.u, e.w)
 	}
-	for v := 0; v < b.n; v++ {
+	g.finish()
+	return g, nil
+}
+
+// newWeightedCSR returns csr with zeroed weight and alias tables, one
+// entry per adjacency slot, for the caller to fill with weights and then
+// finish.
+func newWeightedCSR(csr *CSR) *WeightedCSR {
+	return &WeightedCSR{
+		csr:  csr,
+		w:    make([]float64, len(csr.adj)),
+		prob: make([]float64, len(csr.adj)),
+		alt:  make([]int32, len(csr.adj)),
+	}
+}
+
+// finish builds every vertex's alias table from the weights and selects
+// the kernel: the closed-form weightedCompleteKernel when the structure is
+// K_n with n >= 3, as the CSR's own kernel says, and the generic alias
+// kernel otherwise. (K_2's degree-1 moves draw nothing, which the generic
+// kernel already handles.)
+func (g *WeightedCSR) finish() {
+	for v := 0; v < g.N(); v++ {
 		g.buildAlias(v)
 	}
+	if ck, ok := g.csr.kernel.(completeKernel); ok && ck.n >= 3 {
+		g.kernel = weightedCompleteKernel{prob: g.prob, alt: g.alt, complete: ck}
+		return
+	}
 	g.kernel = weightedKernel{g: g}
-	return g, nil
+}
+
+// checkWeight rejects an edge weight that is not positive and finite.
+func checkWeight(u, v int, w float64) error {
+	if !(w > 0) || math.IsInf(w, 1) {
+		return fmt.Errorf("graph: edge {%d,%d} weight %v (want positive and finite)", u, v, w)
+	}
+	return nil
 }
 
 // setWeight stores w in u's row slot for neighbour v (the row is sorted,
@@ -197,7 +230,9 @@ func (g *WeightedCSR) buildAlias(v int) {
 // weightedKernel is the Walker alias step kernel: a weighted neighbour
 // draw is one bounded slot draw plus one acceptance coin, so a step
 // consumes exactly two variates at degree >= 2 (none at degree one, like
-// every kernel).
+// every kernel). It reads offsets, prob and adj or alt per step; a
+// weighted K_n takes weightedCompleteKernel instead, which reads only the
+// alias tables.
 type weightedKernel struct{ g *WeightedCSR }
 
 // Kind returns "walias".
@@ -275,6 +310,127 @@ func (k weightedKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.
 	}
 }
 
+// weightedCompleteKernel is the alias kernel of a weighted K_n with
+// n >= 3. Row v of the alias tables starts at v·(n−1), and slot i's own
+// neighbour is K_n's closed form complete.nth(v, i), so a step reads
+// prob[s] and, only when the coin rejects, alt[s]; it draws exactly what
+// weightedKernel draws (Int31n(n−1), then Float64).
+type weightedCompleteKernel struct {
+	prob     []float64
+	alt      []int32
+	complete completeKernel
+}
+
+// Kind returns "wcomplete".
+func (weightedCompleteKernel) Kind() string { return "wcomplete" }
+
+// Step returns a w-weighted random neighbour of v.
+func (k weightedCompleteKernel) Step(v int32, r *rng.Source) int32 {
+	d := k.complete.n - 1
+	i := r.Int31n(d)
+	s := v*d + i
+	if r.Float64() < k.prob[s] {
+		return k.complete.nth(v, i)
+	}
+	return k.alt[s]
+}
+
+// WalkUntilVacant walks v to the first vacant vertex (or the budget),
+// with the generator state in locals for the whole walk (see
+// cycleKernel.WalkUntilVacant) and Intn(n−1)'s rejection threshold
+// hoisted. The acceptance coin stays a branch: the CPU speculates down the
+// common accepted path, whose next vertex is arithmetic, and starts the
+// next step's loads before prob[s] arrives. A select would make every step
+// wait for the prob and alt loads.
+func (k weightedCompleteKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
+	prob, alt, d := k.prob, k.alt, k.complete.n-1
+	un := uint64(d)
+	thresh := -un % un
+	st := r.State()
+	var steps int64
+	for occ[v] == epoch {
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		if x&1 == 0 {
+			st, x = st.Next()
+			hi, lo := bits.Mul64(x, un)
+			for lo < thresh {
+				st, x = st.Next()
+				hi, lo = bits.Mul64(x, un)
+			}
+			i := int32(hi)
+			s := v*d + i
+			st, x = st.Next()
+			if float64(x>>11)*0x1p-53 < prob[s] {
+				v = k.complete.nth(v, i)
+			} else {
+				v = alt[s]
+			}
+		}
+		steps++
+		if steps >= budget {
+			break
+		}
+	}
+	r.SetState(st)
+	return v, steps
+}
+
+// laneChunk is the number of listed slots weightedCompleteKernel.StepLane
+// draws for before it gathers; its stack arrays hold one chunk.
+const laneChunk = 64
+
+// StepLane advances the listed lane slots one weighted alias move each, in
+// two passes over chunks of up to laneChunk slots. The first pass makes
+// every draw — lazy coin, slot index, acceptance coin — into stack arrays;
+// the second gathers prob and alt and selects each slot's vertex. Each
+// slot draws from its own stream in the order Step's law fixes, so
+// splitting the passes changes no draw. The gather loop is short and
+// branch-free (the select compiles to a conditional move), so the CPU
+// keeps more slots' cache misses in flight than when each slot's draws
+// sit between its loads and the next slot's.
+func (k weightedCompleteKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneSource) {
+	prob, alt, d := k.prob, k.alt, k.complete.n-1
+	un := uint64(d)
+	thresh := -un % un
+	var (
+		js   [laneChunk]int32   // slot of each move
+		at   [laneChunk]int32   // its alias-table index v·(n−1)+i
+		nb   [laneChunk]int32   // that table slot's own neighbour
+		coin [laneChunk]float64 // its acceptance coin
+	)
+	for len(idx) > 0 {
+		chunk := idx[:min(len(idx), laneChunk)]
+		idx = idx[len(chunk):]
+		m := 0
+		for _, j := range chunk {
+			sj := int(j)
+			if lazy && lane.Uint64(sj)&1 == 1 {
+				continue
+			}
+			hi, lo := bits.Mul64(lane.Uint64(sj), un)
+			for lo < thresh {
+				hi, lo = bits.Mul64(lane.Uint64(sj), un)
+			}
+			v, i := pos[j], int32(hi)
+			t := m & (laneChunk - 1) // m < laneChunk; the mask drops the bounds checks
+			js[t], at[t], nb[t] = j, v*d+i, k.complete.nth(v, i)
+			coin[t] = float64(lane.Uint64(sj)>>11) * 0x1p-53
+			m++
+		}
+		for t := range js[:m] {
+			s := at[t]
+			to, accept := alt[s], nb[t]
+			if coin[t] < prob[s] {
+				to = accept
+			}
+			pos[js[t]] = to
+		}
+	}
+}
+
 // WeightedComplete returns K_n with edge weight ((u+1)(v+1))^alpha — the
 // degree-biased family: the walk leaves any vertex toward v with
 // probability proportional to (v+1)^alpha, so alpha > 0 drags particles
@@ -287,13 +443,23 @@ func WeightedComplete(n int, alpha float64) (*WeightedCSR, error) {
 	if math.IsNaN(alpha) || math.IsInf(alpha, 0) {
 		return nil, fmt.Errorf("graph: weighted complete alpha %v (want finite)", alpha)
 	}
-	b := NewWeightedBuilder(fmt.Sprintf("wcomplete-%d-a%g", n, alpha), n)
+	g := newWeightedCSR(completeCSR(fmt.Sprintf("wcomplete-%d-a%g", n, alpha), n))
+	// Each edge's weight is computed once, in (u, v) order, and stored in
+	// both sorted rows: row u lists v > u at slot v−1, row v lists u at
+	// slot u.
+	d := n - 1
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			b.AddEdge(u, v, math.Pow(float64(u+1)*float64(v+1), alpha))
+			w := math.Pow(float64(u+1)*float64(v+1), alpha)
+			if err := checkWeight(u, v, w); err != nil {
+				return nil, err
+			}
+			g.w[u*d+v-1] = w
+			g.w[v*d+u] = w
 		}
 	}
-	return b.Build()
+	g.finish()
+	return g, nil
 }
 
 // WeightedCycle returns C_n with alternating edge weights: edge
