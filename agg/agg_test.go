@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"dispersion"
@@ -86,6 +87,35 @@ func TestExactSumRoundTrip(t *testing.T) {
 	}
 	if err := r.setText("not a number"); err == nil {
 		t.Fatal("setText accepted garbage")
+	}
+}
+
+// setText refuses accumulators no sum of 2^63 finite values reaches,
+// before a huge exponent or mantissa can allocate: the 14 bytes
+// "1*2^2000000000" would otherwise ask for a 238 MiB accumulator.
+func TestExactSumTextBounded(t *testing.T) {
+	var large exactSum
+	for range 1000 {
+		large.add(math.MaxFloat64)
+	}
+	var r exactSum
+	for _, ok := range []string{large.text(), "1*2^1086", "-1*2^1086", "1*2^-1126"} {
+		if err := r.setText(ok); err != nil {
+			t.Errorf("setText(%.40s) refused: %v", ok, err)
+		}
+	}
+	for _, bad := range []string{
+		"1*2^1087", "3*2^1086", "1*2^2000000000", "1*2^-1127",
+		strings.Repeat("9", 1000) + "*2^0", "1" + strings.Repeat("0", 700) + "*2^-1126",
+	} {
+		allocs := testing.AllocsPerRun(1, func() {
+			if err := r.setText(bad); err == nil {
+				t.Errorf("setText(%.40s) accepted", bad)
+			}
+		})
+		if allocs > 20 {
+			t.Errorf("setText(%.40s) made %v allocations", bad, allocs)
+		}
 	}
 }
 

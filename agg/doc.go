@@ -49,4 +49,25 @@
 // All sketches reject NaN and infinities, and Quantiles and Histogram
 // additionally reject negative values (dispersion makespans, step
 // counts and times are nonnegative).
+//
+// # JSON codec
+//
+// A summary has one canonical JSON rendering: the byte-identity above
+// holds for the bytes, not only the values. Every sketch's MarshalJSON
+// appends that layout directly, exactly the bytes encoding/json writes
+// by reflection over the wire form, and Summary.UnmarshalJSON parses it
+// directly, without reflection. Each hands the rare rest to
+// encoding/json. MarshalJSON does so for a Process that needs escaping
+// and for a value JSON cannot hold, so it gives encoding/json's bytes
+// or error. UnmarshalJSON does so for any input outside the canonical
+// layout: whitespace, reordered, unknown, missing, duplicate or
+// case-variant keys, escapes, and number forms the canonical grammar
+// does not use. Both readers validate through the same per-sketch
+// checks, so they accept and reject the same inputs with the same
+// errors. The checks refuse any summary no Add or Merge can produce, so
+// an accepted summary always merges into one of its own layout: among
+// them a histogram width that is not its initial width doubled, a sketch
+// whose count differs from the summary's trials, a histogram on the
+// total-steps column, columns of different quantile alphas, and exact
+// sums beyond any sum of 2^63 float64 values.
 package agg

@@ -14,6 +14,12 @@ import (
 // decomposition exponent produced by frexp is 2^-1126).
 const sumScale = 1126
 
+// sumBits bounds an accumulator's bit length. Every addend is below
+// 2^1024 in magnitude, and so is every square, or add would have
+// panicked on its infinity; a sum of at most 2^63 of them stays below
+// 2^1087, which the fixed-point scale makes 2^(1087+sumScale).
+const sumBits = 1087 + sumScale
+
 // exactSum accumulates float64 values exactly: each addend is
 // decomposed into its integer mantissa and exponent and added to a
 // fixed-point big.Int scaled by 2^sumScale. Integer addition is
@@ -79,14 +85,19 @@ func (s *exactSum) value() float64 {
 // the plain integer scaled by 2^0-ish exponents instead of a
 // ~340-digit raw accumulator — and the odd-mantissa normal form is
 // canonical: equal accumulator states render to equal strings.
-func (s *exactSum) text() string {
+func (s *exactSum) text() string { return string(s.appendText(nil)) }
+
+// appendText appends the text rendering to dst.
+func (s *exactSum) appendText(dst []byte) []byte {
 	if s.acc.Sign() == 0 {
-		return "0"
+		return append(dst, '0')
 	}
 	tz := s.acc.TrailingZeroBits()
 	var m big.Int
 	m.Rsh(&s.acc, tz)
-	return fmt.Sprintf("%s*2^%d", m.String(), int(tz)-sumScale)
+	dst = m.Append(dst, 10)
+	dst = append(dst, "*2^"...)
+	return strconv.AppendInt(dst, int64(tz)-sumScale, 10)
 }
 
 // setText restores an accumulator serialized by text.
@@ -100,11 +111,19 @@ func (s *exactSum) setText(t string) error {
 		return fmt.Errorf("agg: bad exact-sum accumulator %q (want \"m*2^k\")", t)
 	}
 	k, err := strconv.Atoi(kt)
-	if err != nil || k+sumScale < 0 {
+	if err != nil || k < -sumScale || k > sumBits-sumScale {
 		return fmt.Errorf("agg: bad exact-sum exponent in %q", t)
+	}
+	// A decimal digit carries more than three bits, so a longer mantissa
+	// is out of range before it is parsed.
+	if len(mt) > sumBits/3 {
+		return fmt.Errorf("agg: exact-sum mantissa of %d digits is beyond any sum of 2^63 float64 values", len(mt))
 	}
 	if _, ok := s.acc.SetString(mt, 10); !ok {
 		return fmt.Errorf("agg: bad exact-sum mantissa in %q", t)
+	}
+	if s.acc.BitLen()+k+sumScale > sumBits {
+		return fmt.Errorf("agg: exact-sum accumulator %q is beyond any sum of 2^63 float64 values", t)
 	}
 	s.acc.Lsh(&s.acc, uint(k+sumScale))
 	return nil

@@ -167,7 +167,15 @@ type histogramJSON struct {
 
 // MarshalJSON renders the histogram.
 func (h *Histogram) MarshalJSON() ([]byte, error) {
-	return json.Marshal(histogramJSON{Buckets: h.k, Width0: h.w0, Width: h.width, N: h.n, Counts: h.counts})
+	if b, ok := h.appendJSON(nil); ok {
+		return b, nil
+	}
+	return json.Marshal(h.wire())
+}
+
+// wire returns the histogram's wire form.
+func (h *Histogram) wire() histogramJSON {
+	return histogramJSON{Buckets: h.k, Width0: h.w0, Width: h.width, N: h.n, Counts: h.counts}
 }
 
 // UnmarshalJSON restores a histogram serialized by MarshalJSON.
@@ -176,8 +184,20 @@ func (h *Histogram) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
+	return h.restore(&w)
+}
+
+// restore sets h to the histogram w describes, or fails if no Add or
+// Merge can produce it. Both summary decoders validate through it.
+func (h *Histogram) restore(w *histogramJSON) error {
 	if w.Buckets < 2 || w.Buckets%2 != 0 || w.Width0 <= 0 || w.Width <= 0 {
 		return fmt.Errorf("agg: bad histogram layout %d×%v (width %v)", w.Buckets, w.Width0, w.Width)
+	}
+	// Widths only double from width0, and Merge relies on that to bring
+	// two grids to one width before it adds their counts.
+	f0, e0 := math.Frexp(w.Width0)
+	if f, e := math.Frexp(w.Width); f != f0 || e < e0 {
+		return fmt.Errorf("agg: histogram width %v is not its initial width %v doubled zero or more times", w.Width, w.Width0)
 	}
 	if len(w.Counts) != w.Buckets {
 		return fmt.Errorf("agg: histogram holds %d counts for %d buckets", len(w.Counts), w.Buckets)

@@ -147,11 +147,19 @@ type momentsJSON struct {
 // MarshalJSON renders the sketch with its exact accumulators plus
 // derived mean/variance convenience fields.
 func (m *Moments) MarshalJSON() ([]byte, error) {
-	return json.Marshal(momentsJSON{
+	if b, ok := m.appendJSON(nil); ok {
+		return b, nil
+	}
+	return json.Marshal(m.wire())
+}
+
+// wire returns the sketch's wire form.
+func (m *Moments) wire() momentsJSON {
+	return momentsJSON{
 		N: m.n, Min: m.min, Max: m.max,
 		Sum: m.sum.text(), SumSq: m.sqs.text(),
 		Mean: m.Mean(), Variance: m.Variance(), StdDev: m.StdDev(),
-	})
+	}
 }
 
 // UnmarshalJSON restores a sketch serialized by MarshalJSON.
@@ -160,6 +168,12 @@ func (m *Moments) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
+	return m.restore(&w)
+}
+
+// restore sets m to the sketch w describes, or fails if no Add or Merge
+// can produce it. Both summary decoders validate through it.
+func (m *Moments) restore(w *momentsJSON) error {
 	m.n, m.min, m.max = w.N, w.Min, w.Max
 	if err := m.sum.setText(w.Sum); err != nil {
 		return err

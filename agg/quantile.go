@@ -174,6 +174,14 @@ type quantilesJSON struct {
 // MarshalJSON renders the sketch (bucket layout plus a few derived
 // quantiles).
 func (s *Quantiles) MarshalJSON() ([]byte, error) {
+	if b, ok := s.appendJSON(nil); ok {
+		return b, nil
+	}
+	return json.Marshal(s.wire())
+}
+
+// wire returns the sketch's wire form.
+func (s *Quantiles) wire() quantilesJSON {
 	w := quantilesJSON{Alpha: s.alpha, N: s.n, Zero: s.zero, Keys: s.keys, Counts: s.counts}
 	if w.Keys == nil {
 		w.Keys = []int32{}
@@ -184,7 +192,7 @@ func (s *Quantiles) MarshalJSON() ([]byte, error) {
 	if s.n > 0 {
 		w.Q50, w.Q90, w.Q99 = s.Query(0.5), s.Query(0.9), s.Query(0.99)
 	}
-	return json.Marshal(w)
+	return w
 }
 
 // UnmarshalJSON restores a sketch serialized by MarshalJSON.
@@ -193,6 +201,12 @@ func (s *Quantiles) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
+	return s.restore(&w)
+}
+
+// restore sets s to the sketch w describes, or fails if no Add or Merge
+// can produce it. Both summary decoders validate through it.
+func (s *Quantiles) restore(w *quantilesJSON) error {
 	if w.Alpha <= 0 || w.Alpha >= 1 {
 		return fmt.Errorf("agg: bad quantile sketch alpha %v", w.Alpha)
 	}

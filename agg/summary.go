@@ -79,6 +79,9 @@ type columnJSON struct {
 
 // MarshalJSON renders the column's sketches.
 func (c *Column) MarshalJSON() ([]byte, error) {
+	if b, ok := c.appendJSON(nil); ok {
+		return b, nil
+	}
 	return json.Marshal(columnJSON{Moments: c.Moments, Quantiles: c.Quantiles, Histogram: c.Histogram})
 }
 
@@ -88,10 +91,34 @@ func (c *Column) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
+	return c.restore(&w)
+}
+
+// restore sets c to the column w describes, or fails if it lacks a
+// sketch. Both summary decoders validate through it.
+func (c *Column) restore(w *columnJSON) error {
 	if w.Moments == nil || w.Quantiles == nil {
 		return fmt.Errorf("agg: column is missing its moments or quantiles sketch")
 	}
 	c.Moments, c.Quantiles, c.Histogram = w.Moments, w.Quantiles, w.Histogram
+	return nil
+}
+
+// holds fails unless each of the column's sketches holds n values, as
+// Add and Merge keep them.
+func (c *Column) holds(name string, n int64) error {
+	hist := n
+	if c.Histogram != nil {
+		hist = c.Histogram.n
+	}
+	for _, sk := range [...]struct {
+		kind string
+		n    int64
+	}{{"moments", c.Moments.n}, {"quantile", c.Quantiles.n}, {"histogram", hist}} {
+		if sk.n != n {
+			return fmt.Errorf("agg: summary of %d trials holds %d values in its %s %s sketch", n, sk.n, name, sk.kind)
+		}
+	}
 	return nil
 }
 
@@ -210,6 +237,11 @@ type summaryJSON struct {
 // MarshalJSON renders the summary canonically: summaries over the same
 // result multiset produce byte-identical JSON.
 func (s *Summary) MarshalJSON() ([]byte, error) {
+	// 2 KiB holds a shard's sketch in one allocation: 32 trials on
+	// complete:256 write about 1.3 KB.
+	if b, ok := s.appendJSON(make([]byte, 0, 2048)); ok {
+		return b, nil
+	}
 	return json.Marshal(summaryJSON{
 		Process: s.Process, Continuous: s.Continuous, Capacity: s.Capacity,
 		Trials: s.Trials, Truncated: s.Truncated, Unsettled: s.Unsettled,
@@ -217,17 +249,38 @@ func (s *Summary) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON restores a summary serialized by MarshalJSON.
-func (s *Summary) UnmarshalJSON(b []byte) error {
+// decodeJSON is UnmarshalJSON's encoding/json path, for input outside
+// the canonical layout.
+func (s *Summary) decodeJSON(b []byte) error {
 	var w summaryJSON
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
+	return s.restore(&w)
+}
+
+// restore sets s to the summary w describes, or fails if no Add or Merge
+// can produce it. Both decoders validate through it.
+func (s *Summary) restore(w *summaryJSON) error {
 	if w.Makespan == nil || w.TotalSteps == nil {
 		return fmt.Errorf("agg: summary is missing its makespan or total-steps column")
 	}
 	if w.Makespan.Histogram == nil {
 		return fmt.Errorf("agg: summary makespan column is missing its histogram")
+	}
+	// One Config lays out both columns, and only the makespan column
+	// carries a histogram; Merge refuses anything else.
+	if w.TotalSteps.Histogram != nil {
+		return fmt.Errorf("agg: summary total-steps column carries a histogram")
+	}
+	if a, b := w.Makespan.Quantiles.Alpha(), w.TotalSteps.Quantiles.Alpha(); a != b {
+		return fmt.Errorf("agg: summary columns have quantile alphas %v and %v", a, b)
+	}
+	if err := w.Makespan.holds("makespan", w.Trials); err != nil {
+		return err
+	}
+	if err := w.TotalSteps.holds("total-steps", w.Trials); err != nil {
+		return err
 	}
 	*s = Summary{
 		Process: w.Process, Continuous: w.Continuous, Capacity: w.Capacity,

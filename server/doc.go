@@ -26,6 +26,11 @@
 //     The status and results routes also accept ?view=summary, answering
 //     the summary endpoint's body in place of their own.
 //
+//     Every JSON response is one line of compact JSON. The summary
+//     endpoint's SummaryResponse.Summary is byte for byte the canonical
+//     json.Marshal form of the job's agg.Summary, which the shard
+//     coordinator decodes without reflection.
+//
 // # Control plane
 //
 // Submissions are accounted to a tenant: the value of the X-API-Key
@@ -105,5 +110,7 @@
 // recycles Result memory between trials, the results endpoint answers
 // 410 Gone from the start, and resident memory stays O(sketch) for
 // arbitrarily large Trials — the mode built for million-trial runs
-// that only need E[T], quantiles and the makespan CDF.
+// that only need E[T], quantiles and the makespan CDF. With no results
+// stream to feed, a summary-only job wakes no waiter per trial; Wait and
+// the ?wait=1 long-poll wake on its terminal state.
 package server

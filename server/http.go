@@ -79,13 +79,14 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// writeJSON renders v with the given status code.
+// writeJSON renders v as one line of compact JSON with the given status
+// code. Compact output leaves a SummaryResponse's Summary in the
+// canonical bytes agg.Summary.MarshalJSON wrote, which the shard
+// coordinator decodes without encoding/json.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // fail renders an error response.
@@ -192,9 +193,10 @@ type SummaryResponse struct {
 	// are snapshotted atomically, so Summary covers exactly the first
 	// Completed trials.
 	Completed int `json:"completed"`
-	// Summary is the agg.Summary JSON. Its rendering is canonical:
-	// merged shard summaries over the same trial multiset are
-	// byte-identical to a contiguous run's.
+	// Summary is the agg.Summary JSON, byte for byte what json.Marshal
+	// writes for it. Its rendering is canonical: merged shard summaries
+	// over the same trial multiset are byte-identical to a contiguous
+	// run's.
 	Summary json.RawMessage `json:"summary"`
 }
 

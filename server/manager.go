@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -245,7 +244,7 @@ type Job struct {
 	deadlineTimer *time.Timer
 
 	mu        sync.Mutex
-	notify    chan struct{} // closed and replaced on every append / state change
+	notify    chan struct{} // closed and replaced on every buffered append / state change
 	results   []*dispersion.Result
 	summary   *agg.Summary // fold-as-you-go aggregate, survives eviction
 	count     int          // trials completed, surviving buffer eviction
@@ -329,7 +328,11 @@ func (j *Job) append(res *dispersion.Result) {
 	}
 	j.tenant.trials.Add(1)
 	j.count++
-	j.broadcast()
+	// Only a results stream waits on each trial. A summary-only job has
+	// none; Wait and ?wait=1 wake on the terminal setState.
+	if !j.summaryOnly {
+		j.broadcast()
+	}
 }
 
 // SummaryJSON marshals the job's streaming aggregate atomically with a
@@ -338,7 +341,9 @@ func (j *Job) append(res *dispersion.Result) {
 func (j *Job) SummaryJSON() ([]byte, Status, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	b, err := json.Marshal(j.summary)
+	// MarshalJSON writes the canonical bytes; json.Marshal would only
+	// scan them a second time.
+	b, err := j.summary.MarshalJSON()
 	return b, j.statusLocked(), err
 }
 

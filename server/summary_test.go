@@ -100,6 +100,46 @@ func TestSummaryMatchesOfflineStats(t *testing.T) {
 	}
 }
 
+// The summary endpoint answers one line of compact JSON, and its summary
+// is byte for byte json.Marshal of the same trials' agg.Summary: the
+// canonical layout agg's reader parses without encoding/json.
+func TestSummaryResponseIsCanonical(t *testing.T) {
+	ts, _ := newServer(t, server.ManagerOptions{})
+	req := server.JobRequest{Process: "sequential", Spec: "complete:16", Trials: 30, Seed: 3, Experiment: 1, SummaryOnly: true}
+	st := submit(t, ts, req)
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/summary?wait=1", ts.URL, st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.IndexByte(body, '\n') != len(body)-1 {
+		t.Fatalf("summary response is not one line:\n%s", body)
+	}
+	var sr server.SummaryResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	want := agg.NewSummary()
+	for _, line := range direct(t, req) {
+		var rec sink.Record
+		if err := rec.UnmarshalJSON([]byte(line)); err != nil {
+			t.Fatal(err)
+		}
+		want.Add(rec.Result)
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sr.Summary, wantJSON) {
+		t.Errorf("summary is not the canonical json.Marshal bytes:\n got %s\nwant %s", sr.Summary, wantJSON)
+	}
+}
+
 // Summary-only jobs buffer nothing: Resident stays 0, the results
 // endpoint answers 410 pointing at the summary, and the summary itself
 // is byte-identical to a buffered run of the same request.

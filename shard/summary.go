@@ -108,8 +108,11 @@ func (c *Coordinator) RunSummary(ctx context.Context, req server.JobRequest) (*a
 
 	merged := agg.NewSummary()
 	for i := range ranges {
+		// Each sketch came from a decoded reply or from the log, so it is
+		// valid JSON: json.Unmarshal's validating pre-pass would add
+		// nothing to the decoder's own parse.
 		var s agg.Summary
-		if err := json.Unmarshal(have[i], &s); err != nil {
+		if err := s.UnmarshalJSON(have[i]); err != nil {
 			return nil, fmt.Errorf("shard: shard %d summary: %w", i, err)
 		}
 		if err := merged.Merge(&s); err != nil {

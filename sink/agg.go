@@ -47,16 +47,18 @@ func (a *Aggregator) Summary() *agg.Summary {
 }
 
 // WriteSummary writes a summary to w as a single indented JSON
-// document, the same rendering the dispersion server's summary endpoint
-// returns.
+// document, for people to read. The dispersion server's summary endpoint
+// answers differently: it wraps the summary in its SummaryResponse, as
+// the compact canonical bytes json.Marshal writes. ReadSummary reads
+// either rendering of a summary.
 func WriteSummary(w io.Writer, s *agg.Summary) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
 }
 
-// ReadSummary reads back a summary written by WriteSummary (or fetched
-// from the server's summary endpoint).
+// ReadSummary reads back a summary written by WriteSummary, or the
+// summary field of the server's summary endpoint.
 func ReadSummary(r io.Reader) (*agg.Summary, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {

@@ -1,13 +1,11 @@
 package sink
 
 import (
-	"bytes"
 	"encoding/json"
-	"math"
 	"strconv"
-	"unicode/utf8"
 
 	"dispersion"
+	"dispersion/internal/wire"
 )
 
 // The JSONL codec. A result line is written in one canonical layout —
@@ -54,84 +52,41 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	dst = append(dst, `,"TotalSteps":`...)
 	dst = strconv.AppendInt(dst, r.TotalSteps, 10)
 	dst = append(dst, `,"Steps":`...)
-	dst = appendArray(dst, r.Steps, appendInt)
+	dst = wire.AppendArray(dst, r.Steps, wire.AppendInt)
 	dst = append(dst, `,"SettledAt":`...)
-	dst = appendArray(dst, r.SettledAt, appendInt)
+	dst = wire.AppendArray(dst, r.SettledAt, wire.AppendInt)
 	dst = append(dst, `,"SettleOrder":`...)
-	dst = appendArray(dst, r.SettleOrder, appendInt)
+	dst = wire.AppendArray(dst, r.SettleOrder, wire.AppendInt)
 	dst = append(dst, `,"SettleClock":`...)
-	dst = appendArray(dst, r.SettleClock, appendInt)
+	dst = wire.AppendArray(dst, r.SettleClock, wire.AppendInt)
 	dst = append(dst, `,"Trajectories":`...)
-	dst = appendArray(dst, r.Trajectories, func(dst []byte, tr []int32) []byte {
-		return appendArray(dst, tr, appendInt)
+	dst = wire.AppendArray(dst, r.Trajectories, func(dst []byte, tr []int32) []byte {
+		return wire.AppendArray(dst, tr, wire.AppendInt)
 	})
 	dst = append(dst, `,"Truncated":`...)
 	dst = strconv.AppendBool(dst, r.Truncated)
 	dst = append(dst, `,"Capacity":`...)
 	dst = strconv.AppendInt(dst, int64(r.Capacity), 10)
 	dst = append(dst, `,"Time":`...)
-	dst = appendFloat(dst, r.Time)
+	dst = wire.AppendFloat(dst, r.Time)
 	dst = append(dst, `,"SettleTimes":`...)
-	dst = appendArray(dst, r.SettleTimes, appendFloat)
+	dst = wire.AppendArray(dst, r.SettleTimes, wire.AppendFloat)
 	return append(dst, "}}"...), nil
 }
 
-// appendArray appends xs as a JSON array, or null for a nil slice.
-func appendArray[T any](dst []byte, xs []T, elem func([]byte, T) []byte) []byte {
-	if xs == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '[')
-	for i, x := range xs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = elem(dst, x)
-	}
-	return append(dst, ']')
-}
-
-func appendInt[T int32 | int64](dst []byte, x T) []byte {
-	return strconv.AppendInt(dst, int64(x), 10)
-}
-
-// appendFloat formats a finite f as encoding/json does: shortest
-// round-trip digits, in exponent form only below 1e-6 or from 1e21 in
-// magnitude, with a one-digit negative exponent unpadded.
-func appendFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1] // e-07 → e-7
-		dst = dst[:n-1]
-	}
-	return dst
-}
-
 // plain reports whether r encodes without escaping or error: its Process
-// is ASCII with no control byte, quote, backslash, <, > or &, and its
-// times are finite.
+// is wire.Plain and its times are finite.
 func plain(r *dispersion.Result) bool {
-	for _, c := range []byte(r.Process) {
-		if c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	if !finite(r.Time) {
+	if !wire.Plain(r.Process) || !wire.Finite(r.Time) {
 		return false
 	}
 	for _, t := range r.SettleTimes {
-		if !finite(t) {
+		if !wire.Finite(t) {
 			return false
 		}
 	}
 	return true
 }
-
-func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 
 // UnmarshalJSON decodes one record: directly when data is in the
 // canonical layout AppendRecord writes, and through encoding/json
@@ -159,223 +114,46 @@ func (r *Record) UnmarshalJSON(data []byte) error {
 // parseCanonical parses a line in the canonical layout; ok is false for
 // any other input.
 func parseCanonical(data []byte) (trial int, res *dispersion.Result, ok bool) {
-	p := parser{b: data}
-	p.lit(`{"trial":`)
-	trial = parseInt[int](&p)
-	p.lit(`,"result":`)
-	if !p.next("null") {
+	p := wire.NewParser(data)
+	p.Lit(`{"trial":`)
+	trial = wire.Int[int](&p)
+	p.Lit(`,"result":`)
+	if !p.Next("null") {
 		res = new(dispersion.Result)
-		p.result(res)
+		parseResult(&p, res)
 	}
-	p.lit("}")
-	return trial, res, !p.bad && p.i == len(p.b)
+	p.Lit("}")
+	return trial, res, p.Complete()
 }
 
-// parser reads the canonical layout. Its first mismatch sets bad, after
-// which every read is a no-op returning zero values; the caller then
-// hands the input to encoding/json.
-type parser struct {
-	b   []byte
-	i   int
-	bad bool
-}
-
-func (p *parser) result(r *dispersion.Result) {
-	p.lit(`{"Process":`)
-	r.Process = p.str()
-	p.lit(`,"Continuous":`)
-	r.Continuous = p.bool()
-	p.lit(`,"Dispersion":`)
-	r.Dispersion = parseInt[int64](p)
-	p.lit(`,"TotalSteps":`)
-	r.TotalSteps = parseInt[int64](p)
-	p.lit(`,"Steps":`)
-	r.Steps = array(p, parseInt[int64])
-	p.lit(`,"SettledAt":`)
-	r.SettledAt = array(p, parseInt[int32])
-	p.lit(`,"SettleOrder":`)
-	r.SettleOrder = array(p, parseInt[int32])
-	p.lit(`,"SettleClock":`)
-	r.SettleClock = array(p, parseInt[int64])
-	p.lit(`,"Trajectories":`)
-	r.Trajectories = array(p, func(p *parser) []int32 { return array(p, parseInt[int32]) })
-	p.lit(`,"Truncated":`)
-	r.Truncated = p.bool()
-	p.lit(`,"Capacity":`)
-	r.Capacity = parseInt[int](p)
-	p.lit(`,"Time":`)
-	r.Time = p.float()
-	p.lit(`,"SettleTimes":`)
-	r.SettleTimes = array(p, (*parser).float)
-	p.lit("}")
-}
-
-// next consumes s if the input continues with it.
-func (p *parser) next(s string) bool {
-	if p.bad || len(p.b)-p.i < len(s) || string(p.b[p.i:p.i+len(s)]) != s {
-		return false
-	}
-	p.i += len(s)
-	return true
-}
-
-// lit consumes s, which the input must continue with.
-func (p *parser) lit(s string) {
-	if !p.next(s) {
-		p.bad = true
-	}
-}
-
-func (p *parser) bool() bool {
-	if p.next("true") {
-		return true
-	}
-	p.lit("false")
-	return false
-}
-
-// str reads a string of printable ASCII without escapes; anything else
-// is left to encoding/json.
-func (p *parser) str() string {
-	if !p.next(`"`) {
-		p.bad = true
-		return ""
-	}
-	for j := p.i; j < len(p.b); j++ {
-		switch c := p.b[j]; {
-		case c == '"':
-			s := string(p.b[p.i:j])
-			p.i = j + 1
-			return s
-		case c < ' ' || c == '\\' || c >= utf8.RuneSelf:
-			p.bad = true
-			return ""
-		}
-	}
-	p.bad = true
-	return ""
-}
-
-// parseInt reads a JSON integer that fits T. A fraction, an exponent, a
-// leading zero or more than 19 digits is a mismatch.
-func parseInt[T int | int32 | int64](p *parser) T {
-	if p.bad {
-		return 0
-	}
-	b := p.b[p.i:]
-	j := 0
-	neg := len(b) > 0 && b[0] == '-'
-	if neg {
-		j++
-	}
-	start := j
-	var u uint64
-	for ; j < len(b) && j-start < 19 && '0' <= b[j] && b[j] <= '9'; j++ {
-		u = u*10 + uint64(b[j]-'0')
-	}
-	v := int64(u)
-	if neg {
-		v = -v
-	}
-	switch n := j - start; {
-	case n == 0, n > 1 && b[start] == '0': // no digits, or a leading zero
-	case j < len(b) && '0' <= b[j] && b[j] <= '9': // a 20th digit
-	case u > math.MaxInt64 && !(neg && u == 1<<63): // outside int64
-	case int64(T(v)) != v: // outside T
-	default:
-		p.i += j
-		return T(v)
-	}
-	p.bad = true
-	return 0
-}
-
-// float reads a number in JSON's grammar and converts it as
-// encoding/json does; an out-of-range value is a mismatch.
-func (p *parser) float() float64 {
-	if p.bad {
-		return 0
-	}
-	b := p.b[p.i:]
-	digits := func(j int) int {
-		for j < len(b) && '0' <= b[j] && b[j] <= '9' {
-			j++
-		}
-		return j
-	}
-	j := 0
-	if j < len(b) && b[j] == '-' {
-		j++
-	}
-	switch {
-	case j < len(b) && b[j] == '0':
-		j++
-	case j < len(b) && '1' <= b[j] && b[j] <= '9':
-		j = digits(j)
-	default:
-		p.bad = true
-		return 0
-	}
-	if j < len(b) && b[j] == '.' {
-		if k := digits(j + 1); k > j+1 {
-			j = k
-		} else {
-			p.bad = true
-			return 0
-		}
-	}
-	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
-		j++
-		if j < len(b) && (b[j] == '+' || b[j] == '-') {
-			j++
-		}
-		if k := digits(j); k > j {
-			j = k
-		} else {
-			p.bad = true
-			return 0
-		}
-	}
-	f, err := strconv.ParseFloat(string(b[:j]), 64)
-	if err != nil {
-		p.bad = true
-		return 0
-	}
-	p.i += j
-	return f
-}
-
-// array reads a JSON array of elem values: null is a nil slice and []
-// an empty non-nil one, as encoding/json decodes them.
-func array[T any](p *parser, elem func(*parser) T) []T {
-	if p.bad || p.next("null") {
-		return nil
-	}
-	p.lit("[")
-	if p.bad {
-		return nil
-	}
-	if p.next("]") {
-		return []T{}
-	}
-	xs := make([]T, 0, p.capHint())
-	for {
-		xs = append(xs, elem(p))
-		if p.bad || !p.next(",") {
-			break
-		}
-	}
-	p.lit("]")
-	return xs
-}
-
-// capHint sizes the array about to be read: one more than the commas
-// before the next ']'. That is exact for an array of numbers, and never
-// more than half the bytes scanned, so hostile input cannot inflate it.
-func (p *parser) capHint() int {
-	seg := p.b[p.i:]
-	if end := bytes.IndexByte(seg, ']'); end >= 0 {
-		seg = seg[:end]
-	}
-	return min(bytes.Count(seg, []byte{','})+1, len(seg)/2+1)
+// parseResult reads a Result's object. A mismatch leaves p bad, after
+// which the caller hands the input to encoding/json.
+func parseResult(p *wire.Parser, r *dispersion.Result) {
+	p.Lit(`{"Process":`)
+	r.Process = p.Str()
+	p.Lit(`,"Continuous":`)
+	r.Continuous = p.Bool()
+	p.Lit(`,"Dispersion":`)
+	r.Dispersion = wire.Int[int64](p)
+	p.Lit(`,"TotalSteps":`)
+	r.TotalSteps = wire.Int[int64](p)
+	p.Lit(`,"Steps":`)
+	r.Steps = wire.Ints[int64](p)
+	p.Lit(`,"SettledAt":`)
+	r.SettledAt = wire.Ints[int32](p)
+	p.Lit(`,"SettleOrder":`)
+	r.SettleOrder = wire.Ints[int32](p)
+	p.Lit(`,"SettleClock":`)
+	r.SettleClock = wire.Ints[int64](p)
+	p.Lit(`,"Trajectories":`)
+	r.Trajectories = wire.Array(p, wire.Ints[int32])
+	p.Lit(`,"Truncated":`)
+	r.Truncated = p.Bool()
+	p.Lit(`,"Capacity":`)
+	r.Capacity = wire.Int[int](p)
+	p.Lit(`,"Time":`)
+	r.Time = p.Float()
+	p.Lit(`,"SettleTimes":`)
+	r.SettleTimes = wire.Array(p, (*wire.Parser).Float)
+	p.Lit("}")
 }

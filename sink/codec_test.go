@@ -306,6 +306,10 @@ func FuzzDecodeRecord(f *testing.F) {
 		line[:len(line)-3],
 		"",
 		"{",
+		strings.Replace(line, `"Steps":[3,2,0]`, `"Steps":[9223372036854775807,-9223372036854775808,0]`, 1),
+		strings.Replace(line, `"Steps":[3,2,0]`, `"Steps":[3,9223372036854775808,0]`, 1),
+		strings.Replace(line, `"Steps":[3,2,0]`, `"Steps":[3,-9223372036854775809,0]`, 1),
+		strings.Replace(line, `"Steps":[3,2,0]`, `"Steps":[3,2,18446744073709551616]`, 1),
 	} {
 		f.Add([]byte(seed))
 	}

@@ -38,5 +38,9 @@
 // exact bytes encoding/json writes for a Record, and Record.UnmarshalJSON
 // parses that layout without reflection, handing any other input to
 // encoding/json. The line format is therefore byte-stable, and every
-// line encoding/json accepts decodes as it always did.
+// line encoding/json accepts decodes as it always did. The codec's
+// primitives, a parser of one fixed layout and encoding/json's number
+// formatting, live in an internal package shared with agg's summary
+// codec. The parser reads each integer array (Steps, SettledAt,
+// SettleOrder, SettleClock and each trajectory) in one loop.
 package sink
