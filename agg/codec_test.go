@@ -188,11 +188,45 @@ func TestSummaryMarshalNonFiniteError(t *testing.T) {
 	}
 }
 
+// unreachable holds byte swaps on oneTrial's JSON that no marshal
+// writes: a min above the max, an exact sum whose mean leaves the float64
+// range, and a bucket key no finite value maps to at alpha 0.01.
+var unreachable = map[string][2]string{
+	"min above max":      {`"min":3,"max":3`, `"min":900,"max":2`},
+	"sum beyond float64": {`"sum":"3*2^0"`, `"sum":"1*2^1080"`},
+	"key beyond float64": {`"keys":[55]`, `"keys":[2147483647]`},
+}
+
+// oneTrial is the JSON of a one-trial summary, the base of unreachable.
+func oneTrial(tb testing.TB) []byte {
+	b, err := json.Marshal(fold(fakeResult("sequential", 3, 5, false)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for name, swap := range unreachable {
+		if !bytes.Contains(b, []byte(swap[0])) {
+			tb.Fatalf("%s: one-trial summary lacks %s", name, swap[0])
+		}
+	}
+	return b
+}
+
 // Both decoders refuse what no Add or Merge produces, with one error: a
 // histogram width off width0's doublings, a column whose sketches do not
-// each hold one value per trial, a total-steps histogram, and columns of
-// different quantile alphas.
+// each hold one value per trial, a total-steps histogram, columns of
+// different quantile alphas, and the unreachable inputs.
 func TestSummaryDecodeRejectsUnreachableSketches(t *testing.T) {
+	reject := func(name string, b []byte) {
+		var direct, ref Summary
+		derr, rerr := direct.UnmarshalJSON(b), ref.decodeJSON(b)
+		if derr == nil || rerr == nil || derr.Error() != rerr.Error() {
+			t.Errorf("%s: UnmarshalJSON error %v, encoding/json path error %v\n%s", name, derr, rerr, b)
+		}
+	}
+	one := oneTrial(t)
+	for name, swap := range unreachable {
+		reject(name, bytes.Replace(one, []byte(swap[0]), []byte(swap[1]), 1))
+	}
 	for name, mutate := range map[string]func(*Summary){
 		"width between doublings": func(s *Summary) { s.Makespan.Histogram.width = 3 },
 		"width below width0":      func(s *Summary) { s.Makespan.Histogram.width = 0.5 },
@@ -211,11 +245,7 @@ func TestSummaryDecodeRejectsUnreachableSketches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		var direct, ref Summary
-		derr, rerr := direct.UnmarshalJSON(b), ref.decodeJSON(b)
-		if derr == nil || rerr == nil || derr.Error() != rerr.Error() {
-			t.Errorf("%s: UnmarshalJSON error %v, encoding/json path error %v\n%s", name, derr, rerr, b)
-		}
+		reject(name, b)
 	}
 	// Merge would collapse such a histogram to width 2 and add its counts.
 	var h Histogram

@@ -68,6 +68,8 @@
 // an accepted summary always merges into one of its own layout: among
 // them a histogram width that is not its initial width doubled, a sketch
 // whose count differs from the summary's trials, a histogram on the
-// total-steps column, columns of different quantile alphas, and exact
-// sums beyond any sum of 2^63 float64 values.
+// total-steps column, columns of different quantile alphas, exact sums
+// beyond any sum of 2^63 float64 values, moments whose mean lies outside
+// [min, max] (a min above the max, or a mean past the float64 range), and
+// quantile bucket keys no finite value maps to.
 package agg

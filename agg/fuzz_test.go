@@ -17,7 +17,7 @@ import (
 // share one layout. So it must merge into a fresh summary of that layout,
 // and the merge must marshal without panicking to bytes that decode
 // again. Marshal may still return an error for a value JSON cannot hold,
-// such as a derived quantile or mean beyond the float64 range.
+// such as a derived variance beyond the float64 range.
 func FuzzSummaryJSON(f *testing.F) {
 	s := NewSummary()
 	s.Add(fakeResult("sequential", 10, 25, false))
@@ -67,6 +67,10 @@ func FuzzSummaryJSON(f *testing.F) {
 			f.Fatalf("seed summary lacks %s", swap[0])
 		}
 		f.Add(bytes.Replace(valid, []byte(swap[0]), []byte(swap[1]), 1))
+	}
+	one := oneTrial(f)
+	for _, swap := range unreachable {
+		f.Add(bytes.Replace(one, []byte(swap[0]), []byte(swap[1]), 1))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got, ref Summary

@@ -2,6 +2,7 @@ package agg
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/big"
 )
@@ -178,5 +179,15 @@ func (m *Moments) restore(w *momentsJSON) error {
 	if err := m.sum.setText(w.Sum); err != nil {
 		return err
 	}
-	return m.sqs.setText(w.SumSq)
+	if err := m.sqs.setText(w.SumSq); err != nil {
+		return err
+	}
+	// Added values lie in [min, max], and so does their mean; a sum
+	// whose mean leaves the float64 range fails here too.
+	if m.n >= 1 {
+		if mean := m.Mean(); !(m.min <= mean && mean <= m.max) {
+			return fmt.Errorf("agg: moments sketch has mean %v outside [min %v, max %v]", mean, m.min, m.max)
+		}
+	}
+	return nil
 }

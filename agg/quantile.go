@@ -236,6 +236,13 @@ func (s *Quantiles) restore(w *quantilesJSON) error {
 		return fmt.Errorf("agg: quantile sketch has n = %d but holds %d values", w.N, total)
 	}
 	*s = *NewQuantiles(w.Alpha)
+	// The keys increase, so the ends bound them: every one must be the
+	// bucket of some finite positive value.
+	if k := len(w.Keys); k > 0 &&
+		(w.Keys[0] < s.index(math.SmallestNonzeroFloat64) || w.Keys[k-1] > s.index(math.MaxFloat64)) {
+		return fmt.Errorf("agg: quantile sketch keys span [%d, %d], past the buckets of finite values at alpha %v",
+			w.Keys[0], w.Keys[k-1], w.Alpha)
+	}
 	s.n, s.zero = w.N, w.Zero
 	if len(w.Keys) > 0 {
 		s.keys, s.counts = w.Keys, w.Counts

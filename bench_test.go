@@ -1,7 +1,7 @@
 // Package dispersion_test holds the repository-level benchmark harness:
-// one testing.B target per Table 1 row / experiment of the paper (the
-// experiment index in DESIGN.md maps IDs to targets), plus ablation
-// benchmarks for the design decisions called out in DESIGN.md.
+// one testing.B target per Table 1 row / experiment of the paper (each
+// group names the experiment IDs that internal/bench registers), plus
+// ablation benchmarks for design decisions ARCHITECTURE.md describes.
 //
 // Run with: go test -bench=. -benchmem
 package dispersion_test
@@ -12,7 +12,6 @@ import (
 
 	"dispersion"
 	"dispersion/agg"
-	"dispersion/internal/bench"
 	"dispersion/internal/benchsuite"
 	"dispersion/internal/block"
 	"dispersion/internal/core"
@@ -20,43 +19,25 @@ import (
 	"dispersion/internal/graph"
 	"dispersion/internal/markov"
 	"dispersion/internal/rng"
-	"dispersion/internal/walk"
 )
 
-// benchDispersion runs one process realization per iteration and reports
-// steps/op via the returned dispersion metric.
-func benchDispersion(b *testing.B, g *graph.CSR, origin int, p bench.Process, opt core.Options) {
+// benchDispersion runs one realization of the registered process per
+// iteration, the way a one-shot caller does.
+func benchDispersion(b *testing.B, g *graph.CSR, process string, opts ...dispersion.Option) {
 	b.Helper()
+	p, err := dispersion.Lookup(process)
+	if err != nil {
+		b.Fatal(err)
+	}
 	r := rng.New(uint64(b.N)) // distinct stream per sizing pass
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		switch p {
-		case bench.Seq:
-			res, err := core.Sequential(g, origin, opt, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink += float64(res.Dispersion)
-		case bench.Par:
-			res, err := core.Parallel(g, origin, opt, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink += float64(res.Dispersion)
-		case bench.Unif:
-			res, err := core.Uniform(g, origin, opt, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink += float64(res.Dispersion)
-		case bench.CTUnifTime:
-			res, err := core.CTUniform(g, origin, opt, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink += res.Time
+		res, err := p.Run(g, 0, r, opts...)
+		if err != nil {
+			b.Fatal(err)
 		}
+		sink += res.Makespan()
 	}
 	if sink < 0 {
 		b.Fatal("impossible")
@@ -66,39 +47,39 @@ func benchDispersion(b *testing.B, g *graph.CSR, origin int, p bench.Process, op
 // --- Table 1 rows (experiments E01-E09) ---
 
 func BenchmarkTable1CliqueSeq(b *testing.B) {
-	benchDispersion(b, graph.Complete(512), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Complete(512), "sequential")
 }
 
 func BenchmarkTable1CliquePar(b *testing.B) {
-	benchDispersion(b, graph.Complete(512), 0, bench.Par, core.Options{})
+	benchDispersion(b, graph.Complete(512), "parallel")
 }
 
 func BenchmarkTable1PathSeq(b *testing.B) {
-	benchDispersion(b, graph.Path(128), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Path(128), "sequential")
 }
 
 func BenchmarkTable1PathPar(b *testing.B) {
-	benchDispersion(b, graph.Path(128), 0, bench.Par, core.Options{})
+	benchDispersion(b, graph.Path(128), "parallel")
 }
 
 func BenchmarkTable1CycleSeq(b *testing.B) {
-	benchDispersion(b, graph.Cycle(128), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Cycle(128), "sequential")
 }
 
 func BenchmarkTable1Grid2DSeq(b *testing.B) {
-	benchDispersion(b, graph.Grid([]int{16, 16}, true), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Grid([]int{16, 16}, true), "sequential")
 }
 
 func BenchmarkTable1Grid3DSeq(b *testing.B) {
-	benchDispersion(b, graph.Grid([]int{8, 8, 8}, true), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Grid([]int{8, 8, 8}, true), "sequential")
 }
 
 func BenchmarkTable1HypercubeSeq(b *testing.B) {
-	benchDispersion(b, graph.Hypercube(9), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Hypercube(9), "sequential")
 }
 
 func BenchmarkTable1BinaryTreeSeq(b *testing.B) {
-	benchDispersion(b, graph.CompleteBinaryTree(9), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.CompleteBinaryTree(9), "sequential")
 }
 
 func BenchmarkTable1ExpanderSeq(b *testing.B) {
@@ -106,11 +87,11 @@ func BenchmarkTable1ExpanderSeq(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchDispersion(b, g, 0, bench.Seq, core.Options{})
+	benchDispersion(b, g, "sequential")
 }
 
 func BenchmarkLollipopSeq(b *testing.B) {
-	benchDispersion(b, graph.Lollipop(32), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Lollipop(32), "sequential")
 }
 
 // --- Coupling experiments (E10-E19) ---
@@ -120,26 +101,27 @@ func BenchmarkDomination(b *testing.B) {
 	g := graph.Complete(64)
 	r := rng.New(2)
 	b.ResetTimer()
+	var res core.Result
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Sequential(g, 0, core.Options{}, r); err != nil {
+		if err := core.SequentialInto(g, 0, core.Options{}, r, nil, &res); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.Parallel(g, 0, core.Options{}, r); err != nil {
+		if err := core.ParallelInto(g, 0, core.Options{}, r, nil, &res); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkLazyFactor(b *testing.B) {
-	benchDispersion(b, graph.Cycle(64), 0, bench.Seq, core.Options{Lazy: true})
+	benchDispersion(b, graph.Cycle(64), "sequential", dispersion.WithLazy())
 }
 
 func BenchmarkCTUvsParallel(b *testing.B) {
-	benchDispersion(b, graph.Complete(256), 0, bench.CTUnifTime, core.Options{})
+	benchDispersion(b, graph.Complete(256), "ct-uniform")
 }
 
 func BenchmarkConcentrationGadgets(b *testing.B) {
-	benchDispersion(b, graph.CliqueWithHair(96), 0, bench.Par, core.Options{})
+	benchDispersion(b, graph.CliqueWithHair(96), "parallel")
 }
 
 func BenchmarkHittingGap(b *testing.B) {
@@ -157,7 +139,7 @@ func BenchmarkLeastAction(b *testing.B) {
 	n := 96
 	tip := int32(graph.HairTip(n))
 	rule := func(v int32, step int64) bool { return v == tip || step >= 1500 }
-	benchDispersion(b, graph.CliqueWithHair(n), 0, bench.Seq, core.Options{Rule: rule})
+	benchDispersion(b, graph.CliqueWithHair(n), "sequential", dispersion.WithSettleRule(rule))
 }
 
 func BenchmarkUpperBounds(b *testing.B) {
@@ -176,7 +158,7 @@ func BenchmarkUpperBounds(b *testing.B) {
 }
 
 func BenchmarkTreeLowerBound(b *testing.B) {
-	benchDispersion(b, graph.Star(256), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Star(256), "sequential")
 }
 
 func BenchmarkCutPaste(b *testing.B) {
@@ -184,12 +166,12 @@ func BenchmarkCutPaste(b *testing.B) {
 	g := graph.Complete(64)
 	r := rng.New(3)
 	b.ResetTimer()
+	var res core.Result
 	for i := 0; i < b.N; i++ {
-		res, err := core.Sequential(g, 0, core.Options{Record: true}, r)
-		if err != nil {
+		if err := core.SequentialInto(g, 0, core.Options{Record: true}, r, nil, &res); err != nil {
 			b.Fatal(err)
 		}
-		blk, err := block.FromResult(res)
+		blk, err := block.FromTrajectories(res.Trajectories)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,10 +185,10 @@ func BenchmarkCutPaste(b *testing.B) {
 }
 
 func BenchmarkUniform(b *testing.B) {
-	benchDispersion(b, graph.Complete(128), 0, bench.Unif, core.Options{})
+	benchDispersion(b, graph.Complete(128), "uniform")
 }
 
-// --- Ablations (DESIGN.md "key design decisions") ---
+// --- Ablations (ARCHITECTURE.md "Step kernels and the zero-allocation hot path") ---
 
 // mapGraph is the naive adjacency representation ablated against CSR.
 type mapGraph map[int32][]int32
@@ -225,7 +207,8 @@ func BenchmarkStepCSR(b *testing.B) {
 	v := int32(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v = walk.Step(g, v, r)
+		ns := g.Neighbors(int(v))
+		v = ns[r.Intn(len(ns))]
 	}
 	_ = v
 }
@@ -399,61 +382,6 @@ func BenchmarkSummaryMerge(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkCTUHeapVsRounds ablates the event-heap continuous-time engine
-// against a Poissonised round-based approximation (each round, every
-// unsettled particle moves Poisson(1) times in index order).
-func BenchmarkCTUHeap(b *testing.B) {
-	benchDispersion(b, graph.Complete(256), 0, bench.CTUnifTime, core.Options{})
-}
-
-func BenchmarkCTURoundApprox(b *testing.B) {
-	g := graph.Complete(256)
-	r := rng.New(5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		roundApproxCTU(g, 0, r)
-	}
-}
-
-// roundApproxCTU is the discretised alternative design: time advances in
-// unit rounds and each unsettled particle takes Poisson(1) steps per
-// round. It loses the exact event ordering that Theorem 4.8's coupling
-// needs, which is why the heap engine is the primary implementation.
-func roundApproxCTU(g *graph.CSR, origin int, r *rng.Source) int {
-	n := g.N()
-	occupied := make([]bool, n)
-	occupied[origin] = true
-	pos := make([]int32, n)
-	for i := range pos {
-		pos[i] = int32(origin)
-	}
-	active := make([]int32, 0, n-1)
-	for i := 1; i < n; i++ {
-		active = append(active, int32(i))
-	}
-	rounds := 0
-	for len(active) > 0 {
-		rounds++
-		keep := active[:0]
-		for _, p := range active {
-			settledHere := false
-			for s := int64(0); s < r.Poisson(1); s++ {
-				pos[p] = walk.Step(g, pos[p], r)
-				if !occupied[pos[p]] {
-					occupied[pos[p]] = true
-					settledHere = true
-					break
-				}
-			}
-			if !settledHere {
-				keep = append(keep, p)
-			}
-		}
-		active = keep
-	}
-	return rounds
 }
 
 // --- Exact ground-truth benchmarks (E24) ---

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dispersion"
+	"dispersion/graphspec"
 	"dispersion/internal/benchsuite"
 )
 
@@ -47,10 +48,20 @@ func runLab(ctx context.Context, cfgs []benchsuite.Config, quick bool, filter *r
 // Allocations are counted from runtime.MemStats.Mallocs around the timed
 // run after a forced GC; with ReuseResults on, the built-in processes
 // sit at 0 allocs/op in steady state, so a sustained nonzero median here
-// is a real hot-path regression.
+// is a real hot-path regression. The graph is built once, before the
+// warmup, as Engine.Run would build it from the spec, and its build time
+// is reported apart (BuildMS): samples time trials only, so ns/op does
+// not depend on the budget.
 func measureConfig(ctx context.Context, cfg benchsuite.Config) (ConfigResult, error) {
 	eng := dispersion.Engine{Seed: cfg.Seed, Workers: cfg.Workers, ReuseResults: true}
 	job := cfg.Job()
+	built := time.Now()
+	g, err := graphspec.Build(job.Spec, cfg.Seed)
+	if err != nil {
+		return ConfigResult{}, err
+	}
+	buildMS := float64(time.Since(built).Nanoseconds()) / 1e6
+	job.Graph = g
 	for i := 0; i < cfg.Warmup; i++ {
 		if err := eng.Run(ctx, job, nil); err != nil {
 			return ConfigResult{}, err
@@ -74,7 +85,7 @@ func measureConfig(ctx context.Context, cfg benchsuite.Config) (ConfigResult, er
 		trialsSec = append(trialsSec, iters/elapsed.Seconds())
 		allocsOp = append(allocsOp, float64(ms1.Mallocs-ms0.Mallocs)/iters)
 	}
-	res := ConfigResult{Config: cfg, Metrics: map[string]Metric{}}
+	res := ConfigResult{Config: cfg, BuildMS: buildMS, Metrics: map[string]Metric{}}
 	for name, samples := range map[string][]float64{
 		"ns/op":      nsOp,
 		"trials/sec": trialsSec,

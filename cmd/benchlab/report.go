@@ -47,6 +47,9 @@ type Report struct {
 // budgets (the expanded benchsuite cell) plus per-metric statistics.
 type ConfigResult struct {
 	benchsuite.Config
+	// BuildMS is the wall time of the configuration's one graph build,
+	// which no sample includes.
+	BuildMS float64 `json:"build_ms"`
 	// Metrics maps metric name (ns/op, trials/sec, allocs/op) to its
 	// per-sample values and summary statistics.
 	Metrics map[string]Metric `json:"metrics"`
@@ -166,6 +169,9 @@ type trajectoryConfig struct {
 	TrialsPerSec float64 `json:"trials_per_sec"`
 	// AllocsPerOp is the median allocation count per trial.
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// BuildMS is the graph build time. Points without it are of the
+	// earlier series, whose ns/op also paid a graph build per sample.
+	BuildMS float64 `json:"build_ms,omitempty"`
 }
 
 // appendTrajectory appends the run's condensed point as one JSON line to
@@ -188,6 +194,7 @@ func appendTrajectory(path string, rep *Report) error {
 			NsPerOpCI:    ns.MedianCI,
 			TrialsPerSec: c.Metrics["trials/sec"].Median,
 			AllocsPerOp:  c.Metrics["allocs/op"].Median,
+			BuildMS:      c.BuildMS,
 		})
 	}
 	line, err := json.Marshal(pt)

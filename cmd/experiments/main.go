@@ -1,8 +1,9 @@
 // Command experiments runs the full reproduction suite: one experiment per
-// table row / quantitative claim of the paper (the index in DESIGN.md),
-// printing measured-vs-paper comparison tables and a PASS/CHECK verdict
-// for each. With -csvdir, every experiment's comparison table is also
-// written as <dir>/<ID>.csv for downstream plotting.
+// table row / quantitative claim of the paper (E01–E24, each printed with
+// its source and claim), printing measured-vs-paper comparison tables and
+// a PASS/CHECK verdict for each. With -csvdir, every experiment's
+// comparison table is also written as <dir>/<ID>.csv for downstream
+// plotting.
 //
 // Usage:
 //

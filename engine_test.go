@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"dispersion"
-	"dispersion/internal/bench"
 	"dispersion/internal/core"
 	"dispersion/internal/graph"
+	"dispersion/internal/rng"
 )
 
 // collect gathers every trial result of a job, asserting in-order
@@ -53,13 +53,24 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesLegacyHarness pins the engine's trial streams to the
-// internal bench sampler's: same (seed, experiment) must yield the same
-// sample vector the pre-facade harness produced.
+// TestEngineMatchesLegacyHarness pins the engine's trial streams to a
+// serial reference loop: trial i reseeds from the split stream (seed,
+// experiment, i) and runs core.ParallelInto, as the pre-facade harness
+// sampled.
 func TestEngineMatchesLegacyHarness(t *testing.T) {
 	g := graph.Complete(48)
 	const trials, seed, exp = 60, 9, 77
-	want := bench.SampleDispersion(g, 0, bench.Par, core.Options{}, trials, seed, exp)
+	root := rng.New(seed)
+	var src rng.Source
+	var res core.Result
+	want := make([]float64, trials)
+	for i := range want {
+		root.SplitInto(&src, exp, uint64(i))
+		if err := core.ParallelInto(g, 0, core.Options{}, &src, nil, &res); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = float64(res.Dispersion)
+	}
 	got, err := dispersion.Engine{Seed: seed, Experiment: exp}.Sample(
 		context.Background(),
 		dispersion.Job{Process: "parallel", Graph: g, Trials: trials})
@@ -67,7 +78,7 @@ func TestEngineMatchesLegacyHarness(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("engine sample differs from legacy bench.SampleDispersion")
+		t.Fatal("engine sample differs from the serial reference loop")
 	}
 }
 

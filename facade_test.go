@@ -15,20 +15,17 @@ import (
 // wrapper.
 type coreRunner func(g graph.Graph, origin int, opt core.Options, r *rng.Source) (*core.Result, *core.CTResult, error)
 
-func discreteRunner(f func(graph.Graph, int, core.Options, *rng.Source) (*core.Result, error)) coreRunner {
+func discreteRunner(f func(graph.Graph, int, core.Options, *rng.Source, *core.Scratch, *core.Result) error) coreRunner {
 	return func(g graph.Graph, origin int, opt core.Options, r *rng.Source) (*core.Result, *core.CTResult, error) {
-		res, err := f(g, origin, opt, r)
-		return res, nil, err
+		res := new(core.Result)
+		return res, nil, f(g, origin, opt, r, nil, res)
 	}
 }
 
-func ctRunner(f func(graph.Graph, int, core.Options, *rng.Source) (*core.CTResult, error)) coreRunner {
+func ctRunner(f func(graph.Graph, int, core.Options, *rng.Source, *core.Scratch, *core.CTResult) error) coreRunner {
 	return func(g graph.Graph, origin int, opt core.Options, r *rng.Source) (*core.Result, *core.CTResult, error) {
-		res, err := f(g, origin, opt, r)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &res.Result, res, err
+		res := new(core.CTResult)
+		return &res.Result, res, f(g, origin, opt, r, nil, res)
 	}
 }
 
@@ -45,16 +42,16 @@ func TestFacadeMatchesCore(t *testing.T) {
 		opt  core.Options // the forced part of the variant (laziness)
 		run  coreRunner
 	}{
-		{"sequential", core.Options{}, discreteRunner(core.Sequential)},
-		{"parallel", core.Options{}, discreteRunner(core.Parallel)},
-		{"uniform", core.Options{}, discreteRunner(core.Uniform)},
-		{"ct-uniform", core.Options{}, ctRunner(core.CTUniform)},
-		{"ct-sequential", core.Options{}, ctRunner(core.CTSequential)},
-		{"lazy-sequential", core.Options{Lazy: true}, discreteRunner(core.Sequential)},
-		{"lazy-parallel", core.Options{Lazy: true}, discreteRunner(core.Parallel)},
-		{"lazy-uniform", core.Options{Lazy: true}, discreteRunner(core.Uniform)},
-		{"lazy-ct-uniform", core.Options{Lazy: true}, ctRunner(core.CTUniform)},
-		{"lazy-ct-sequential", core.Options{Lazy: true}, ctRunner(core.CTSequential)},
+		{"sequential", core.Options{}, discreteRunner(core.SequentialInto)},
+		{"parallel", core.Options{}, discreteRunner(core.ParallelInto)},
+		{"uniform", core.Options{}, discreteRunner(core.UniformInto)},
+		{"ct-uniform", core.Options{}, ctRunner(core.CTUniformInto)},
+		{"ct-sequential", core.Options{}, ctRunner(core.CTSequentialInto)},
+		{"lazy-sequential", core.Options{Lazy: true}, discreteRunner(core.SequentialInto)},
+		{"lazy-parallel", core.Options{Lazy: true}, discreteRunner(core.ParallelInto)},
+		{"lazy-uniform", core.Options{Lazy: true}, discreteRunner(core.UniformInto)},
+		{"lazy-ct-uniform", core.Options{Lazy: true}, ctRunner(core.CTUniformInto)},
+		{"lazy-ct-sequential", core.Options{Lazy: true}, ctRunner(core.CTSequentialInto)},
 	}
 	optionSets := []struct {
 		name  string
@@ -242,5 +239,28 @@ func TestOdometerFacade(t *testing.T) {
 	if o.Total() != res.TotalSteps+int64(g.N()) {
 		t.Errorf("odometer total %d != steps %d + placements %d",
 			o.Total(), res.TotalSteps, g.N())
+	}
+}
+
+// TestUnsettledAtClock pins Result.UnsettledAtClock at the ends of a run
+// and at every phase boundary.
+func TestUnsettledAtClock(t *testing.T) {
+	g := graph.Complete(8)
+	res, err := dispersion.Run("parallel", g, 0, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Strictly before clock 0 nothing has settled, not even particle 0.
+	if got := res.UnsettledAtClock(-1); got != g.N() {
+		t.Errorf("before time 0: %d unsettled, want n=%d", got, g.N())
+	}
+	last := res.SettleClock[len(res.SettleClock)-1]
+	if got := res.UnsettledAtClock(last); got != 0 {
+		t.Errorf("after final clock: %d unsettled", got)
+	}
+	for k := 1; k < g.N(); k++ {
+		if c := res.PhaseClock(g.N(), k); res.UnsettledAtClock(c) >= k {
+			t.Errorf("after PhaseClock(n,%d)=%d still %d unsettled", k, c, res.UnsettledAtClock(c))
+		}
 	}
 }

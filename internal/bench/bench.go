@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: it contains one registered
-// experiment per table row / quantitative claim of the paper (the
-// experiment index in DESIGN.md), renders measured-vs-paper comparison
-// tables, and exposes the samplers the testing.B benchmarks reuse. Every
-// experiment is deterministic given (seed, scale).
+// experiment per table row / quantitative claim of the paper (All lists
+// them with their sources and claims; cmd/experiments prints them) and
+// renders measured-vs-paper comparison tables. Every dispersion time is
+// sampled on dispersion.Engine, so the claims are checked on the code
+// that serves jobs. Every experiment is deterministic given (seed, scale).
 package bench
 
 import (
@@ -18,7 +19,8 @@ type Config struct {
 	// Seed roots all randomness; equal seeds reproduce results exactly.
 	Seed uint64
 	// Scale in (0, 1] shrinks trial counts and graph sizes for smoke
-	// runs; 1.0 is the full configuration recorded in EXPERIMENTS.md.
+	// runs; 1.0 is the full configuration, the default of
+	// cmd/experiments.
 	Scale float64
 	// Out receives progress output; nil silences it.
 	Out io.Writer

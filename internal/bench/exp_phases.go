@@ -3,12 +3,11 @@ package bench
 import (
 	"fmt"
 
-	"dispersion/internal/core"
+	"dispersion"
 	"dispersion/internal/graph"
 	"dispersion/internal/markov"
 	"dispersion/internal/rng"
 	"dispersion/internal/stats"
-	"dispersion/internal/walk"
 )
 
 func init() {
@@ -50,12 +49,14 @@ func runHalfSettlement(cfg Config) (*Report, error) {
 	for fi, f := range fams {
 		tmix := markov.MixingTime(f.g, f.mixCap)
 		n := f.g.N()
-		rn := walk.NewRunner(cfg.Seed, uint64(0x2010+fi))
-		halves := rn.Run(trials, func(_ int, r *rng.Source) float64 {
-			res, err := core.Parallel(f.g, 0, core.Options{Lazy: true}, r)
-			must(err)
-			return float64(res.PhaseClock(n, n/2))
-		})
+		var halves []float64
+		err := cfg.each(f.g, "parallel", trials, uint64(0x2010+fi), func(res *dispersion.Result) error {
+			halves = append(halves, float64(res.PhaseClock(n, n/2)))
+			return nil
+		}, dispersion.WithLazy())
+		if err != nil {
+			return nil, err
+		}
 		s := stats.Summarize(halves)
 		ratio := s.Mean / float64(tmix)
 		if ratio > worstRatio {
@@ -86,7 +87,10 @@ func runMixingLower(cfg Config) (*Report, error) {
 	for _, n := range sizes {
 		g := graph.Cycle(n)
 		tmix := markov.MixingTime(g, 1<<20)
-		seq := MeanDispersion(g, 0, Seq, core.Options{Lazy: true}, trials, cfg.Seed, uint64(0x2101+n))
+		seq, err := cfg.mean(g, "sequential", trials, uint64(0x2101+n), dispersion.WithLazy())
+		if err != nil {
+			return nil, err
+		}
 		ratio := seq.Mean / float64(tmix)
 		ratios = append(ratios, ratio)
 		tbl.AddRow(fmt.Sprint(n), fmt.Sprint(tmix), fm(seq.Mean), fm(ratio))

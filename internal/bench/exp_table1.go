@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"dispersion/internal/bounds"
-	"dispersion/internal/core"
 	"dispersion/internal/graph"
 	"dispersion/internal/markov"
 	"dispersion/internal/rng"
@@ -86,8 +85,10 @@ func runClique(cfg Config) (*Report, error) {
 	var lastSeq, lastPar float64
 	for _, n := range sizes {
 		g := graph.Complete(n)
-		seq := MeanDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, 0x0101)
-		par := MeanDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, 0x0102)
+		seq, par, err := cfg.seqPar(g, trials, 0x0101, 0x0102)
+		if err != nil {
+			return nil, err
+		}
 		lastSeq = seq.Mean / float64(n)
 		lastPar = par.Mean / float64(n)
 		tbl.AddRow(fmt.Sprint(n), fm(lastSeq), fm(seq.StdErr/float64(n)),
@@ -116,8 +117,10 @@ func runPath(cfg Config) (*Report, error) {
 	for _, n := range sizes {
 		g := graph.Path(n)
 		// Theorem 5.4's source is the endpoint (vertex 0).
-		seq := MeanDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, 0x0201)
-		par := MeanDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, 0x0202)
+		seq, par, err := cfg.seqPar(g, trials, 0x0201, 0x0202)
+		if err != nil {
+			return nil, err
+		}
 		ratios = append(ratios, par.Mean/seq.Mean)
 		lastKappa = seq.Mean / (float64(n) * float64(n) * math.Log(float64(n)))
 		tbl.AddRow(fmt.Sprint(n), fm(seq.Mean), fm(par.Mean), fm(ratios[len(ratios)-1]), fm(lastKappa))
@@ -151,8 +154,10 @@ func runCycle(cfg Config) (*Report, error) {
 	var normSeq []float64
 	for _, n := range sizes {
 		g := graph.Cycle(n)
-		seq := MeanDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, 0x0301)
-		par := MeanDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, 0x0302)
+		seq, par, err := cfg.seqPar(g, trials, 0x0301, 0x0302)
+		if err != nil {
+			return nil, err
+		}
 		norm := float64(n) * float64(n) * math.Log2(float64(n))
 		tbl.AddRow(fmt.Sprint(n), fm(seq.Mean), fm(par.Mean), fm(seq.Mean/norm), fm(par.Mean/norm))
 		ns = append(ns, float64(n))
@@ -183,7 +188,10 @@ func runGrid2D(cfg Config) (*Report, error) {
 	for _, s := range sides {
 		n := s * s
 		g := graph.Grid([]int{s, s}, true)
-		seq := MeanDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, 0x0401)
+		seq, err := cfg.mean(g, "sequential", trials, 0x0401)
+		if err != nil {
+			return nil, err
+		}
 		ln := math.Log(float64(n))
 		tbl.AddRow(fmt.Sprint(n), fmt.Sprint(s), fm(seq.Mean),
 			fm(seq.Mean/(float64(n)*ln)), fm(seq.Mean/(float64(n)*ln*ln)))
@@ -215,8 +223,10 @@ func runGrid3D(cfg Config) (*Report, error) {
 	for _, s := range sides {
 		n := s * s * s
 		g := graph.Grid([]int{s, s, s}, true)
-		seq := MeanDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, 0x0501)
-		par := MeanDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, 0x0502)
+		seq, par, err := cfg.seqPar(g, trials, 0x0501, 0x0502)
+		if err != nil {
+			return nil, err
+		}
 		tbl.AddRow(fmt.Sprint(n), fmt.Sprint(s), fm(seq.Mean), fm(par.Mean),
 			fm(seq.Mean/float64(n)), fm(par.Mean/float64(n)))
 		ns = append(ns, float64(n))
@@ -246,8 +256,10 @@ func runHypercube(cfg Config) (*Report, error) {
 	for _, k := range ks {
 		g := graph.Hypercube(k)
 		n := g.N()
-		seq := MeanDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, 0x0601)
-		par := MeanDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, 0x0602)
+		seq, par, err := cfg.seqPar(g, trials, 0x0601, 0x0602)
+		if err != nil {
+			return nil, err
+		}
 		tbl.AddRow(fmt.Sprint(n), fmt.Sprint(k), fm(seq.Mean), fm(par.Mean),
 			fm(seq.Mean/float64(n)), fm(par.Mean/float64(n)))
 		ns = append(ns, float64(n))
@@ -276,8 +288,10 @@ func runBinaryTree(cfg Config) (*Report, error) {
 	for _, lv := range levels {
 		g := graph.CompleteBinaryTree(lv)
 		n := g.N()
-		seq := MeanDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, 0x0701)
-		par := MeanDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, 0x0702)
+		seq, par, err := cfg.seqPar(g, trials, 0x0701, 0x0702)
+		if err != nil {
+			return nil, err
+		}
 		l := math.Log2(float64(n))
 		perLog2 = append(perLog2, seq.Mean/(float64(n)*l*l))
 		perLog1 = append(perLog1, seq.Mean/(float64(n)*l))
@@ -315,8 +329,10 @@ func runExpander(cfg Config) (*Report, error) {
 		if sp.Gap < minGap {
 			minGap = sp.Gap
 		}
-		seq := MeanDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, 0x0802)
-		par := MeanDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, 0x0803)
+		seq, par, err := cfg.seqPar(g, trials, 0x0802, 0x0803)
+		if err != nil {
+			return nil, err
+		}
 		norms = append(norms, seq.Mean/float64(n))
 		tbl.AddRow("4-regular", fmt.Sprint(n), fm(sp.Gap), fm(seq.Mean), fm(par.Mean),
 			fm(seq.Mean/float64(n)), fm(par.Mean/float64(n)))
@@ -330,8 +346,10 @@ func runExpander(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	sp := markov.SpectralGap(gnp, 20000, 1e-11)
-	seq := MeanDispersion(gnp, 0, Seq, core.Options{}, trials, cfg.Seed, 0x0804)
-	par := MeanDispersion(gnp, 0, Par, core.Options{}, trials, cfg.Seed, 0x0805)
+	seq, par, err := cfg.seqPar(gnp, trials, 0x0804, 0x0805)
+	if err != nil {
+		return nil, err
+	}
 	tbl.AddRow(fmt.Sprintf("G(n,%.3f)", p), fmt.Sprint(nGnp), fm(sp.Gap), fm(seq.Mean), fm(par.Mean),
 		fm(seq.Mean/float64(nGnp)), fm(par.Mean/float64(nGnp)))
 	flat := norms[len(norms)-1]/norms[0] > 0.6 && norms[len(norms)-1]/norms[0] < 1.6
@@ -353,7 +371,10 @@ func runLollipop(cfg Config) (*Report, error) {
 	var ns, ts []float64
 	for _, n := range sizes {
 		g := graph.Lollipop(n)
-		seq := MeanDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, 0x0901)
+		seq, err := cfg.mean(g, "sequential", trials, 0x0901)
+		if err != nil {
+			return nil, err
+		}
 		n3 := float64(n) * float64(n) * float64(n)
 		tbl.AddRow(fmt.Sprint(n), fm(seq.Mean), fm(seq.Mean/n3), fm(seq.Mean/(n3*math.Log2(float64(n)))))
 		ns = append(ns, float64(n))

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"math"
 
+	"dispersion"
 	"dispersion/internal/block"
 	"dispersion/internal/bounds"
-	"dispersion/internal/core"
 	"dispersion/internal/graph"
 	"dispersion/internal/markov"
 	"dispersion/internal/rng"
 	"dispersion/internal/stats"
-	"dispersion/internal/walk"
 )
 
 func init() {
@@ -95,12 +94,24 @@ func runDomination(cfg Config) (*Report, error) {
 	var lastP float64
 	for gi, g := range graphs {
 		base := uint64(0x1000 + gi*16)
-		seq := SampleDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, base)
-		par := SampleDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, base+1)
+		seq, err := cfg.sample(g, 0, "sequential", trials, base)
+		if err != nil {
+			return nil, err
+		}
+		par, err := cfg.sample(g, 0, "parallel", trials, base+1)
+		if err != nil {
+			return nil, err
+		}
 		dom := stats.NewECDF(seq).DominatedBy(stats.NewECDF(par), 3/math.Sqrt(float64(trials)))
 		_, mwP := stats.MannWhitneyU(seq, par)
-		seqTot := SampleTotalSteps(g, 0, Seq, core.Options{}, trials, cfg.Seed, base+2)
-		parTot := SampleTotalSteps(g, 0, Par, core.Options{}, trials, cfg.Seed, base+3)
+		seqTot, err := cfg.totalSteps(g, "sequential", trials, base+2)
+		if err != nil {
+			return nil, err
+		}
+		parTot, err := cfg.totalSteps(g, "parallel", trials, base+3)
+		if err != nil {
+			return nil, err
+		}
 		p := stats.KSPValue(stats.KSStatistic(seqTot, parTot), trials, trials)
 		lastP = p
 		same := p > 0.01
@@ -125,20 +136,26 @@ func runLazyFactor(cfg Config) (*Report, error) {
 	trials := cfg.scaled(200, 100)
 	type job struct {
 		g *graph.CSR
-		p Process
+		p string
 	}
 	jobs := []job{
-		{graph.Cycle(48), Seq}, {graph.Cycle(48), Par},
-		{graph.Complete(96), Seq}, {graph.Complete(96), Par},
+		{graph.Cycle(48), "sequential"}, {graph.Cycle(48), "parallel"},
+		{graph.Complete(96), "sequential"}, {graph.Complete(96), "parallel"},
 	}
 	pass := true
 	var worst float64 = 2
 	for ji, j := range jobs {
 		base := uint64(0x1100 + ji*4)
-		plain := MeanDispersion(j.g, 0, j.p, core.Options{}, trials, cfg.Seed, base)
-		lazy := MeanDispersion(j.g, 0, j.p, core.Options{Lazy: true}, trials, cfg.Seed, base+1)
+		plain, err := cfg.mean(j.g, j.p, trials, base)
+		if err != nil {
+			return nil, err
+		}
+		lazy, err := cfg.mean(j.g, j.p, trials, base+1, dispersion.WithLazy())
+		if err != nil {
+			return nil, err
+		}
 		ratio := lazy.Mean / plain.Mean
-		tbl.AddRow(j.g.Name(), j.p.String(), fm(plain.Mean), fm(lazy.Mean), fm(ratio))
+		tbl.AddRow(j.g.Name(), j.p, fm(plain.Mean), fm(lazy.Mean), fm(ratio))
 		// The dispersion time has Θ(n)-wide fluctuations (the last
 		// settlement is geometric), so finite-trial ratios wobble.
 		if ratio < 1.6 || ratio > 2.4 {
@@ -164,8 +181,14 @@ func runCTU(cfg Config) (*Report, error) {
 	var lastRatio float64
 	for gi, g := range graphs {
 		base := uint64(0x1200 + gi*4)
-		par := MeanDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, base)
-		ctu := MeanDispersion(g, 0, CTUnifTime, core.Options{}, trials, cfg.Seed, base+1)
+		par, err := cfg.mean(g, "parallel", trials, base)
+		if err != nil {
+			return nil, err
+		}
+		ctu, err := cfg.mean(g, "ct-uniform", trials, base+1)
+		if err != nil {
+			return nil, err
+		}
 		lastRatio = ctu.Mean / par.Mean
 		tbl.AddRow(g.Name(), fm(par.Mean), fm(ctu.Mean), fm(lastRatio))
 		if lastRatio < 0.8 || lastRatio > 1.25 {
@@ -186,7 +209,10 @@ func runConcentration(cfg Config) (*Report, error) {
 	tbl := &Table{Columns: []string{"graph", "median", "mean", "P[D <= 20n]", "P[D >= n²/8]"}}
 
 	g1 := graph.CliqueWithHair(n)
-	d1 := SampleDispersion(g1, 0, Par, core.Options{}, trials, cfg.Seed, 0x1301)
+	d1, err := cfg.sample(g1, 0, "parallel", trials, 0x1301)
+	if err != nil {
+		return nil, err
+	}
 	s1 := stats.Summarize(d1)
 	fracSmall := stats.Fraction(d1, func(x float64) bool { return x <= 20*float64(n) })
 	fracBig1 := stats.Fraction(d1, func(x float64) bool { return x >= float64(n*n)/8 })
@@ -194,7 +220,10 @@ func runConcentration(cfg Config) (*Report, error) {
 
 	h := int(float64(n) / math.Log(float64(n)))
 	g2 := graph.CliqueWithHairOnPimple(n, h)
-	d2 := SampleDispersion(g2, graph.PimpleVertex(n), Par, core.Options{}, trials, cfg.Seed, 0x1302)
+	d2, err := cfg.sample(g2, graph.PimpleVertex(n), "parallel", trials, 0x1302)
+	if err != nil {
+		return nil, err
+	}
 	s2 := stats.Summarize(d2)
 	fracSmall2 := stats.Fraction(d2, func(x float64) bool { return x <= 20*float64(n) })
 	fracBig2 := stats.Fraction(d2, func(x float64) bool { return x >= float64(n*n)/8 })
@@ -239,7 +268,10 @@ func runHittingGap(cfg Config) (*Report, error) {
 				thit = h
 			}
 		}
-		seq := MeanDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, uint64(0x1400+lv))
+		seq, err := cfg.mean(g, "sequential", trials, uint64(0x1400+lv))
+		if err != nil {
+			return nil, err
+		}
 		ratio := thit / seq.Mean
 		ratios = append(ratios, ratio)
 		tbl.AddRow(fmt.Sprint(n), fmt.Sprint(k), fm(thit), fm(seq.Mean), fm(ratio))
@@ -265,8 +297,14 @@ func runLeastAction(cfg Config) (*Report, error) {
 		return v == tip || step >= threshold
 	}
 	trials := cfg.scaled(400, 100)
-	std := MeanDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, 0x1501)
-	mod := MeanDispersion(g, 0, Seq, core.Options{Rule: rule}, trials, cfg.Seed, 0x1502)
+	std, err := cfg.mean(g, "sequential", trials, 0x1501)
+	if err != nil {
+		return nil, err
+	}
+	mod, err := cfg.mean(g, "sequential", trials, 0x1502, dispersion.WithSettleRule(rule))
+	if err != nil {
+		return nil, err
+	}
 	tbl := &Table{Columns: []string{"rule", "E[τ_seq]", "±"}}
 	tbl.AddRow("standard (settle immediately)", fm(std.Mean), fm(std.StdErr))
 	tbl.AddRow("ρ̃ (hold out for the hair)", fm(mod.Mean), fm(mod.StdErr))
@@ -295,7 +333,10 @@ func runUpperBounds(cfg Config) (*Report, error) {
 		}
 		thit, _, _ := h.Max()
 		bound := bounds.Theorem31(thit, g.N())
-		xs := SampleDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, uint64(0x1600+gi))
+		xs, err := cfg.sample(g, 0, "parallel", trials, uint64(0x1600+gi))
+		if err != nil {
+			return nil, err
+		}
 		worst := stats.Summarize(xs).Max
 		tbl.AddRow(g.Name(), fm(thit), fm(bound), fm(worst), fm(bound/worst))
 		if worst > bound {
@@ -322,7 +363,10 @@ func runTreeBounds(cfg Config) (*Report, error) {
 
 	n := 256
 	star := graph.Star(n)
-	s := MeanDispersion(star, 0, Seq, core.Options{}, trials, cfg.Seed, 0x1701)
+	s, err := cfg.mean(star, "sequential", trials, 0x1701)
+	if err != nil {
+		return nil, err
+	}
 	tbl.AddRow("star", fmt.Sprint(n), fm(s.Mean), fm(bounds.TreeLower(n)), fm(s.Mean/float64(n)))
 	twoKcc := 2 * bounds.KappaCC()
 	if !within(s.Mean/float64(n), twoKcc, 0.12) {
@@ -332,7 +376,10 @@ func runTreeBounds(cfg Config) (*Report, error) {
 	r := rng.New(cfg.Seed ^ 0x1702)
 	for i := 0; i < 3; i++ {
 		rt := graph.RandomTree(64, r)
-		rs := MeanDispersion(rt, 0, Seq, core.Options{}, trials, cfg.Seed, uint64(0x1710+i))
+		rs, err := cfg.mean(rt, "sequential", trials, uint64(0x1710+i))
+		if err != nil {
+			return nil, err
+		}
 		tbl.AddRow(fmt.Sprintf("random tree %d", i), "64", fm(rs.Mean), fm(bounds.TreeLower(64)), fm(rs.Mean/64))
 		if rs.Mean < bounds.TreeLower(64)*0.95 {
 			pass = false
@@ -349,34 +396,28 @@ func runTreeBounds(cfg Config) (*Report, error) {
 func runCutPaste(cfg Config) (*Report, error) {
 	trials := cfg.scaled(200, 50)
 	g := graph.Complete(32)
-	rn := walk.NewRunner(cfg.Seed, 0x1801)
-	type outcome struct {
-		roundTrip, lengthKept, dominates bool
-		ratio                            float64
-	}
-	outcomes := make([]outcome, trials)
-	xs := rn.Run(trials, func(i int, r *rng.Source) float64 {
-		res, err := core.Sequential(g, 0, core.Options{Record: true}, r)
-		must(err)
-		b, err := block.FromResult(res)
-		must(err)
-		orig := b.Clone()
-		must(b.StP())
-		o := outcome{
-			lengthKept: b.TotalLength() == orig.TotalLength(),
-			dominates:  b.LongestRow() >= orig.LongestRow(),
-			ratio:      float64(b.LongestRow()) / float64(orig.LongestRow()),
-		}
-		must(b.PtS())
-		o.roundTrip = b.Equal(orig)
-		outcomes[i] = o
-		return o.ratio
-	})
 	allRT, allLen, allDom := true, true, true
-	for _, o := range outcomes {
-		allRT = allRT && o.roundTrip
-		allLen = allLen && o.lengthKept
-		allDom = allDom && o.dominates
+	var xs []float64
+	err := cfg.each(g, "sequential", trials, 0x1801, func(res *dispersion.Result) error {
+		b, err := block.FromTrajectories(res.Trajectories)
+		if err != nil {
+			return err
+		}
+		orig := b.Clone()
+		if err := b.StP(); err != nil {
+			return err
+		}
+		allLen = allLen && b.TotalLength() == orig.TotalLength()
+		allDom = allDom && b.LongestRow() >= orig.LongestRow()
+		xs = append(xs, float64(b.LongestRow())/float64(orig.LongestRow()))
+		if err := b.PtS(); err != nil {
+			return err
+		}
+		allRT = allRT && b.Equal(orig)
+		return nil
+	}, dispersion.WithRecord())
+	if err != nil {
+		return nil, err
 	}
 	s := stats.Summarize(xs)
 	tbl := &Table{Columns: []string{"property", "holds in", "of"}}
@@ -403,8 +444,14 @@ func runUniformDomination(cfg Config) (*Report, error) {
 	pass := true
 	for gi, g := range []*graph.CSR{graph.Complete(64), graph.Cycle(24)} {
 		base := uint64(0x1900 + gi*4)
-		u := SampleDispersion(g, 0, Unif, core.Options{}, trials, cfg.Seed, base)
-		p := SampleDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, base+1)
+		u, err := cfg.sample(g, 0, "uniform", trials, base)
+		if err != nil {
+			return nil, err
+		}
+		p, err := cfg.sample(g, 0, "parallel", trials, base+1)
+		if err != nil {
+			return nil, err
+		}
 		dom := stats.NewECDF(u).DominatedBy(stats.NewECDF(p), 3/math.Sqrt(float64(trials)))
 		tbl.AddRow(g.Name(), fm(stats.Summarize(u).Mean), fm(stats.Summarize(p).Mean), fmt.Sprint(dom))
 		if !dom {

@@ -1,105 +1,62 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
-	"dispersion/internal/core"
+	"dispersion"
 	"dispersion/internal/graph"
 	"dispersion/internal/rng"
 	"dispersion/internal/stats"
 	"dispersion/internal/walk"
 )
 
-// Process selects one of the dispersion-process variants for sampling.
-type Process int
+// engine is the Engine an experiment's sampler with the given ID runs
+// on: trial i draws the split stream (seed, expID, i).
+func (c Config) engine(expID uint64) dispersion.Engine {
+	return dispersion.Engine{Seed: c.Seed, Experiment: expID}
+}
 
-// Process variants.
-const (
-	Seq Process = iota
-	Par
-	Unif
-	CTUnifTime // continuous-time uniform, real-time dispersion
-	CTSeqTime  // continuous-time sequential, real-time dispersion
-)
+// sample runs trials realizations of the registered process on g from
+// origin and returns their dispersion times (real time for the
+// continuous-time processes), in trial order.
+func (c Config) sample(g graph.Graph, origin int, process string, trials int, expID uint64, opts ...dispersion.Option) ([]float64, error) {
+	return c.engine(expID).Sample(context.TODO(), dispersion.Job{
+		Process: process, Graph: g, Origin: origin, Trials: trials, Options: opts})
+}
 
-// String names the process for table output.
-func (p Process) String() string {
-	switch p {
-	case Seq:
-		return "sequential"
-	case Par:
-		return "parallel"
-	case Unif:
-		return "uniform"
-	case CTUnifTime:
-		return "ct-uniform"
-	case CTSeqTime:
-		return "ct-sequential"
+// totalSteps is sample reduced to each trial's total jump count instead.
+func (c Config) totalSteps(g graph.Graph, process string, trials int, expID uint64) ([]float64, error) {
+	return c.engine(expID).TotalSteps(context.TODO(), dispersion.Job{
+		Process: process, Graph: g, Trials: trials})
+}
+
+// each streams the Result of each of trials realizations of the
+// registered process on g from vertex 0 to fn, in trial order. fn must
+// not keep the Result past the call.
+func (c Config) each(g graph.Graph, process string, trials int, expID uint64, fn func(*dispersion.Result) error, opts ...dispersion.Option) error {
+	eng := c.engine(expID)
+	eng.ReuseResults = true
+	job := dispersion.Job{Process: process, Graph: g, Trials: trials, Options: opts}
+	return eng.Run(context.TODO(), job, func(t dispersion.Trial) error { return fn(t.Result) })
+}
+
+// mean is sample from vertex 0 reduced to a Summary.
+func (c Config) mean(g graph.Graph, process string, trials int, expID uint64, opts ...dispersion.Option) (stats.Summary, error) {
+	xs, err := c.sample(g, 0, process, trials, expID, opts...)
+	if err != nil {
+		return stats.Summary{}, err
 	}
-	return fmt.Sprintf("process(%d)", int(p))
+	return stats.Summarize(xs), nil
 }
 
-// SampleDispersion runs `trials` independent realizations of the chosen
-// process and returns the dispersion times (real time for the
-// continuous-time variants). Trials run across all cores but are
-// deterministic in (seed, expID, trial).
-func SampleDispersion(g *graph.CSR, origin int, p Process, opt core.Options,
-	trials int, seed, expID uint64) []float64 {
-	rn := walk.NewRunner(seed, expID)
-	return rn.Run(trials, func(_ int, r *rng.Source) float64 {
-		switch p {
-		case Seq:
-			res, err := core.Sequential(g, origin, opt, r)
-			must(err)
-			return float64(res.Dispersion)
-		case Par:
-			res, err := core.Parallel(g, origin, opt, r)
-			must(err)
-			return float64(res.Dispersion)
-		case Unif:
-			res, err := core.Uniform(g, origin, opt, r)
-			must(err)
-			return float64(res.Dispersion)
-		case CTUnifTime:
-			res, err := core.CTUniform(g, origin, opt, r)
-			must(err)
-			return res.Time
-		case CTSeqTime:
-			res, err := core.CTSequential(g, origin, opt, r)
-			must(err)
-			return res.Time
-		}
-		panic("bench: unknown process")
-	})
-}
-
-// SampleTotalSteps returns the total number of jumps of all particles per
-// trial for the chosen process.
-func SampleTotalSteps(g *graph.CSR, origin int, p Process, opt core.Options,
-	trials int, seed, expID uint64) []float64 {
-	rn := walk.NewRunner(seed, expID)
-	return rn.Run(trials, func(_ int, r *rng.Source) float64 {
-		var res *core.Result
-		var err error
-		switch p {
-		case Seq:
-			res, err = core.Sequential(g, origin, opt, r)
-		case Par:
-			res, err = core.Parallel(g, origin, opt, r)
-		case Unif:
-			res, err = core.Uniform(g, origin, opt, r)
-		default:
-			panic("bench: total steps undefined for " + p.String())
-		}
-		must(err)
-		return float64(res.TotalSteps)
-	})
-}
-
-// MeanDispersion is SampleDispersion reduced to a Summary.
-func MeanDispersion(g *graph.CSR, origin int, p Process, opt core.Options,
-	trials int, seed, expID uint64) stats.Summary {
-	return stats.Summarize(SampleDispersion(g, origin, p, opt, trials, seed, expID))
+// seqPar is mean of the Sequential and the Parallel process.
+func (c Config) seqPar(g graph.Graph, trials int, seqID, parID uint64) (seq, par stats.Summary, err error) {
+	if seq, err = c.mean(g, "sequential", trials, seqID); err != nil {
+		return seq, par, err
+	}
+	par, err = c.mean(g, "parallel", trials, parID)
+	return seq, par, err
 }
 
 // SampleCoverTime estimates the cover time of the simple random walk from
@@ -114,12 +71,6 @@ func SampleCoverTime(g *graph.CSR, origin int, trials int, seed, expID uint64) s
 		return float64(steps)
 	})
 	return stats.Summarize(xs)
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
 }
 
 // fm formats a float compactly for tables.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"dispersion/internal/core"
 	"dispersion/internal/graph"
 	"dispersion/internal/markov"
 	"dispersion/internal/rng"
@@ -34,7 +33,6 @@ func Table1(cfg Config) ([]Table1Row, error) {
 	coverTrials := cfg.scaled(200, 40)
 	type fam struct {
 		g          *graph.CSR
-		origin     int
 		mixCap     int
 		pc, ph, pm string
 		pd         string
@@ -44,14 +42,14 @@ func Table1(cfg Config) ([]Table1Row, error) {
 		return nil, err
 	}
 	fams := []fam{
-		{graph.Path(64), 0, 1 << 18, "n²", "n²", "O(n²)", "κ_p·n² log n"},
-		{graph.Cycle(64), 0, 1 << 18, "n²/2", "n²/2", "O(n²)", "Θ(n² log n)"},
-		{graph.Grid([]int{12, 12}, true), 0, 1 << 16, "Θ(n log² n)", "Θ(n log n)", "Θ(n)", "Ω(n log n), O(n log² n)"},
-		{graph.Grid([]int{5, 5, 5}, true), 0, 1 << 14, "Θ(n log n)", "Θ(n)", "Θ(n^(2/3))", "Θ(n)"},
-		{graph.Hypercube(7), 0, 1 << 12, "Θ(n log n)", "Θ(n)", "log n·log log n", "Θ(n)"},
-		{graph.CompleteBinaryTree(6), 0, 1 << 16, "Θ(n log n)", "Θ(n log n)", "n", "Θ(n log² n)"},
-		{graph.Complete(128), 0, 64, "Θ(n log n)", "Θ(n)", "1", "κ_cc·n / (π²/6)·n"},
-		{expander, 0, 1 << 12, "Θ(n log n)", "Θ(n)", "O(log n)", "Θ(n)"},
+		{graph.Path(64), 1 << 18, "n²", "n²", "O(n²)", "κ_p·n² log n"},
+		{graph.Cycle(64), 1 << 18, "n²/2", "n²/2", "O(n²)", "Θ(n² log n)"},
+		{graph.Grid([]int{12, 12}, true), 1 << 16, "Θ(n log² n)", "Θ(n log n)", "Θ(n)", "Ω(n log n), O(n log² n)"},
+		{graph.Grid([]int{5, 5, 5}, true), 1 << 14, "Θ(n log n)", "Θ(n)", "Θ(n^(2/3))", "Θ(n)"},
+		{graph.Hypercube(7), 1 << 12, "Θ(n log n)", "Θ(n)", "log n·log log n", "Θ(n)"},
+		{graph.CompleteBinaryTree(6), 1 << 16, "Θ(n log n)", "Θ(n log n)", "n", "Θ(n log² n)"},
+		{graph.Complete(128), 64, "Θ(n log n)", "Θ(n)", "1", "κ_cc·n / (π²/6)·n"},
+		{expander, 1 << 12, "Θ(n log n)", "Θ(n)", "O(log n)", "Θ(n)"},
 	}
 	rows := make([]Table1Row, 0, len(fams))
 	for fi, f := range fams {
@@ -61,9 +59,11 @@ func Table1(cfg Config) ([]Table1Row, error) {
 		}
 		thit, _, _ := h.Max()
 		mix := markov.MixingTime(f.g, f.mixCap)
-		cover := SampleCoverTime(f.g, f.origin, coverTrials, cfg.Seed, uint64(0x2000+fi*8))
-		seq := MeanDispersion(f.g, f.origin, Seq, core.Options{}, trials, cfg.Seed, uint64(0x2001+fi*8))
-		par := MeanDispersion(f.g, f.origin, Par, core.Options{}, trials, cfg.Seed, uint64(0x2002+fi*8))
+		cover := SampleCoverTime(f.g, 0, coverTrials, cfg.Seed, uint64(0x2000+fi*8))
+		seq, par, err := cfg.seqPar(f.g, trials, uint64(0x2001+fi*8), uint64(0x2002+fi*8))
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, Table1Row{
 			Family: f.g.Name(), N: f.g.N(),
 			Cover: cover.Mean, Hit: thit, Mix: mix,

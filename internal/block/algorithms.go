@@ -1,9 +1,6 @@
 package block
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // IsSequential verifies the paper's property (3): reading the block in
 // sequential order <S (row by row), the first occurrence of every vertex
@@ -140,133 +137,4 @@ func (b *Block) PtSOrder(order []int) error {
 		}
 	}
 	return nil
-}
-
-// Reorder returns the block with rows permuted so that new row i is old
-// row perm[i] (the paper's σ(L) device). The timing array, if any, is
-// permuted alongside.
-func (b *Block) Reorder(perm []int) (*Block, error) {
-	if len(perm) != len(b.Rows) {
-		return nil, fmt.Errorf("block: permutation has %d entries, want %d", len(perm), len(b.Rows))
-	}
-	nb := &Block{Rows: make([][]int32, len(b.Rows))}
-	if b.T != nil {
-		nb.T = make([][]int64, len(b.T))
-	}
-	seen := make([]bool, len(perm))
-	for i, p := range perm {
-		if p < 0 || p >= len(b.Rows) || seen[p] {
-			return nil, fmt.Errorf("block: invalid permutation entry %d", p)
-		}
-		seen[p] = true
-		nb.Rows[i] = append([]int32(nil), b.Rows[p]...)
-		if b.T != nil {
-			nb.T[i] = append([]int64(nil), b.T[p]...)
-		}
-	}
-	return nb, nil
-}
-
-// PtUR is Algorithm 3: it transforms a parallel block into the R-uniform
-// block determined by the ordering sequence R, where R[t-1] in {1..n-1} is
-// the index of the particle whose clock rings at global tick t (particle 0
-// sits settled at the origin). As in the paper's continuous-time variant
-// PtUC, when row i's clock rings the algorithm reads the first unread cell
-// of the *current* row i — rows grow as Cut & Paste moves unread cells
-// (and their future tick assignments) between rows. The result carries the
-// timing array T with T[i][0] = 0 and T[i][j] the tick of particle i's
-// j-th move; ticks ringing for an exhausted row are wasted, exactly like
-// rings of settled particles in the Uniform-IDLA. An error is returned if
-// R is exhausted before every vertex value has been read.
-func (b *Block) PtUR(R []int32) (*Block, error) {
-	n := len(b.Rows)
-	rows := make([][]int32, n)
-	tval := make([][]int64, n)
-	for i, row := range b.Rows {
-		rows[i] = append([]int32(nil), row...)
-		tval[i] = make([]int64, len(row))
-	}
-	work := &Block{Rows: rows, T: tval}
-	end, err := work.endpointIndex()
-	if err != nil {
-		return nil, err
-	}
-	seen := make([]bool, n)
-	count := 0
-	ptr := make([]int, n) // next unread position per row
-	// Tick 0 reads every start cell (i, 0); only the origin is new, first
-	// read in row 0 whose Cut & Paste is the identity (ρ_0 = 0).
-	for i := 0; i < n; i++ {
-		v := rows[i][0]
-		if !seen[v] {
-			seen[v] = true
-			count++
-			if err := work.cp(i, 0, end); err != nil {
-				return nil, err
-			}
-		}
-		ptr[i] = 1
-	}
-	for t := 0; count < n; t++ {
-		if t >= len(R) {
-			return nil, fmt.Errorf("block: R exhausted with %d of %d vertices seen", count, n)
-		}
-		p := int(R[t])
-		if p < 1 || p >= n {
-			return nil, fmt.Errorf("block: R[%d] = %d outside particle range [1,%d)", t, p, n)
-		}
-		if ptr[p] >= len(work.Rows[p]) {
-			continue // wasted tick: particle p has settled
-		}
-		j := ptr[p]
-		work.T[p][j] = int64(t + 1)
-		ptr[p]++
-		v := work.Rows[p][j]
-		if !seen[v] {
-			seen[v] = true
-			count++
-			if err := work.cp(p, j, end); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return work, nil
-}
-
-// IsUniform verifies the uniform-block property: reading cells in
-// increasing timing order (starts first, ties by row), the first
-// occurrence of every vertex value is the final cell of its row. The block
-// must carry a timing array.
-func (b *Block) IsUniform() bool {
-	if b.T == nil || b.CheckEndpoints() != nil {
-		return false
-	}
-	type cell struct {
-		t    int64
-		i, j int
-	}
-	var order []cell
-	for i, row := range b.Rows {
-		for j := range row {
-			order = append(order, cell{b.T[i][j], i, j})
-		}
-	}
-	sort.Slice(order, func(a, c int) bool {
-		if order[a].t != order[c].t {
-			return order[a].t < order[c].t
-		}
-		return order[a].i < order[c].i
-	})
-	n := len(b.Rows)
-	seen := make([]bool, n)
-	for _, c := range order {
-		v := b.Rows[c.i][c.j]
-		if !seen[v] {
-			seen[v] = true
-			if c.j != len(b.Rows[c.i])-1 {
-				return false
-			}
-		}
-	}
-	return true
 }

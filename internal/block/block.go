@@ -1,10 +1,10 @@
 // Package block implements the paper's block representation of IDLA
 // process histories and the Cut & Paste machinery of Section 4: the CP
-// transform, Algorithm 1 (StP: sequential-to-parallel), Algorithm 2 (PtS:
-// parallel-to-sequential) and Algorithm 3 (PtUR: parallel-to-R-uniform),
-// together with validity checkers for the paper's properties (2), (3) and
-// (4). These bijections are what couple the dispersion times of the
-// process variants (Theorems 4.1, 4.2, 4.7).
+// transform, Algorithm 1 (StP: sequential-to-parallel) and Algorithm 2
+// (PtS: parallel-to-sequential), together with validity checkers for the
+// paper's properties (2), (3) and (4). These bijections are what couple
+// the dispersion times of the Sequential and Parallel processes (Theorems
+// 4.1 and 4.2).
 //
 // A block is an irregular 2-dimensional array L with one row per particle;
 // L(i, t) is the vertex occupied by particle i after its t-th jump, so row
@@ -13,25 +13,11 @@
 // transform preserves.
 package block
 
-import (
-	"fmt"
+import "fmt"
 
-	"dispersion/internal/core"
-	"dispersion/internal/graph"
-)
-
-// Block is an IDLA history. Rows[i][t] is the paper's L(i, t). T, when
-// non-nil, is the timing array of an R-uniform block: T[i][t] is the global
-// tick at which particle i performed its t-th jump (T[i][0] = 0).
+// Block is an IDLA history. Rows[i][t] is the paper's L(i, t).
 type Block struct {
 	Rows [][]int32
-	T    [][]int64
-}
-
-// FromResult converts a recorded process run into a block. The run must
-// have been produced with Options.Record set.
-func FromResult(res *core.Result) (*Block, error) {
-	return FromTrajectories(res.Trajectories)
 }
 
 // FromTrajectories builds a block from recorded per-particle trajectories
@@ -54,12 +40,6 @@ func (b *Block) Clone() *Block {
 	nb := &Block{Rows: make([][]int32, len(b.Rows))}
 	for i, row := range b.Rows {
 		nb.Rows[i] = append([]int32(nil), row...)
-	}
-	if b.T != nil {
-		nb.T = make([][]int64, len(b.T))
-		for i, row := range b.T {
-			nb.T[i] = append([]int64(nil), row...)
-		}
 	}
 	return nb
 }
@@ -131,31 +111,6 @@ func (b *Block) CheckEndpoints() error {
 	return err
 }
 
-// CheckWalks verifies every row is a walk in g starting at origin.
-// allowStay permits repeated consecutive vertices (lazy walks).
-func (b *Block) CheckWalks(g *graph.CSR, origin int, allowStay bool) error {
-	for i, row := range b.Rows {
-		if len(row) == 0 {
-			return fmt.Errorf("block: row %d empty", i)
-		}
-		if row[0] != int32(origin) {
-			return fmt.Errorf("block: row %d starts at %d, want origin %d", i, row[0], origin)
-		}
-		for t := 1; t < len(row); t++ {
-			if row[t] == row[t-1] {
-				if !allowStay {
-					return fmt.Errorf("block: row %d stays put at step %d in non-lazy block", i, t)
-				}
-				continue
-			}
-			if !g.HasEdge(int(row[t-1]), int(row[t])) {
-				return fmt.Errorf("block: row %d step %d uses non-edge %d->%d", i, t, row[t-1], row[t])
-			}
-		}
-	}
-	return nil
-}
-
 // cp applies the Cut & Paste transform CP_(i,t): the cells
 // (i, t+1..ρ_i) are cut and pasted after the unique row k whose endpoint
 // equals L(i, t). end is the endpoint index, which cp keeps current.
@@ -179,10 +134,6 @@ func (b *Block) cp(i, t int, end []int32) error {
 	oldEndI := row[len(row)-1]
 	b.Rows[k] = append(b.Rows[k], row[t+1:]...)
 	b.Rows[i] = row[:t+1]
-	if b.T != nil {
-		b.T[k] = append(b.T[k], b.T[i][t+1:]...)
-		b.T[i] = b.T[i][:t+1]
-	}
 	// Endpoints swap between rows i and k (property (2) is invariant).
 	end[oldEndI] = k
 	end[v] = int32(i)

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -22,30 +23,51 @@ func testGraphs() []*graph.CSR {
 	}
 }
 
-func recordSequential(t *testing.T, g *graph.CSR, seed uint64) *Block {
+// record runs a process with Options.Record through a transient Scratch
+// and returns its block.
+func record(t *testing.T, into func(graph.Graph, int, core.Options, *rng.Source, *core.Scratch, *core.Result) error,
+	g *graph.CSR, opt core.Options, seed uint64) *Block {
 	t.Helper()
-	res, err := core.Sequential(g, 0, core.Options{Record: true}, rng.New(seed))
-	if err != nil {
+	var res core.Result
+	opt.Record = true
+	if err := into(g, 0, opt, rng.New(seed), nil, &res); err != nil {
 		t.Fatal(err)
 	}
-	b, err := FromResult(res)
+	b, err := FromTrajectories(res.Trajectories)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
+func recordSequential(t *testing.T, g *graph.CSR, seed uint64) *Block {
+	return record(t, core.SequentialInto, g, core.Options{}, seed)
+}
+
 func recordParallel(t *testing.T, g *graph.CSR, seed uint64) *Block {
-	t.Helper()
-	res, err := core.Parallel(g, 0, core.Options{Record: true}, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
+	return record(t, core.ParallelInto, g, core.Options{}, seed)
+}
+
+// checkWalks verifies every row of b is a walk in g starting at origin;
+// allowStay permits repeated consecutive vertices (lazy walks).
+func checkWalks(b *Block, g *graph.CSR, origin int, allowStay bool) error {
+	for i, row := range b.Rows {
+		if len(row) == 0 {
+			return fmt.Errorf("row %d empty", i)
+		}
+		if row[0] != int32(origin) {
+			return fmt.Errorf("row %d starts at %d, want origin %d", i, row[0], origin)
+		}
+		for t := 1; t < len(row); t++ {
+			if row[t] == row[t-1] && !allowStay {
+				return fmt.Errorf("row %d stays put at step %d in non-lazy block", i, t)
+			}
+			if row[t] != row[t-1] && !g.HasEdge(int(row[t-1]), int(row[t])) {
+				return fmt.Errorf("row %d step %d uses non-edge %d->%d", i, t, row[t-1], row[t])
+			}
+		}
 	}
-	b, err := FromResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return nil
 }
 
 func TestPaperWorkedExample(t *testing.T) {
@@ -102,13 +124,13 @@ func TestCPPreservesInvariants(t *testing.T) {
 	}
 }
 
-func TestFromResultRequiresRecording(t *testing.T) {
-	res, err := core.Sequential(graph.Path(5), 0, core.Options{}, rng.New(1))
-	if err != nil {
+func TestFromTrajectoriesRequiresRecording(t *testing.T) {
+	var res core.Result
+	if err := core.SequentialInto(graph.Path(5), 0, core.Options{}, rng.New(1), nil, &res); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FromResult(res); err == nil {
-		t.Fatal("FromResult accepted unrecorded run")
+	if _, err := FromTrajectories(res.Trajectories); err == nil {
+		t.Fatal("FromTrajectories accepted an unrecorded run")
 	}
 }
 
@@ -118,14 +140,14 @@ func TestRecordedRunsSatisfyProperties(t *testing.T) {
 		if !seq.IsSequential() {
 			t.Errorf("%s: recorded sequential run violates property (3)", g.Name())
 		}
-		if err := seq.CheckWalks(g, 0, false); err != nil {
+		if err := checkWalks(seq, g, 0, false); err != nil {
 			t.Errorf("%s: %v", g.Name(), err)
 		}
 		par := recordParallel(t, g, 43)
 		if !par.IsParallel() {
 			t.Errorf("%s: recorded parallel run violates property (4)", g.Name())
 		}
-		if err := par.CheckWalks(g, 0, false); err != nil {
+		if err := checkWalks(par, g, 0, false); err != nil {
 			t.Errorf("%s: %v", g.Name(), err)
 		}
 	}
@@ -163,7 +185,7 @@ func TestStPProducesValidParallel(t *testing.T) {
 				t.Errorf("%s: StP changed total length %d -> %d",
 					g.Name(), orig.TotalLength(), b.TotalLength())
 			}
-			if err := b.CheckWalks(g, 0, false); err != nil {
+			if err := checkWalks(b, g, 0, false); err != nil {
 				t.Errorf("%s: StP output not walks: %v", g.Name(), err)
 			}
 			// Lemma 4.6: the longest row cannot shrink.
@@ -189,7 +211,7 @@ func TestPtSProducesValidSequential(t *testing.T) {
 			if b.TotalLength() != orig.TotalLength() {
 				t.Errorf("%s: PtS changed total length", g.Name())
 			}
-			if err := b.CheckWalks(g, 0, false); err != nil {
+			if err := checkWalks(b, g, 0, false); err != nil {
 				t.Errorf("%s: PtS output not walks: %v", g.Name(), err)
 			}
 		}
@@ -230,11 +252,11 @@ func TestBijectionRoundTrip(t *testing.T) {
 func TestBijectionRoundTripQuick(t *testing.T) {
 	g := graph.Lollipop(12)
 	if err := quick.Check(func(seed uint64) bool {
-		res, err := core.Sequential(g, 0, core.Options{Record: true}, rng.New(seed))
-		if err != nil {
+		var res core.Result
+		if core.SequentialInto(g, 0, core.Options{Record: true}, rng.New(seed), nil, &res) != nil {
 			return false
 		}
-		b, err := FromResult(res)
+		b, err := FromTrajectories(res.Trajectories)
 		if err != nil {
 			return false
 		}
@@ -292,150 +314,17 @@ func TestPtSOrderRandomPriority(t *testing.T) {
 		if err := b.CheckEndpoints(); err != nil {
 			t.Errorf("PtSOrder broke property (2): %v", err)
 		}
-		if err := b.CheckWalks(g, 0, false); err != nil {
+		if err := checkWalks(b, g, 0, false); err != nil {
 			t.Errorf("PtSOrder output not walks: %v", err)
 		}
-	}
-}
-
-func TestReorder(t *testing.T) {
-	b := &Block{Rows: [][]int32{{0}, {0, 1}, {0, 1, 2}}}
-	nb, err := b.Reorder([]int{0, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nb.Rows[1]) != 3 || len(nb.Rows[2]) != 2 {
-		t.Errorf("Reorder misplaced rows: %v", nb.Rows)
-	}
-	if _, err := b.Reorder([]int{0, 0, 1}); err == nil {
-		t.Error("duplicate permutation entry accepted")
-	}
-	if _, err := b.Reorder([]int{0, 1}); err == nil {
-		t.Error("short permutation accepted")
-	}
-}
-
-func makeR(n int, length int, r *rng.Source) []int32 {
-	R := make([]int32, length)
-	for i := range R {
-		R[i] = int32(1 + r.Intn(n-1))
-	}
-	return R
-}
-
-func TestPtURProducesValidUniform(t *testing.T) {
-	for _, g := range testGraphs() {
-		for seed := uint64(0); seed < 5; seed++ {
-			par := recordParallel(t, g, seed)
-			r := rng.New(seed + 1000)
-			// Generous R: expected ticks needed is about n * total length.
-			R := makeR(g.N(), int(par.TotalLength())*g.N()*4+100, r)
-			u, err := par.PtUR(R)
-			if err != nil {
-				t.Fatalf("%s seed %d: PtUR: %v", g.Name(), seed, err)
-			}
-			if !u.IsUniform() {
-				t.Errorf("%s seed %d: PtUR output fails uniform validity", g.Name(), seed)
-			}
-			if u.TotalLength() != par.TotalLength() {
-				t.Errorf("%s: PtUR changed total length %d -> %d",
-					g.Name(), par.TotalLength(), u.TotalLength())
-			}
-			if err := u.CheckWalks(g, 0, false); err != nil {
-				t.Errorf("%s: PtUR output not walks: %v", g.Name(), err)
-			}
-			// Theorem 4.7 mechanism: Cut & Paste from a parallel block
-			// cannot increase row length, so uniform longest <= parallel.
-			if u.LongestRow() > par.LongestRow() {
-				t.Errorf("%s: uniform longest row %d exceeds parallel %d",
-					g.Name(), u.LongestRow(), par.LongestRow())
-			}
-		}
-	}
-}
-
-func TestPtURInverseIsStP(t *testing.T) {
-	// Theorem 4.7's bijection: StP transforms the R-uniform block back
-	// into the original parallel block, for any R (StP is oblivious to
-	// the ordering).
-	for _, g := range testGraphs() {
-		for seed := uint64(0); seed < 3; seed++ {
-			par := recordParallel(t, g, seed)
-			r := rng.New(seed + 500)
-			R := makeR(g.N(), int(par.TotalLength())*g.N()*4+100, r)
-			u, err := par.PtUR(R)
-			if err != nil {
-				t.Fatalf("%s: %v", g.Name(), err)
-			}
-			back := u.Clone()
-			if err := back.StP(); err != nil {
-				t.Fatalf("%s: StP on uniform block: %v", g.Name(), err)
-			}
-			if !back.Equal(par) {
-				t.Errorf("%s seed %d: StP(PtUR(L, R)) != L", g.Name(), seed)
-			}
-		}
-	}
-}
-
-func TestPtURTimingConsistency(t *testing.T) {
-	g := graph.Complete(10)
-	par := recordParallel(t, g, 3)
-	r := rng.New(4)
-	R := makeR(g.N(), int(par.TotalLength())*g.N()*4+100, r)
-	u, err := par.PtUR(R)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range u.Rows {
-		if u.T[i][0] != 0 {
-			t.Fatalf("row %d: T[0] = %d, want 0", i, u.T[i][0])
-		}
-		for j := 1; j < len(row); j++ {
-			if u.T[i][j] <= u.T[i][j-1] {
-				t.Fatalf("row %d: ticks not increasing at %d: %v", i, j, u.T[i][:j+1])
-			}
-			// Tick must belong to this particle in R.
-			if R[u.T[i][j]-1] != int32(i) {
-				t.Fatalf("row %d move %d at tick %d, but R assigns particle %d",
-					i, j, u.T[i][j], R[u.T[i][j]-1])
-			}
-		}
-	}
-}
-
-func TestPtURExhaustedR(t *testing.T) {
-	g := graph.Complete(8)
-	par := recordParallel(t, g, 5)
-	_, err := par.PtUR(makeR(g.N(), 2, rng.New(6)))
-	if err == nil {
-		t.Fatal("short R accepted")
-	}
-}
-
-func TestPtURRejectsBadParticle(t *testing.T) {
-	g := graph.Complete(8)
-	par := recordParallel(t, g, 5)
-	if _, err := par.PtUR([]int32{0, 1, 2}); err == nil {
-		t.Fatal("R containing particle 0 accepted")
-	}
-	if _, err := par.PtUR([]int32{9}); err == nil {
-		t.Fatal("R containing out-of-range particle accepted")
 	}
 }
 
 func TestLazyBlocksSupported(t *testing.T) {
 	// Section 4.4: the coupling machinery applies verbatim to lazy walks.
 	g := graph.Cycle(9)
-	res, err := core.Sequential(g, 0, core.Options{Record: true, Lazy: true}, rng.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FromResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.CheckWalks(g, 0, true); err != nil {
+	b := record(t, core.SequentialInto, g, core.Options{Lazy: true}, 8)
+	if err := checkWalks(b, g, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	if !b.IsSequential() {
@@ -460,13 +349,13 @@ func TestCheckWalksCatchesCorruption(t *testing.T) {
 	g := graph.Path(6)
 	b := recordSequential(t, g, 1)
 	b.Rows[2][0] = 3 // wrong origin
-	if err := b.CheckWalks(g, 0, false); err == nil {
+	if err := checkWalks(b, g, 0, false); err == nil {
 		t.Error("corrupted origin not caught")
 	}
 	b = recordSequential(t, g, 1)
 	if len(b.Rows[2]) > 1 {
 		b.Rows[2][1] = b.Rows[2][0] // illegal stay in non-lazy block
-		if err := b.CheckWalks(g, 0, false); err == nil {
+		if err := checkWalks(b, g, 0, false); err == nil {
 			t.Error("illegal stay not caught")
 		}
 	}

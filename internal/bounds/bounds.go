@@ -1,8 +1,8 @@
 // Package bounds provides the closed-form theoretical bounds stated in the
 // paper, evaluated numerically so experiments can print measured-vs-bound
 // comparisons: the Theorem 3.1 hitting-time upper bound, the Corollary 3.2
-// worst-case ceilings, the Theorem 3.6/3.7 lower bounds, Matthews-type
-// cover bounds, and the clique constants of Theorem 5.2 (κ_cc and π²/6).
+// worst-case ceilings, the Theorem 3.6/3.7 lower bounds, and the clique
+// constants of Theorem 5.2 (κ_cc and π²/6).
 package bounds
 
 import (
@@ -94,29 +94,6 @@ func TreeLower(n int) float64 {
 // time, giving t_seq(G) >= 2|E|/Δ.
 func EdgeDegreeLower(edges, maxDegree int) float64 {
 	return 2 * float64(edges) / float64(maxDegree)
-}
-
-// Harmonic returns the n-th harmonic number H_n.
-func Harmonic(n int) float64 {
-	var h float64
-	for k := 1; k <= n; k++ {
-		h += 1 / float64(k)
-	}
-	return h
-}
-
-// MatthewsCover returns the Matthews upper bound on the cover time,
-// t_cov <= t_hit · H_{n-1}, which the paper contrasts with the dispersion
-// bound of Theorem 3.1 (same order: t_hit·log n).
-func MatthewsCover(thit float64, n int) float64 {
-	return thit * Harmonic(n-1)
-}
-
-// CouponCollectorMean returns the expected number of draws to collect all
-// n coupons, n·H_n: the cover-time analogue on the complete graph and the
-// total-steps scale of the sequential process there.
-func CouponCollectorMean(n int) float64 {
-	return float64(n) * Harmonic(n)
 }
 
 // MixingLower returns the Proposition 3.9 chain of lower bounds given the

@@ -53,19 +53,6 @@ func TestKappaCCMatchesSimulation(t *testing.T) {
 	}
 }
 
-func TestHarmonicKnown(t *testing.T) {
-	if Harmonic(1) != 1 {
-		t.Fatal("H_1 != 1")
-	}
-	if math.Abs(Harmonic(4)-25.0/12.0) > 1e-12 {
-		t.Fatalf("H_4 = %.6f", Harmonic(4))
-	}
-	// H_n ~ ln n + γ.
-	if math.Abs(Harmonic(100000)-(math.Log(100000)+0.5772156649)) > 1e-4 {
-		t.Fatal("harmonic asymptotics off")
-	}
-}
-
 func TestTheorem31HoldsOnFamilies(t *testing.T) {
 	// The bound 6·t_hit·log2 n must exceed measured dispersion times.
 	families := []*graph.CSR{
@@ -85,8 +72,8 @@ func TestTheorem31HoldsOnFamilies(t *testing.T) {
 		thit, _, _ := h.Max()
 		bound := Theorem31(thit, g.N())
 		for trial := 0; trial < 20; trial++ {
-			res, err := core.Parallel(g, 0, core.Options{}, root.Split(1, uint64(trial)))
-			if err != nil {
+			var res core.Result
+			if err := core.ParallelInto(g, 0, core.Options{}, rng.New(root.SplitSeed(1, uint64(trial))), nil, &res); err != nil {
 				t.Fatal(err)
 			}
 			if float64(res.Dispersion) > bound {
@@ -104,7 +91,8 @@ func TestTreeLowerHolds(t *testing.T) {
 		const trials = 300
 		var sum float64
 		for i := 0; i < trials; i++ {
-			res, _ := core.Sequential(g, 0, core.Options{}, root.Split(2, uint64(i)))
+			var res core.Result
+			_ = core.SequentialInto(g, 0, core.Options{}, rng.New(root.SplitSeed(2, uint64(i))), nil, &res)
 			sum += float64(res.Dispersion)
 		}
 		if mean := sum / trials; mean < TreeLower(g.N())*0.95 {
@@ -119,7 +107,8 @@ func TestEdgeDegreeLowerHolds(t *testing.T) {
 		const trials = 300
 		var sum float64
 		for i := 0; i < trials; i++ {
-			res, _ := core.Sequential(g, 0, core.Options{}, root.Split(3, uint64(i)))
+			var res core.Result
+			_ = core.SequentialInto(g, 0, core.Options{}, rng.New(root.SplitSeed(3, uint64(i))), nil, &res)
 			sum += float64(res.Dispersion)
 		}
 		bound := EdgeDegreeLower(g.M(), g.MaxDegree())
@@ -154,23 +143,6 @@ func TestRegularWorstHittingDominatesRegularFamilies(t *testing.T) {
 			t.Errorf("%s: t_hit %.0f exceeds regular ceiling %.0f",
 				g.Name(), thit, RegularWorstHitting(g.N()))
 		}
-	}
-}
-
-func TestMatthewsCoverOnClique(t *testing.T) {
-	// Coupon collector: t_cov(K_n) = (n-1)·H_{n-1} <= t_hit·H_{n-1} with
-	// t_hit = n-1, i.e. Matthews is tight on the clique.
-	n := 50
-	bound := MatthewsCover(float64(n-1), n)
-	want := float64(n-1) * Harmonic(n-1)
-	if math.Abs(bound-want) > 1e-9 {
-		t.Fatalf("Matthews on clique %.2f, want %.2f", bound, want)
-	}
-}
-
-func TestCouponCollectorMean(t *testing.T) {
-	if math.Abs(CouponCollectorMean(2)-3) > 1e-12 {
-		t.Fatalf("CC(2) = %.4f, want 3", CouponCollectorMean(2))
 	}
 }
 

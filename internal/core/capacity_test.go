@@ -12,10 +12,10 @@ import (
 // table-driven tests.
 func variantRuns() map[string]func(graph.Graph, int, Options, *rng.Source) (*Result, error) {
 	return map[string]func(graph.Graph, int, Options, *rng.Source) (*Result, error){
-		"sequential-geom":      SequentialGeom,
-		"sequential-threshold": SequentialThreshold,
-		"capacity":             CapacitySequential,
-		"capacity-parallel":    CapacityParallel,
+		"sequential-geom":      oneShot(SequentialGeomInto),
+		"sequential-threshold": oneShot(SequentialThresholdInto),
+		"capacity":             oneShot(CapacitySequentialInto),
+		"capacity-parallel":    oneShot(CapacityParallelInto),
 	}
 }
 
@@ -78,7 +78,7 @@ func TestVariantIntoReuse(t *testing.T) {
 func TestCapacityOccupancy(t *testing.T) {
 	g := graph.Cycle(12)
 	for name, run := range map[string]func(graph.Graph, int, Options, *rng.Source) (*Result, error){
-		"capacity": CapacitySequential, "capacity-parallel": CapacityParallel,
+		"capacity": oneShot(CapacitySequentialInto), "capacity-parallel": oneShot(CapacityParallelInto),
 	} {
 		for _, opt := range []Options{
 			{Capacity: 3},

@@ -12,7 +12,7 @@ import (
 func TestCheckCatchesCorruption(t *testing.T) {
 	g := graph.Cycle(10)
 	fresh := func() *Result {
-		res, err := Sequential(g, 0, Options{Record: true}, rng.New(77))
+		res, err := runOnce(SequentialInto, g, 0, Options{Record: true}, rng.New(77))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestCheckCatchesCorruption(t *testing.T) {
 
 func TestCheckRejectsTruncated(t *testing.T) {
 	g := graph.Cycle(32)
-	res, err := Sequential(g, 0, Options{MaxSteps: 10}, rng.New(1))
+	res, err := runOnce(SequentialInto, g, 0, Options{MaxSteps: 10}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

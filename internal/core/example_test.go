@@ -10,10 +10,10 @@ import (
 
 // Run the Sequential-IDLA on a small cycle with a fixed seed. The first
 // particle settles at the origin instantly; the others walk.
-func ExampleSequential() {
+func ExampleSequentialInto() {
 	g := graph.Cycle(8)
-	res, err := core.Sequential(g, 0, core.Options{}, rng.New(42))
-	if err != nil {
+	var res core.Result
+	if err := core.SequentialInto(g, 0, core.Options{}, rng.New(42), nil, &res); err != nil {
 		panic(err)
 	}
 	fmt.Println("particles:", len(res.Steps))
@@ -27,10 +27,10 @@ func ExampleSequential() {
 
 // The Parallel-IDLA's dispersion time equals its number of rounds: the
 // last particle to settle has moved in every round.
-func ExampleParallel() {
+func ExampleParallelInto() {
 	g := graph.Complete(16)
-	res, err := core.Parallel(g, 0, core.Options{}, rng.New(7))
-	if err != nil {
+	var res core.Result
+	if err := core.ParallelInto(g, 0, core.Options{}, rng.New(7), nil, &res); err != nil {
 		panic(err)
 	}
 	lastClock := res.SettleClock[len(res.SettleClock)-1]
@@ -43,8 +43,8 @@ func ExampleParallel() {
 // vertices end up occupied.
 func ExampleOptions_particles() {
 	g := graph.Hypercube(4)
-	res, err := core.Sequential(g, 0, core.Options{Particles: 5}, rng.New(1))
-	if err != nil {
+	var res core.Result
+	if err := core.SequentialInto(g, 0, core.Options{Particles: 5}, rng.New(1), nil, &res); err != nil {
 		panic(err)
 	}
 	fmt.Println("settled particles:", len(res.SettledAt))

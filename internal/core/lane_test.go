@@ -112,8 +112,8 @@ func TestLaneResultsCheck(t *testing.T) {
 			if err := res.Check(g); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if res.Unsettled() != 0 {
-				t.Fatalf("%s: %d unsettled particles", name, res.Unsettled())
+			if unsettled(res) != 0 {
+				t.Fatalf("%s: %d unsettled particles", name, unsettled(res))
 			}
 		}
 	}
@@ -171,7 +171,7 @@ func TestLaneTruncation(t *testing.T) {
 			if res.TotalSteps < opt.MaxSteps {
 				t.Fatalf("%s: truncated below the budget: %d < %d", name, res.TotalSteps, opt.MaxSteps)
 			}
-			if res.Unsettled() == 0 {
+			if unsettled(res) == 0 {
 				t.Fatalf("%s: truncated run settled everything", name)
 			}
 		}
@@ -217,8 +217,8 @@ func TestScalarCapacityVector(t *testing.T) {
 	g := graph.Star(4)
 	caps := []int{2, 1, 3, 1}
 	for name, run := range map[string]func(Options, *rng.Source) (*Result, error){
-		"sequential": func(o Options, r *rng.Source) (*Result, error) { return CapacitySequential(g, 0, o, r) },
-		"parallel":   func(o Options, r *rng.Source) (*Result, error) { return CapacityParallel(g, 0, o, r) },
+		"sequential": func(o Options, r *rng.Source) (*Result, error) { return runOnce(CapacitySequentialInto, g, 0, o, r) },
+		"parallel":   func(o Options, r *rng.Source) (*Result, error) { return runOnce(CapacityParallelInto, g, 0, o, r) },
 	} {
 		res, err := run(Options{Capacities: caps}, rng.New(3))
 		if err != nil {
@@ -256,7 +256,7 @@ func TestCapacityVectorErrors(t *testing.T) {
 		"huge entry":       {Capacities: []int{1, maxCapacity + 1, 1, 1}},
 		"too many":         {Capacities: []int{1, 1, 1, 1}, Particles: 5},
 	} {
-		if _, err := CapacitySequential(g, 0, opt, rng.New(1)); err == nil {
+		if _, err := runOnce(CapacitySequentialInto, g, 0, opt, rng.New(1)); err == nil {
 			t.Fatalf("%s: scalar run succeeded", name)
 		}
 		opt.Batch = 2

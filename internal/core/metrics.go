@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"dispersion/internal/graph"
 )
@@ -22,15 +21,6 @@ func (res *Result) PhaseClock(n, k int) int64 {
 		return -1
 	}
 	return res.SettleClock[idx]
-}
-
-// UnsettledAtClock returns how many particles were still unsettled
-// strictly after the given clock value.
-func (res *Result) UnsettledAtClock(clock int64) int {
-	settled := sort.Search(len(res.SettleClock), func(i int) bool {
-		return res.SettleClock[i] > clock
-	})
-	return len(res.SettledAt) - settled
 }
 
 // Check verifies the structural invariants every completed dispersion run

@@ -61,23 +61,3 @@ func (o *Odometer) Max() (vertex int, visits int64) {
 	}
 	return vertex, visits
 }
-
-// ExcursionCount returns how many times the walk trajectories crossed the
-// given vertex set boundary: the number of i->j transitions with
-// inSet[i] != inSet[j], summed over all recorded trajectories. This is
-// the "excursion" statistic used in the paper's path coupling
-// (Theorem 5.4) and the binary-tree analysis.
-func ExcursionCount(res *Result, inSet []bool) (int64, error) {
-	if res.Trajectories == nil {
-		return 0, fmt.Errorf("core: excursion count needs recorded trajectories")
-	}
-	var crossings int64
-	for _, traj := range res.Trajectories {
-		for i := 1; i < len(traj); i++ {
-			if inSet[traj[i-1]] != inSet[traj[i]] {
-				crossings++
-			}
-		}
-	}
-	return crossings, nil
-}

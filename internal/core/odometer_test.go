@@ -9,7 +9,7 @@ import (
 
 func TestOdometerAccounting(t *testing.T) {
 	g := graph.Cycle(12)
-	res, err := Sequential(g, 0, Options{Record: true}, rng.New(1))
+	res, err := runOnce(SequentialInto, g, 0, Options{Record: true}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestOdometerAccounting(t *testing.T) {
 
 func TestOdometerRequiresRecording(t *testing.T) {
 	g := graph.Path(5)
-	res, err := Sequential(g, 0, Options{}, rng.New(2))
+	res, err := runOnce(SequentialInto, g, 0, Options{}, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestOdometerOriginIsBusiest(t *testing.T) {
 	// dominates the visit counts on a star (all walks alternate through
 	// the centre... origin = centre).
 	g := graph.Star(16)
-	res, err := Sequential(g, 0, Options{Record: true}, rng.New(3))
+	res, err := runOnce(SequentialInto, g, 0, Options{Record: true}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,42 +63,5 @@ func TestOdometerOriginIsBusiest(t *testing.T) {
 	v, _ := o.Max()
 	if v != 0 {
 		t.Fatalf("busiest vertex %d, want the centre 0", v)
-	}
-}
-
-func TestExcursionCountPath(t *testing.T) {
-	// On the path with the left half marked, crossings happen exactly at
-	// the marked/unmarked boundary; count must match a manual recount.
-	g := graph.Path(10)
-	res, err := Sequential(g, 0, Options{Record: true}, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inSet := make([]bool, 10)
-	for v := 0; v < 5; v++ {
-		inSet[v] = true
-	}
-	got, err := ExcursionCount(res, inSet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var manual int64
-	for _, traj := range res.Trajectories {
-		for i := 1; i < len(traj); i++ {
-			if inSet[traj[i-1]] != inSet[traj[i]] {
-				manual++
-			}
-		}
-	}
-	if got != manual || got < 1 {
-		t.Fatalf("excursions %d, manual %d", got, manual)
-	}
-}
-
-func TestExcursionCountRequiresRecording(t *testing.T) {
-	g := graph.Path(5)
-	res, _ := Sequential(g, 0, Options{}, rng.New(5))
-	if _, err := ExcursionCount(res, make([]bool, 5)); err == nil {
-		t.Fatal("unrecorded run accepted")
 	}
 }

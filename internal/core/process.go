@@ -8,13 +8,12 @@
 // parallel process, the first round at which every vertex hosts a
 // particle).
 //
-// Each process comes in two forms: a one-shot function (Sequential,
-// Parallel, ...) that allocates its own state, and an *Into variant
-// (SequentialInto, ...) that writes into a caller-owned Result and draws
-// its working buffers from a reusable per-worker Scratch — the
-// zero-allocation hot path the public engine drives. Both forms consume
-// the identical RNG stream, so they are interchangeable sample path for
-// sample path.
+// Each process has one entry point, an *Into function (SequentialInto,
+// ParallelInto, ...) that writes into a caller-owned Result and draws its
+// working buffers from a per-worker Scratch: the zero-allocation hot path
+// the public engine drives. A nil Scratch allocates a transient one for a
+// one-off run; the RNG stream consumed is the same either way, so a
+// reused Scratch changes no sample path.
 //
 // A settlement law (LaneVariant: the standard rule, Proposition A.1's
 // geometric and threshold rules, or k-per-vertex capacity) is resolved
@@ -283,18 +282,6 @@ type Result struct {
 	Capacity int
 }
 
-// Unsettled returns how many particles were left unsettled (only nonzero
-// for truncated runs).
-func (res *Result) Unsettled() int {
-	n := 0
-	for _, v := range res.SettledAt {
-		if v < 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // validateRun checks the (graph, origin) inputs shared by every process.
 // Connectivity is cached at graph build time, so the check is cheap enough
 // for the per-trial hot path.
@@ -317,21 +304,14 @@ func step(kern graph.Kernel, v int32, lazy bool, r *rng.Source) int32 {
 	return kern.Step(v, r)
 }
 
-// Sequential runs the Sequential-IDLA process on g from origin: particles
-// move one at a time, each walking until it settles, and only then does
-// the next particle start. Particle 0 settles at the origin instantly.
-func Sequential(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, error) {
-	res := new(Result)
-	if err := SequentialInto(g, origin, opt, r, nil, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// SequentialInto is Sequential writing into a caller-owned Result, drawing
-// its occupancy map from the given Scratch (nil allocates a transient
-// one). res is fully overwritten, reusing its backing arrays; the RNG
-// stream consumed is identical to Sequential's.
+// SequentialInto runs the Sequential-IDLA process on g from origin:
+// particles move one at a time, each walking until it settles, and only
+// then does the next particle start. Particle 0 settles at the origin
+// instantly.
+//
+// It writes into the caller-owned res, fully overwritten with its backing
+// arrays reused, and draws its occupancy map from s (nil allocates a
+// transient one).
 func SequentialInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
 	return sequential(g, origin, opt, LaneStandard, r, s, res)
 }
@@ -407,24 +387,16 @@ func sequential(g graph.Graph, origin int, opt Options, variant LaneVariant, r *
 	return nil
 }
 
-// Parallel runs the Parallel-IDLA process on g from origin: all n
+// ParallelInto runs the Parallel-IDLA process on g from origin: all n
 // particles start at the origin at round 0 (one settles there instantly),
 // then in every round all unsettled particles move simultaneously; on each
 // vertex that is unoccupied at the start of the round, the
 // highest-priority arriving particle settles. Priority is least index, or
 // a uniform permutation under Options.RandomPriority.
-func Parallel(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, error) {
-	res := new(Result)
-	if err := ParallelInto(g, origin, opt, r, nil, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// ParallelInto is Parallel writing into a caller-owned Result, drawing its
-// occupancy map and position/priority buffers from the given Scratch (nil
-// allocates a transient one). res is fully overwritten; the RNG stream
-// consumed is identical to Parallel's.
+//
+// It writes into the caller-owned res, fully overwritten with its backing
+// arrays reused, and draws its occupancy map and position/priority buffers
+// from s (nil allocates a transient one).
 func ParallelInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
 	return parallel(g, origin, opt, LaneStandard, r, s, res)
 }
@@ -513,25 +485,17 @@ func parallel(g graph.Graph, origin int, opt Options, variant LaneVariant, r *rn
 	}
 }
 
-// Uniform runs the (discrete) Uniform-IDLA of Section 4.2: at every tick a
-// uniformly random unsettled particle moves one step, settling if it lands
-// on an unoccupied vertex. The returned SettleClock counts ticks restricted
-// to unsettled particles, which is the process's natural filtration; the
-// paper's lazier convention (ticks hitting settled particles are wasted)
-// changes only the clock, not any trajectory, and is recovered by the
-// continuous-time process below.
-func Uniform(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, error) {
-	res := new(Result)
-	if err := UniformInto(g, origin, opt, r, nil, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// UniformInto is Uniform writing into a caller-owned Result, drawing its
-// occupancy map and position/active buffers from the given Scratch (nil
-// allocates a transient one). res is fully overwritten; the RNG stream
-// consumed is identical to Uniform's.
+// UniformInto runs the (discrete) Uniform-IDLA of Section 4.2: at every
+// tick a uniformly random unsettled particle moves one step, settling if
+// it lands on an unoccupied vertex. The returned SettleClock counts ticks
+// restricted to unsettled particles, which is the process's natural
+// filtration; the paper's lazier convention (ticks hitting settled
+// particles are wasted) changes only the clock, not any trajectory, and is
+// recovered by the continuous-time process below.
+//
+// It writes into the caller-owned res, fully overwritten with its backing
+// arrays reused, and draws its occupancy map and position/active buffers
+// from s (nil allocates a transient one).
 func UniformInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
 	n := g.N()
 	k, err := opt.numParticles(n)
@@ -665,23 +629,15 @@ type CTResult struct {
 	SettleTimes []float64
 }
 
-// CTUniform runs the continuous-time Uniform IDLA (CTU-IDLA) of Section
-// 4.3: every unsettled particle carries an independent exponential clock
-// of rate 1 and moves when it rings, settling on unoccupied vertices. It
-// is simulated exactly with an event heap. Theorem 4.8: its dispersion
-// time is (1+o(1))·τ_par.
-func CTUniform(g graph.Graph, origin int, opt Options, r *rng.Source) (*CTResult, error) {
-	res := new(CTResult)
-	if err := CTUniformInto(g, origin, opt, r, nil, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// CTUniformInto is CTUniform writing into a caller-owned CTResult, drawing
-// its occupancy map, position buffer and event heap from the given Scratch
-// (nil allocates a transient one). res is fully overwritten; the RNG
-// stream consumed is identical to CTUniform's.
+// CTUniformInto runs the continuous-time Uniform IDLA (CTU-IDLA) of
+// Section 4.3: every unsettled particle carries an independent exponential
+// clock of rate 1 and moves when it rings, settling on unoccupied
+// vertices. It is simulated exactly with an event heap. Theorem 4.8: its
+// dispersion time is (1+o(1))·τ_par.
+//
+// It writes into the caller-owned res, fully overwritten with its backing
+// arrays reused, and draws its occupancy map, position buffer and event
+// heap from s (nil allocates a transient one).
 func CTUniformInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *CTResult) error {
 	n := g.N()
 	k, err := opt.numParticles(n)
@@ -753,21 +709,13 @@ func CTUniformInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scr
 	return nil
 }
 
-// CTSequential runs the continuous-time Sequential IDLA: the discrete
+// CTSequentialInto runs the continuous-time Sequential IDLA: the discrete
 // Sequential process with independent Exp(1) waiting times between the
 // jumps of each walk. Its dispersion time is the largest total walking
 // time over particles; Section 4.3 shows it equals (1+o(1))·τ_seq.
-func CTSequential(g graph.Graph, origin int, opt Options, r *rng.Source) (*CTResult, error) {
-	res := new(CTResult)
-	if err := CTSequentialInto(g, origin, opt, r, nil, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// CTSequentialInto is CTSequential writing into a caller-owned CTResult
-// through the given Scratch (nil allocates a transient one). res is fully
-// overwritten; the RNG stream consumed is identical to CTSequential's.
+//
+// It writes into the caller-owned res, fully overwritten with its backing
+// arrays reused, through s (nil allocates a transient one).
 func CTSequentialInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *CTResult) error {
 	if err := SequentialInto(g, origin, opt, r, s, &res.Result); err != nil {
 		return err

@@ -10,13 +10,47 @@ import (
 
 type runner func(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, error)
 
+// runOnce runs a process the way a one-off caller does: into a fresh
+// Result through a transient Scratch, drawing the stream a run through a
+// reused Scratch draws.
+func runOnce(into func(graph.Graph, int, Options, *rng.Source, *Scratch, *Result) error,
+	g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, error) {
+	res := new(Result)
+	return res, into(g, origin, opt, r, nil, res)
+}
+
+// oneShot binds runOnce to one process.
+func oneShot(into func(graph.Graph, int, Options, *rng.Source, *Scratch, *Result) error) runner {
+	return func(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, error) {
+		return runOnce(into, g, origin, opt, r)
+	}
+}
+
+// unsettled counts the particles a run left unsettled.
+func unsettled(res *Result) int {
+	n := 0
+	for _, v := range res.SettledAt {
+		if v < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// runCT is runOnce for the continuous-time processes.
+func runCT(into func(graph.Graph, int, Options, *rng.Source, *Scratch, *CTResult) error,
+	g graph.Graph, origin int, opt Options, r *rng.Source) (*CTResult, error) {
+	res := new(CTResult)
+	return res, into(g, origin, opt, r, nil, res)
+}
+
 func allProcesses() map[string]runner {
 	return map[string]runner{
-		"sequential": Sequential,
-		"parallel":   Parallel,
-		"uniform":    Uniform,
+		"sequential": oneShot(SequentialInto),
+		"parallel":   oneShot(ParallelInto),
+		"uniform":    oneShot(UniformInto),
 		"ctuniform": func(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, error) {
-			res, err := CTUniform(g, origin, opt, r)
+			res, err := runCT(CTUniformInto, g, origin, opt, r)
 			if err != nil {
 				return nil, err
 			}
@@ -76,10 +110,10 @@ func TestProcessesDeterministic(t *testing.T) {
 
 func TestOriginValidation(t *testing.T) {
 	g := graph.Path(5)
-	if _, err := Sequential(g, 7, Options{}, rng.New(1)); err == nil {
+	if _, err := runOnce(SequentialInto, g, 7, Options{}, rng.New(1)); err == nil {
 		t.Fatal("out-of-range origin accepted")
 	}
-	if _, err := Parallel(g, -1, Options{}, rng.New(1)); err == nil {
+	if _, err := runOnce(ParallelInto, g, -1, Options{}, rng.New(1)); err == nil {
 		t.Fatal("negative origin accepted")
 	}
 }
@@ -92,14 +126,14 @@ func TestDisconnectedRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Sequential(g, 0, Options{}, rng.New(1)); err == nil {
+	if _, err := runOnce(SequentialInto, g, 0, Options{}, rng.New(1)); err == nil {
 		t.Fatal("disconnected graph accepted")
 	}
 }
 
 func TestParallelDispersionEqualsRounds(t *testing.T) {
 	g := graph.Cycle(20)
-	res, err := Parallel(g, 0, Options{}, rng.New(9))
+	res, err := runOnce(ParallelInto, g, 0, Options{}, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +147,7 @@ func TestParallelDispersionEqualsRounds(t *testing.T) {
 
 func TestSequentialSettleClockIsTotalSteps(t *testing.T) {
 	g := graph.Complete(12)
-	res, err := Sequential(g, 0, Options{}, rng.New(3))
+	res, err := runOnce(SequentialInto, g, 0, Options{}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +164,11 @@ func TestMeanDominanceSeqParClique(t *testing.T) {
 	var seqSum, parSum float64
 	root := rng.New(2024)
 	for i := 0; i < trials; i++ {
-		s, err := Sequential(g, 0, Options{}, root.Split(1, uint64(i)))
+		s, err := runOnce(SequentialInto, g, 0, Options{}, rng.New(root.SplitSeed(1, uint64(i))))
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := Parallel(g, 0, Options{}, root.Split(2, uint64(i)))
+		p, err := runOnce(ParallelInto, g, 0, Options{}, rng.New(root.SplitSeed(2, uint64(i))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,8 +189,8 @@ func TestTotalStepsSameMeanSeqPar(t *testing.T) {
 	var seqSum, parSum, seqSq float64
 	root := rng.New(77)
 	for i := 0; i < trials; i++ {
-		s, _ := Sequential(g, 0, Options{}, root.Split(1, uint64(i)))
-		p, _ := Parallel(g, 0, Options{}, root.Split(2, uint64(i)))
+		s, _ := runOnce(SequentialInto, g, 0, Options{}, rng.New(root.SplitSeed(1, uint64(i))))
+		p, _ := runOnce(ParallelInto, g, 0, Options{}, rng.New(root.SplitSeed(2, uint64(i))))
 		seqSum += float64(s.TotalSteps)
 		seqSq += float64(s.TotalSteps) * float64(s.TotalSteps)
 		parSum += float64(p.TotalSteps)
@@ -178,7 +212,7 @@ func TestCliqueSequentialCouponCollector(t *testing.T) {
 	var sum float64
 	root := rng.New(5)
 	for i := 0; i < trials; i++ {
-		res, _ := Sequential(g, 0, Options{}, root.Split(0, uint64(i)))
+		res, _ := runOnce(SequentialInto, g, 0, Options{}, rng.New(root.SplitSeed(0, uint64(i))))
 		sum += float64(res.Dispersion)
 	}
 	ratio := sum / trials / 64
@@ -193,7 +227,7 @@ func TestCliqueParallelPiSquaredOverSix(t *testing.T) {
 	var sum float64
 	root := rng.New(6)
 	for i := 0; i < trials; i++ {
-		res, _ := Parallel(g, 0, Options{}, root.Split(0, uint64(i)))
+		res, _ := runOnce(ParallelInto, g, 0, Options{}, rng.New(root.SplitSeed(0, uint64(i))))
 		sum += float64(res.Dispersion)
 	}
 	ratio := sum / trials / 64
@@ -210,8 +244,8 @@ func TestLazyRoughlyDoubles(t *testing.T) {
 	var plain, lazy float64
 	root := rng.New(8)
 	for i := 0; i < trials; i++ {
-		a, _ := Sequential(g, 0, Options{}, root.Split(1, uint64(i)))
-		b, _ := Sequential(g, 0, Options{Lazy: true}, root.Split(2, uint64(i)))
+		a, _ := runOnce(SequentialInto, g, 0, Options{}, rng.New(root.SplitSeed(1, uint64(i))))
+		b, _ := runOnce(SequentialInto, g, 0, Options{Lazy: true}, rng.New(root.SplitSeed(2, uint64(i))))
 		plain += float64(a.Dispersion)
 		lazy += float64(b.Dispersion)
 	}
@@ -228,11 +262,11 @@ func TestCTUniformMatchesParallelOnClique(t *testing.T) {
 	var ctu, par float64
 	root := rng.New(9)
 	for i := 0; i < trials; i++ {
-		a, err := CTUniform(g, 0, Options{}, root.Split(1, uint64(i)))
+		a, err := runCT(CTUniformInto, g, 0, Options{}, rng.New(root.SplitSeed(1, uint64(i))))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _ := Parallel(g, 0, Options{}, root.Split(2, uint64(i)))
+		b, _ := runOnce(ParallelInto, g, 0, Options{}, rng.New(root.SplitSeed(2, uint64(i))))
 		ctu += a.Time
 		par += float64(b.Dispersion)
 	}
@@ -244,7 +278,7 @@ func TestCTUniformMatchesParallelOnClique(t *testing.T) {
 
 func TestCTSequentialTimeTracksSteps(t *testing.T) {
 	g := graph.Complete(32)
-	res, err := CTSequential(g, 0, Options{}, rng.New(10))
+	res, err := runCT(CTSequentialInto, g, 0, Options{}, rng.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +295,7 @@ func TestCTSequentialTimeTracksSteps(t *testing.T) {
 
 func TestRandomPriorityStillValid(t *testing.T) {
 	g := graph.Grid([]int{5, 5}, false)
-	res, err := Parallel(g, 12, Options{RandomPriority: true, Record: true}, rng.New(11))
+	res, err := runOnce(ParallelInto, g, 12, Options{RandomPriority: true, Record: true}, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +309,7 @@ func TestSettleRuleDelaysSettlement(t *testing.T) {
 	// later particle to take at least 6 steps.
 	g := graph.Complete(16)
 	rule := func(v int32, step int64) bool { return step > 5 }
-	res, err := Sequential(g, 0, Options{Rule: rule}, rng.New(12))
+	res, err := runOnce(SequentialInto, g, 0, Options{Rule: rule}, rng.New(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +325,7 @@ func TestSettleRuleDelaysSettlement(t *testing.T) {
 
 func TestMaxStepsTruncates(t *testing.T) {
 	g := graph.Cycle(64)
-	res, err := Sequential(g, 0, Options{MaxSteps: 100}, rng.New(13))
+	res, err := runOnce(SequentialInto, g, 0, Options{MaxSteps: 100}, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,14 +335,14 @@ func TestMaxStepsTruncates(t *testing.T) {
 	if res.TotalSteps > 100 {
 		t.Fatalf("truncated run took %d steps", res.TotalSteps)
 	}
-	if res.Unsettled() == 0 {
+	if unsettled(res) == 0 {
 		t.Fatal("truncated run claims everything settled")
 	}
 }
 
 func TestPhaseClockSemantics(t *testing.T) {
 	g := graph.Complete(10)
-	res, err := Parallel(g, 0, Options{}, rng.New(14))
+	res, err := runOnce(ParallelInto, g, 0, Options{}, rng.New(14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,32 +357,22 @@ func TestPhaseClockSemantics(t *testing.T) {
 		if c < 0 {
 			t.Fatalf("phase %d unreached", k)
 		}
-		if got := res.UnsettledAtClock(c); got >= k {
-			t.Errorf("after PhaseClock(n,%d)=%d still %d unsettled", k, c, got)
+		unsettled := n
+		for _, sc := range res.SettleClock {
+			if sc <= c {
+				unsettled--
+			}
 		}
-	}
-}
-
-func TestUnsettledAtClock(t *testing.T) {
-	g := graph.Complete(8)
-	res, err := Parallel(g, 0, Options{}, rng.New(15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Strictly before clock 0 nothing has settled, not even particle 0.
-	if got := res.UnsettledAtClock(-1); got != g.N() {
-		t.Errorf("before time 0: %d unsettled, want n=%d", got, g.N())
-	}
-	last := res.SettleClock[len(res.SettleClock)-1]
-	if got := res.UnsettledAtClock(last); got != 0 {
-		t.Errorf("after final clock: %d unsettled", got)
+		if unsettled >= k {
+			t.Errorf("after PhaseClock(n,%d)=%d still %d unsettled", k, c, unsettled)
+		}
 	}
 }
 
 func TestAggregateAtGrowsFromOrigin(t *testing.T) {
 	g := graph.Grid([]int{6, 6}, false)
 	origin := graph.GridIndex([]int{6, 6}, []int{3, 3})
-	res, err := Sequential(g, origin, Options{}, rng.New(16))
+	res, err := runOnce(SequentialInto, g, origin, Options{}, rng.New(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,8 +408,8 @@ func TestUniformDispersionBetweenSeqAndPar(t *testing.T) {
 	var unif, par float64
 	root := rng.New(17)
 	for i := 0; i < trials; i++ {
-		u, _ := Uniform(g, 0, Options{}, root.Split(1, uint64(i)))
-		p, _ := Parallel(g, 0, Options{}, root.Split(2, uint64(i)))
+		u, _ := runOnce(UniformInto, g, 0, Options{}, rng.New(root.SplitSeed(1, uint64(i))))
+		p, _ := runOnce(ParallelInto, g, 0, Options{}, rng.New(root.SplitSeed(2, uint64(i))))
 		unif += float64(u.Dispersion)
 		par += float64(p.Dispersion)
 	}
@@ -419,7 +443,7 @@ func TestTreeSequentialLowerBound(t *testing.T) {
 		var sum float64
 		root := rng.New(19)
 		for i := 0; i < trials; i++ {
-			res, _ := Sequential(g, 0, Options{}, root.Split(3, uint64(i)))
+			res, _ := runOnce(SequentialInto, g, 0, Options{}, rng.New(root.SplitSeed(3, uint64(i))))
 			sum += float64(res.Dispersion)
 		}
 		mean := sum / trials

@@ -37,7 +37,7 @@ func TestKParticlesSettleExactlyK(t *testing.T) {
 func TestKParticlesRejectsBadCounts(t *testing.T) {
 	g := graph.Path(8)
 	for _, k := range []int{-1, 9, 100} {
-		_, err := Sequential(g, 0, Options{Particles: k}, rng.New(1))
+		_, err := runOnce(SequentialInto, g, 0, Options{Particles: k}, rng.New(1))
 		if err == nil {
 			t.Errorf("Particles=%d accepted", k)
 			continue
@@ -60,7 +60,7 @@ func TestKParticleDispersionMonotoneOnClique(t *testing.T) {
 	for _, k := range []int{16, 32, 64} {
 		var sum float64
 		for i := 0; i < trials; i++ {
-			res, err := Parallel(g, 0, Options{Particles: k}, root.Split(uint64(k), uint64(i)))
+			res, err := runOnce(ParallelInto, g, 0, Options{Particles: k}, rng.New(root.SplitSeed(uint64(k), uint64(i))))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestRandomOriginsInstantSettlements(t *testing.T) {
 	// With all n particles dropped uniformly at random, many land on
 	// distinct vertices and settle instantly (zero steps).
 	g := graph.Complete(64)
-	res, err := Parallel(g, 0, Options{RandomOrigins: true}, rng.New(43))
+	res, err := runOnce(ParallelInto, g, 0, Options{RandomOrigins: true}, rng.New(43))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestRandomOriginsFasterOnPath(t *testing.T) {
 	const trials = 60
 	var fixed, random float64
 	for i := 0; i < trials; i++ {
-		a, err := Sequential(g, 0, Options{}, root.Split(1, uint64(i)))
+		a, err := runOnce(SequentialInto, g, 0, Options{}, rng.New(root.SplitSeed(1, uint64(i))))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Sequential(g, 0, Options{RandomOrigins: true}, root.Split(2, uint64(i)))
+		b, err := runOnce(SequentialInto, g, 0, Options{RandomOrigins: true}, rng.New(root.SplitSeed(2, uint64(i))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,8 +140,8 @@ func TestKParticlesSequentialFasterThanFull(t *testing.T) {
 	const trials = 200
 	var quarter, full float64
 	for i := 0; i < trials; i++ {
-		a, _ := Sequential(g, 0, Options{Particles: 16}, root.Split(1, uint64(i)))
-		b, _ := Sequential(g, 0, Options{}, root.Split(2, uint64(i)))
+		a, _ := runOnce(SequentialInto, g, 0, Options{Particles: 16}, rng.New(root.SplitSeed(1, uint64(i))))
+		b, _ := runOnce(SequentialInto, g, 0, Options{}, rng.New(root.SplitSeed(2, uint64(i))))
 		quarter += float64(a.Dispersion)
 		full += float64(b.Dispersion)
 	}
@@ -165,7 +165,7 @@ func TestLastSettledVertexOnTreeIsLeaf(t *testing.T) {
 	}
 	for _, g := range trees {
 		for trial := 0; trial < 40; trial++ {
-			res, err := Sequential(g, 0, Options{}, root.Split(9, uint64(trial)))
+			res, err := runOnce(SequentialInto, g, 0, Options{}, rng.New(root.SplitSeed(9, uint64(trial))))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestRuleAppliesAtTimeZero(t *testing.T) {
 	// first particle (ρ̃ semantics: it vetoes settling at the origin).
 	g := graph.Complete(16)
 	rule := func(v int32, step int64) bool { return step >= 3 }
-	res, err := Sequential(g, 0, Options{Rule: rule}, rng.New(59))
+	res, err := runOnce(SequentialInto, g, 0, Options{Rule: rule}, rng.New(59))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,8 +105,8 @@ func TestExpectedTotalStepsMatchesSimulation(t *testing.T) {
 		root := rng.New(11)
 		var sum float64
 		for i := 0; i < trials; i++ {
-			res, err := core.Sequential(g, 0, core.Options{}, root.Split(1, uint64(i)))
-			if err != nil {
+			var res core.Result
+			if err := core.SequentialInto(g, 0, core.Options{}, rng.New(root.SplitSeed(1, uint64(i))), nil, &res); err != nil {
 				t.Fatal(err)
 			}
 			sum += float64(res.TotalSteps)
@@ -128,8 +128,8 @@ func TestTotalStepsParallelMatchesExact(t *testing.T) {
 	root := rng.New(13)
 	var sum float64
 	for i := 0; i < trials; i++ {
-		res, err := core.Parallel(g, 0, core.Options{}, root.Split(2, uint64(i)))
-		if err != nil {
+		var res core.Result
+		if err := core.ParallelInto(g, 0, core.Options{}, rng.New(root.SplitSeed(2, uint64(i))), nil, &res); err != nil {
 			t.Fatal(err)
 		}
 		sum += float64(res.TotalSteps)
@@ -180,8 +180,8 @@ func TestExpectedDispersionMatchesSimulation(t *testing.T) {
 		root := rng.New(17)
 		var sum float64
 		for i := 0; i < trials; i++ {
-			res, err := core.Sequential(tc.g, 0, core.Options{}, root.Split(3, uint64(i)))
-			if err != nil {
+			var res core.Result
+			if err := core.SequentialInto(tc.g, 0, core.Options{}, rng.New(root.SplitSeed(3, uint64(i))), nil, &res); err != nil {
 				t.Fatal(err)
 			}
 			sum += float64(res.Dispersion)
@@ -204,8 +204,8 @@ func TestDispersionCDFMatchesEmpirical(t *testing.T) {
 	root := rng.New(19)
 	xs := make([]float64, trials)
 	for i := range xs {
-		res, err := core.Sequential(g, 0, core.Options{}, root.Split(4, uint64(i)))
-		if err != nil {
+		var res core.Result
+		if err := core.SequentialInto(g, 0, core.Options{}, rng.New(root.SplitSeed(4, uint64(i))), nil, &res); err != nil {
 			t.Fatal(err)
 		}
 		xs[i] = float64(res.Dispersion)

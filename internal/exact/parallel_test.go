@@ -57,8 +57,8 @@ func TestParallelMatchesSimulation(t *testing.T) {
 		root := rng.New(23)
 		var sum float64
 		for i := 0; i < trials; i++ {
-			res, err := core.Parallel(g, 0, core.Options{}, root.Split(5, uint64(i)))
-			if err != nil {
+			var res core.Result
+			if err := core.ParallelInto(g, 0, core.Options{}, rng.New(root.SplitSeed(5, uint64(i))), nil, &res); err != nil {
 				t.Fatal(err)
 			}
 			sum += float64(res.Dispersion)

@@ -236,13 +236,6 @@ func Lollipop(n int) *CSR {
 	return b.MustBuild()
 }
 
-// LollipopPathMid returns the vertex half way down the lollipop's path,
-// the target w in the proof of Proposition 5.16.
-func LollipopPathMid(n int) int {
-	k := (n + 1) / 2
-	return k - 1 + (n-k+1)/2
-}
-
 // CliqueWithHair returns G1 of Proposition 2.1: the complete graph on
 // n-1 vertices {0..n-2} with an extra "hair tip" vertex n-1 attached by a
 // single edge to vertex 0. The proposition's origin is vertex 0.

@@ -94,13 +94,6 @@ func (g *CSR) Neighbors(v int) []int32 {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
 
-// Neighbor returns the i-th neighbour of v, for 0 <= i < Degree(v). It is
-// the hot call of every random-walk step and is kept free of bounds
-// arithmetic beyond the two slice indexes.
-func (g *CSR) Neighbor(v int, i int32) int32 {
-	return g.adj[g.offsets[v]+i]
-}
-
 // MaxDegree returns the maximum vertex degree.
 func (g *CSR) MaxDegree() int {
 	max := 0
@@ -140,19 +133,6 @@ func (g *CSR) HasEdge(u, v int) bool {
 	ns := g.Neighbors(u)
 	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= int32(v) })
 	return i < len(ns) && ns[i] == int32(v)
-}
-
-// Edges returns all edges as (u, v) pairs with u < v, in sorted order.
-func (g *CSR) Edges() [][2]int32 {
-	es := make([][2]int32, 0, g.M())
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if int32(u) < v {
-				es = append(es, [2]int32{int32(u), v})
-			}
-		}
-	}
-	return es
 }
 
 // Builder accumulates edges and produces an immutable CSR. Duplicate
@@ -327,50 +307,6 @@ func (g *CSR) Diameter() int {
 	return int(diam)
 }
 
-// Eccentricity returns max_u dist(v, u).
-func (g *CSR) Eccentricity(v int) int {
-	ecc := int32(0)
-	for _, d := range g.BFS(v) {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return int(ecc)
-}
-
 // DegreeSum returns the sum of degrees (2·M); it is the normaliser of the
 // stationary distribution π(v) = deg(v) / DegreeSum.
 func (g *CSR) DegreeSum() int { return len(g.adj) }
-
-// Induced returns the subgraph induced by the given vertices, relabelled
-// 0..len(vertices)-1 in the given order, together with the old-to-new
-// vertex mapping (-1 for dropped vertices). Duplicate vertices are
-// rejected.
-func (g *CSR) Induced(vertices []int) (*CSR, []int, error) {
-	remap := make([]int, g.N())
-	for i := range remap {
-		remap[i] = -1
-	}
-	for i, v := range vertices {
-		if v < 0 || v >= g.N() {
-			return nil, nil, fmt.Errorf("graph: induced vertex %d out of range", v)
-		}
-		if remap[v] >= 0 {
-			return nil, nil, fmt.Errorf("graph: duplicate vertex %d in induced set", v)
-		}
-		remap[v] = i
-	}
-	b := NewBuilder(g.name+"-induced", len(vertices))
-	for _, v := range vertices {
-		for _, u := range g.Neighbors(v) {
-			if remap[u] >= 0 && remap[v] < remap[u] {
-				b.AddEdge(remap[v], remap[u])
-			}
-		}
-	}
-	sub, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, remap, nil
-}

@@ -223,10 +223,6 @@ func TestLollipopStructure(t *testing.T) {
 	if g.Degree(n-1) != 1 {
 		t.Errorf("path end degree %d, want 1", g.Degree(n-1))
 	}
-	mid := LollipopPathMid(n)
-	if mid <= k-1 || mid >= n {
-		t.Errorf("path mid %d outside path range (%d, %d)", mid, k-1, n)
-	}
 }
 
 func TestCliqueWithHairStructure(t *testing.T) {
@@ -349,61 +345,5 @@ func TestBFSDistancesOnPath(t *testing.T) {
 		if d[v] != int32(v) {
 			t.Fatalf("BFS dist to %d = %d", v, d[v])
 		}
-	}
-}
-
-func TestEdgesListing(t *testing.T) {
-	g := Cycle(5)
-	es := g.Edges()
-	if len(es) != 5 {
-		t.Fatalf("cycle-5 Edges returned %d", len(es))
-	}
-	for _, e := range es {
-		if e[0] >= e[1] {
-			t.Fatalf("edge %v not normalised", e)
-		}
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := Lollipop(11) // clique 0..5 + path
-	sub, remap, err := g.Induced([]int{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The induced subgraph of 4 clique vertices is K_4.
-	if sub.N() != 4 || sub.M() != 6 {
-		t.Fatalf("induced clique: n=%d m=%d, want 4/6", sub.N(), sub.M())
-	}
-	if remap[0] != 0 || remap[3] != 3 || remap[10] != -1 {
-		t.Fatalf("bad remap: %v", remap)
-	}
-	// The path tail induces a path.
-	tail, _, err := g.Induced([]int{7, 8, 9, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tail.M() != 3 || tail.MaxDegree() != 2 {
-		t.Fatalf("induced path: m=%d maxdeg=%d", tail.M(), tail.MaxDegree())
-	}
-}
-
-func TestInducedErrors(t *testing.T) {
-	g := Path(5)
-	if _, _, err := g.Induced([]int{0, 0}); err == nil {
-		t.Error("duplicate accepted")
-	}
-	if _, _, err := g.Induced([]int{9}); err == nil {
-		t.Error("out of range accepted")
-	}
-}
-
-func TestEccentricity(t *testing.T) {
-	g := Path(9)
-	if g.Eccentricity(4) != 4 {
-		t.Errorf("centre eccentricity %d, want 4", g.Eccentricity(4))
-	}
-	if g.Eccentricity(0) != 8 {
-		t.Errorf("endpoint eccentricity %d, want 8", g.Eccentricity(0))
 	}
 }

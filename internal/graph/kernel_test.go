@@ -148,7 +148,7 @@ func TestClosedFormMatchesCSRList(t *testing.T) {
 				t.Fatalf("%s: degree(%d) = %d, want %d", tc.name, v, d, tc.g.Degree(v))
 			}
 			for i := int32(0); i < int32(tc.g.Degree(v)); i++ {
-				if got, want := cf.nth(int32(v), i), tc.g.Neighbor(v, i); got != want {
+				if got, want := cf.nth(int32(v), i), tc.g.Neighbors(v)[i]; got != want {
 					t.Fatalf("%s: nth(%d,%d) = %d, want CSR neighbour %d",
 						tc.name, v, i, got, want)
 				}
@@ -162,9 +162,9 @@ func TestClosedFormMatchesCSRList(t *testing.T) {
 func genericStep(g *CSR, v int32, r *rng.Source) int32 {
 	d := int32(g.Degree(int(v)))
 	if d == 1 {
-		return g.Neighbor(int(v), 0)
+		return g.Neighbors(int(v))[0]
 	}
-	return g.Neighbor(int(v), r.Int31n(d))
+	return g.Neighbors(int(v))[r.Int31n(d)]
 }
 
 // Kernel walks must be bit-identical to generic CSR walks: same vertices

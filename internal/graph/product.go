@@ -2,36 +2,6 @@ package graph
 
 import "fmt"
 
-// Cartesian returns the Cartesian product G □ H: vertices are pairs
-// (u, h) indexed as u*H.N()+h, with (u,h) ~ (u',h') iff u=u' and h~h', or
-// h=h' and u~u'. Grids are products of paths, tori products of cycles,
-// and the hypercube is an iterated product of K_2 — the constructor is
-// validated against those identities in tests.
-func Cartesian(g, h *CSR) *CSR {
-	gn, hn := g.N(), h.N()
-	b := NewBuilder(fmt.Sprintf("(%s)x(%s)", g.Name(), h.Name()), gn*hn)
-	for u := 0; u < gn; u++ {
-		base := u * hn
-		for x := 0; x < hn; x++ {
-			for _, y := range h.Neighbors(x) {
-				if x < int(y) {
-					b.AddEdge(base+x, base+int(y))
-				}
-			}
-		}
-	}
-	for x := 0; x < hn; x++ {
-		for u := 0; u < gn; u++ {
-			for _, v := range g.Neighbors(u) {
-				if u < int(v) {
-					b.AddEdge(u*hn+x, int(v)*hn+x)
-				}
-			}
-		}
-	}
-	return b.MustBuild()
-}
-
 // Comb returns the comb graph on a spine of length spine with a tooth
 // (path) of length tooth hanging from every spine vertex — the comb
 // lattice of the IDLA literature ([23] in the paper), a useful stress

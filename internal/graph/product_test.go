@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // isomorphicByDegreesAndEdges is a cheap structural comparison sufficient
 // for the identity tests below where the vertex correspondence is known
@@ -23,20 +26,45 @@ func sameGraph(t *testing.T, a, b *CSR) {
 	}
 }
 
+// cartesian returns the Cartesian product G □ H: vertices are pairs
+// (u, h) indexed as u*H.N()+h, with (u,h) ~ (u',h') iff u=u' and h~h', or
+// h=h' and u~u'. Grids are products of paths, tori products of cycles,
+// and the hypercube is an iterated product of K_2: the reference the
+// identity tests below hold those constructors to.
+func cartesian(g, h *CSR) *CSR {
+	gn, hn := g.N(), h.N()
+	b := NewBuilder(fmt.Sprintf("(%s)x(%s)", g.Name(), h.Name()), gn*hn)
+	for u := 0; u < gn; u++ {
+		for x := 0; x < hn; x++ {
+			for _, y := range h.Neighbors(x) {
+				if x < int(y) {
+					b.AddEdge(u*hn+x, u*hn+int(y))
+				}
+			}
+			for _, v := range g.Neighbors(u) {
+				if u < int(v) {
+					b.AddEdge(u*hn+x, int(v)*hn+x)
+				}
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
 func TestCartesianGridIdentity(t *testing.T) {
 	// P_a □ P_b == Grid([a,b]) under row-major indexing.
-	sameGraph(t, Cartesian(Path(4), Path(5)), Grid([]int{4, 5}, false))
+	sameGraph(t, cartesian(Path(4), Path(5)), Grid([]int{4, 5}, false))
 }
 
 func TestCartesianTorusIdentity(t *testing.T) {
-	sameGraph(t, Cartesian(Cycle(4), Cycle(5)), Grid([]int{4, 5}, true))
+	sameGraph(t, cartesian(Cycle(4), Cycle(5)), Grid([]int{4, 5}, true))
 }
 
 func TestCartesianHypercubeIdentity(t *testing.T) {
 	k2 := Path(2) // K_2
 	q := k2
 	for i := 1; i < 4; i++ {
-		q = Cartesian(q, k2)
+		q = cartesian(q, k2)
 	}
 	h := Hypercube(4)
 	if q.N() != h.N() || q.M() != h.M() || !q.IsRegular() {
@@ -50,7 +78,7 @@ func TestCartesianHypercubeIdentity(t *testing.T) {
 }
 
 func TestCartesianConnectedness(t *testing.T) {
-	g := Cartesian(Star(4), Cycle(3))
+	g := cartesian(Star(4), Cycle(3))
 	if !g.IsConnected() {
 		t.Fatal("product of connected graphs must be connected")
 	}

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -168,15 +167,6 @@ func TestWCompleteKernelSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkWCompleteKernel(t, g.Name(), g)
-		var buf bytes.Buffer
-		if err := g.WriteEdgeList(&buf); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadWeightedEdgeList(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkWCompleteKernel(t, back.Name()+" (read back)", back)
 	}
 	for _, alpha := range []float64{-1, 0, 2} {
 		g, err := WeightedComplete(2, alpha)

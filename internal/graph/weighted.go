@@ -45,9 +45,6 @@ var (
 // N returns the number of vertices.
 func (g *WeightedCSR) N() int { return g.csr.N() }
 
-// M returns the number of undirected edges.
-func (g *WeightedCSR) M() int { return g.csr.M() }
-
 // Name returns the human-readable family label.
 func (g *WeightedCSR) Name() string { return g.csr.Name() }
 
@@ -69,16 +66,6 @@ func (g *WeightedCSR) HasEdge(u, v int) bool { return g.csr.HasEdge(u, v) }
 // when they ignore weights, and what Materialize returns for weighted
 // backends.
 func (g *WeightedCSR) CSR() *CSR { return g.csr }
-
-// Neighbors returns the sorted neighbour list of v, aliasing internal
-// storage.
-func (g *WeightedCSR) Neighbors(v int) []int32 { return g.csr.Neighbors(v) }
-
-// Weights returns the edge weights of v's neighbour list, aligned with
-// Neighbors(v) and aliasing internal storage.
-func (g *WeightedCSR) Weights(v int) []float64 {
-	return g.w[g.csr.offsets[v]:g.csr.offsets[v+1]]
-}
 
 // WeightedBuilder accumulates weighted edges and produces an immutable
 // WeightedCSR. Structural validity (range, self-loops, duplicates) is

@@ -62,17 +62,6 @@ func (s *Spectrum) LazyGap() float64 {
 	return (1 - s.Lambda2()) / 2
 }
 
-// RelaxationTime returns 1/(1-λ*) for the simple chain, where λ* is the
-// largest absolute non-trivial eigenvalue. Infinite for bipartite graphs
-// (the simple walk does not mix).
-func (s *Spectrum) RelaxationTime() float64 {
-	star := math.Max(math.Abs(s.Lambda2()), math.Abs(s.LambdaMin()))
-	if star >= 1 {
-		return math.Inf(1)
-	}
-	return 1 / (1 - star)
-}
-
 // jacobiEigenvalues runs the cyclic Jacobi method on a symmetric matrix,
 // destroying it and returning the eigenvalues. Convergence is quadratic;
 // the sweep count is capped defensively.

@@ -54,9 +54,6 @@ func TestWalkSpectrumHypercube(t *testing.T) {
 	}
 	almost(t, s.Lambda2(), 1-2.0/float64(k), 1e-9, "hypercube lambda2")
 	almost(t, s.LambdaMin(), -1, 1e-9, "hypercube bipartite lambda_min")
-	if !math.IsInf(s.RelaxationTime(), 1) {
-		t.Error("bipartite simple walk should have infinite relaxation time")
-	}
 }
 
 func TestWalkSpectrumPathStar(t *testing.T) {
@@ -139,5 +136,4 @@ func TestEigentimeIdentity(t *testing.T) {
 func TestLazyGapFormula(t *testing.T) {
 	s := &Spectrum{Values: []float64{1, 0.5, -0.2}}
 	almost(t, s.LazyGap(), 0.25, 1e-12, "lazy gap arithmetic")
-	almost(t, s.RelaxationTime(), 2, 1e-12, "relaxation arithmetic")
 }

@@ -22,20 +22,6 @@ func ExampleHitting_Hit() {
 	// H(0,9) = 81
 }
 
-// The commute-time identity C(u,v) = 2|E|·R(u,v).
-func ExampleHitting_Commute() {
-	g := graph.Cycle(8)
-	h, err := markov.NewHitting(g)
-	if err != nil {
-		panic(err)
-	}
-	// Antipodal points on C_8: resistance 4·4/8 = 2, commute 2·8·2 = 32.
-	fmt.Printf("R(0,4) = %.0f, C(0,4) = %.0f\n",
-		h.EffectiveResistance(0, 4), h.Commute(0, 4))
-	// Output:
-	// R(0,4) = 2, C(0,4) = 32
-}
-
 // TreeHit computes exact tree hitting times in linear time from the
 // essential-edge lemma: on the star, centre to leaf costs 2n-3.
 func ExampleTreeHit() {

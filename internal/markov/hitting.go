@@ -68,19 +68,6 @@ func NewHitting(g *graph.CSR) (*Hitting, error) {
 	return h, nil
 }
 
-// EffectiveResistance returns R(u,v).
-func (h *Hitting) EffectiveResistance(u, v int) float64 {
-	if u == v {
-		return 0
-	}
-	return h.pinv.At(u, u) + h.pinv.At(v, v) - 2*h.pinv.At(u, v)
-}
-
-// Commute returns the commute time C(u,v) = H(u,v) + H(v,u).
-func (h *Hitting) Commute(u, v int) float64 {
-	return 2 * h.edges * h.EffectiveResistance(u, v)
-}
-
 // Hit returns the expected hitting time H(u, v) of v by a simple random
 // walk from u.
 func (h *Hitting) Hit(u, v int) float64 {
@@ -105,81 +92,6 @@ func (h *Hitting) Max() (float64, int, int) {
 		}
 	}
 	return best, bu, bv
-}
-
-// HitSetFrom returns the expected time for the simple (or lazy) walk to
-// hit the set S, for every start vertex, by solving the absorbing linear
-// system (I - Q) h = 1 over the complement of S with dense LU. Entries of
-// S get 0. Laziness exactly doubles off-set transition costs, so the lazy
-// values are 2x the simple ones; both are offered because the paper's
-// Section 3 bounds are stated for the lazy walk.
-func HitSetFrom(g *graph.CSR, set []int, lazy bool) ([]float64, error) {
-	n := g.N()
-	inSet := make([]bool, n)
-	for _, v := range set {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("markov: set vertex %d out of range", v)
-		}
-		inSet[v] = true
-	}
-	// Index the transient (non-set) states.
-	idx := make([]int, n)
-	var transient []int
-	for v := 0; v < n; v++ {
-		if !inSet[v] {
-			idx[v] = len(transient)
-			transient = append(transient, v)
-		}
-	}
-	if len(transient) == 0 {
-		return make([]float64, n), nil
-	}
-	t := len(transient)
-	m := NewDense(t)
-	for i, u := range transient {
-		m.Set(i, i, 1)
-		p := 1.0 / float64(g.Degree(u))
-		if lazy {
-			p /= 2
-			m.Add(i, i, -0.5)
-		}
-		for _, v := range g.Neighbors(u) {
-			if !inSet[int(v)] {
-				m.Add(i, idx[v], -p)
-			}
-		}
-	}
-	f, err := m.Factor()
-	if err != nil {
-		return nil, err
-	}
-	ones := make([]float64, t)
-	for i := range ones {
-		ones[i] = 1
-	}
-	sol, err := f.Solve(ones)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i, u := range transient {
-		out[u] = sol[i]
-	}
-	return out, nil
-}
-
-// HitSetFromDist returns t_hit(mu, S): the expected hitting time of S from
-// the initial distribution mu.
-func HitSetFromDist(g *graph.CSR, set []int, mu []float64, lazy bool) (float64, error) {
-	h, err := HitSetFrom(g, set, lazy)
-	if err != nil {
-		return 0, err
-	}
-	var acc float64
-	for v, p := range mu {
-		acc += p * h[v]
-	}
-	return acc, nil
 }
 
 // TreeHit returns the exact hitting time H(u, v) on a tree in O(n·dist)

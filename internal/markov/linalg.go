@@ -27,9 +27,6 @@ func (m *Dense) Set(i, j int, v float64) { m.data[i*m.n+j] = v }
 // Add increments element (i, j).
 func (m *Dense) Add(i, j int, v float64) { m.data[i*m.n+j] += v }
 
-// N returns the dimension.
-func (m *Dense) N() int { return m.n }
-
 // LU holds an LU factorisation with partial pivoting (PA = LU), produced
 // by Factor and consumed by Solve.
 type LU struct {

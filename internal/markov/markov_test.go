@@ -80,7 +80,10 @@ func TestMixingTimeCycleQuadratic(t *testing.T) {
 func TestMixingTimeExactMatchesCandidatesOnCycle(t *testing.T) {
 	g := graph.Cycle(17)
 	a := MixingTime(g, 1<<16)
-	b := MixingTimeExact(g, 1<<16)
+	b := 0 // the exact worst case over every start
+	for v := 0; v < g.N(); v++ {
+		b = max(b, MixingTimeFrom(g, v, 0.25, 1<<16))
+	}
 	if a != b {
 		t.Errorf("vertex-transitive graph: candidate mixing %d != exact %d", a, b)
 	}
@@ -145,21 +148,12 @@ func TestCommuteIdentity(t *testing.T) {
 	}
 	for _, pair := range [][2]int{{0, 13}, {3, 9}, {6, 7}} {
 		u, v := pair[0], pair[1]
-		commute := h.Hit(u, v) + h.Hit(v, u)
-		almost(t, h.Commute(u, v), commute, 1e-5, "commute identity")
-		almost(t, commute, 2*float64(g.M())*h.EffectiveResistance(u, v), 1e-5,
+		// The effective resistance R(u,v) comes from the same Laplacian
+		// pseudo-inverse that Hit reads, by the series formula.
+		resistance := h.pinv.At(u, u) + h.pinv.At(v, v) - 2*h.pinv.At(u, v)
+		almost(t, h.Hit(u, v)+h.Hit(v, u), 2*float64(g.M())*resistance, 1e-5,
 			"commute = 2m R")
 	}
-}
-
-func TestEffectiveResistanceSeriesOnPath(t *testing.T) {
-	g := graph.Path(9)
-	h, err := NewHitting(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, h.EffectiveResistance(0, 8), 8, 1e-8, "path resistance = length")
-	almost(t, h.EffectiveResistance(2, 5), 3, 1e-8, "path sub-resistance")
 }
 
 func TestTreeHitMatchesDense(t *testing.T) {
@@ -187,65 +181,6 @@ func TestTreeHitRandomTrees(t *testing.T) {
 				"random tree hit")
 		}
 	}
-}
-
-func TestHitSetSingletonMatchesHit(t *testing.T) {
-	g := graph.Lollipop(12)
-	h, err := NewHitting(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs, err := HitSetFrom(g, []int{11}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < g.N(); u++ {
-		almost(t, hs[u], h.Hit(u, 11), 1e-5, "singleton set = vertex hitting")
-	}
-}
-
-func TestHitSetLazyDoubles(t *testing.T) {
-	g := graph.Cycle(11)
-	simple, err := HitSetFrom(g, []int{0, 5}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := HitSetFrom(g, []int{0, 5}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := range simple {
-		almost(t, lazy[u], 2*simple[u], 1e-6, "lazy set-hitting doubles")
-	}
-}
-
-func TestHitSetMonotoneInSet(t *testing.T) {
-	g := graph.Grid([]int{4, 4}, false)
-	small, err := HitSetFrom(g, []int{15}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := HitSetFrom(g, []int{15, 12, 3}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := range small {
-		if big[u] > small[u]+1e-9 {
-			t.Fatalf("enlarging target set increased hitting time at %d", u)
-		}
-	}
-}
-
-func TestHitSetFromDist(t *testing.T) {
-	g := graph.Complete(8)
-	pi := Stationary(g)
-	got, err := HitSetFromDist(g, []int{0}, pi, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// From stationarity on K_n: with prob 1/n already there, else H = n-1.
-	want := (7.0 / 8.0) * 7.0
-	almost(t, got, want, 1e-6, "K_8 hit from stationary")
 }
 
 func TestSpectralGapComplete(t *testing.T) {
@@ -284,15 +219,15 @@ func TestExpanderHasConstantGap(t *testing.T) {
 
 func TestConductanceCompleteAndCycle(t *testing.T) {
 	// K_4: every cut S with |S|=1: cut=3, vol=3 → 1; |S|=2: cut=4, vol=6 → 2/3.
-	almost(t, ConductanceExhaustive(graph.Complete(4)), 2.0/3.0, 1e-12, "K_4 conductance")
+	almost(t, conductance(graph.Complete(4)), 2.0/3.0, 1e-12, "K_4 conductance")
 	// C_8: best cut is an arc of 4 vertices: cut=2, vol=8 → 1/4.
-	almost(t, ConductanceExhaustive(graph.Cycle(8)), 0.25, 1e-12, "C_8 conductance")
+	almost(t, conductance(graph.Cycle(8)), 0.25, 1e-12, "C_8 conductance")
 }
 
 func TestCheegerRelation(t *testing.T) {
 	// Φ²/2 <= gap(simple chain... use lazy gap vs lazy conductance Φ/2.
 	for _, g := range []*graph.CSR{graph.Cycle(12), graph.Complete(8), graph.Path(10)} {
-		phi := ConductanceExhaustive(g) / 2 // lazy walk halves edge flow
+		phi := conductance(g) / 2 // lazy walk halves edge flow
 		s := SpectralGap(g, 100000, 1e-13)
 		if s.Gap > 2*phi+1e-9 {
 			t.Errorf("%s: lazy gap %.4f exceeds 2Φ̃ = %.4f (Cheeger upper)", g.Name(), s.Gap, 2*phi)
@@ -384,4 +319,42 @@ func TestLollipopHittingCubic(t *testing.T) {
 	if ratio < 6 || ratio > 10 {
 		t.Errorf("lollipop hitting growth %.2f on doubling, want ~8 (cubic)", ratio)
 	}
+}
+
+// conductance computes the exact conductance of the simple walk,
+// Φ = min over ∅ ≠ S, π(S) <= 1/2 of |E(S, S̄)| / vol(S), by enumerating
+// all 2^(n-1) cuts: the reference the Cheeger test holds SpectralGap to.
+func conductance(g *graph.CSR) float64 {
+	n := g.N()
+	vol2 := g.DegreeSum()
+	best := math.Inf(1)
+	// Fix vertex 0 out of S to halve the enumeration (Φ(S) vs Φ(S̄) are
+	// both considered via the π(S) <= 1/2 filter on each complement pair).
+	for mask := 1; mask < 1<<(n-1); mask++ {
+		volS, volC, cut := 0, 0, 0
+		for v := 0; v < n; v++ {
+			inS := v > 0 && mask&(1<<(v-1)) != 0
+			if inS {
+				volS += g.Degree(v)
+			} else {
+				volC += g.Degree(v)
+			}
+			for _, u := range g.Neighbors(v) {
+				inU := u > 0 && mask&(1<<(u-1)) != 0
+				if inS != inU {
+					cut++
+				}
+			}
+		}
+		cut /= 2 // each cut edge counted from both sides
+		for _, vol := range []int{volS, volC} {
+			if vol == 0 || 2*vol > vol2 {
+				continue
+			}
+			if phi := float64(cut) / float64(vol); phi < best {
+				best = phi
+			}
+		}
+	}
+	return best
 }

@@ -106,45 +106,3 @@ func dotPi(f, gvec, pi []float64) float64 {
 	}
 	return s
 }
-
-// ConductanceExhaustive computes the exact conductance of the simple walk,
-// Φ = min over ∅ ≠ S, π(S) <= 1/2 of |E(S, S̄)| / vol(S), by enumerating
-// all 2^(n-1) cuts. It panics for n > 24. Used to validate Cheeger-style
-// bounds in tests and the Prop 3.9 lower bound on small graphs.
-func ConductanceExhaustive(g *graph.CSR) float64 {
-	n := g.N()
-	if n > 24 {
-		panic("markov: ConductanceExhaustive limited to n <= 24")
-	}
-	vol2 := g.DegreeSum()
-	best := math.Inf(1)
-	// Fix vertex 0 out of S to halve the enumeration (Φ(S) vs Φ(S̄) are
-	// both considered via the π(S) <= 1/2 filter on each complement pair).
-	for mask := 1; mask < 1<<(n-1); mask++ {
-		volS, volC, cut := 0, 0, 0
-		for v := 0; v < n; v++ {
-			inS := v > 0 && mask&(1<<(v-1)) != 0
-			if inS {
-				volS += g.Degree(v)
-			} else {
-				volC += g.Degree(v)
-			}
-			for _, u := range g.Neighbors(v) {
-				inU := u > 0 && mask&(1<<(u-1)) != 0
-				if inS != inU {
-					cut++
-				}
-			}
-		}
-		cut /= 2 // each cut edge counted from both sides
-		for _, vol := range []int{volS, volC} {
-			if vol == 0 || 2*vol > vol2 {
-				continue
-			}
-			if phi := float64(cut) / float64(vol); phi < best {
-				best = phi
-			}
-		}
-	}
-	return best
-}

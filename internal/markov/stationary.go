@@ -1,7 +1,7 @@
 // Package markov provides the Markov-chain analytics layer for random walks
 // on finite graphs: stationary distributions, distribution evolution,
-// total-variation mixing times, spectral gaps, and exact hitting/commute
-// times via the Laplacian pseudo-inverse. These are the quantities the
+// total-variation mixing times, spectral gaps, and exact hitting times
+// via the Laplacian pseudo-inverse. These are the quantities the
 // paper's bounds (Theorems 2-4) are phrased in.
 package markov
 
@@ -84,18 +84,6 @@ func MixingTime(g *graph.CSR, maxSteps int) int {
 	cands := candidateStarts(g)
 	worst := 0
 	for _, v := range cands {
-		if t := MixingTimeFrom(g, v, 0.25, maxSteps); t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
-// MixingTimeExact returns the exact worst-case lazy mixing time
-// max_v t_mix(v) at eps = 1/4. O(n · M · t_mix) time; intended for small n.
-func MixingTimeExact(g *graph.CSR, maxSteps int) int {
-	worst := 0
-	for v := 0; v < g.N(); v++ {
 		if t := MixingTimeFrom(g, v, 0.25, maxSteps); t > worst {
 			worst = t
 		}

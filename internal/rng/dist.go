@@ -3,19 +3,10 @@ package rng
 import "math"
 
 // ExpFloat64 returns an exponentially distributed float64 with rate 1
-// (mean 1), via inversion. Use ExpRate for other rates.
+// (mean 1), via inversion.
 func (r *Source) ExpFloat64() float64 {
 	// 1 - Float64() is in (0, 1], so the log argument is never zero.
 	return -math.Log(1 - r.Float64())
-}
-
-// ExpRate returns an exponential variate with the given rate lambda
-// (mean 1/lambda). It panics if lambda <= 0.
-func (r *Source) ExpRate(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("rng: ExpRate requires lambda > 0")
-	}
-	return r.ExpFloat64() / lambda
 }
 
 // Geometric returns the number of failures before the first success in
@@ -33,91 +24,4 @@ func (r *Source) Geometric(p float64) int64 {
 	}
 	u := 1 - r.Float64() // in (0, 1]
 	return int64(math.Log(u) / math.Log1p(-p))
-}
-
-// Binomial returns a Binomial(n, p) variate. For small n it sums Bernoulli
-// trials; for large n it uses geometric skipping, which runs in O(np+1)
-// expected time. It panics if n < 0 or p is outside [0, 1].
-func (r *Source) Binomial(n int64, p float64) int64 {
-	if n < 0 || p < 0 || p > 1 {
-		panic("rng: Binomial requires n >= 0 and 0 <= p <= 1")
-	}
-	if p == 0 || n == 0 {
-		return 0
-	}
-	if p == 1 {
-		return n
-	}
-	flip := false
-	if p > 0.5 {
-		p = 1 - p
-		flip = true
-	}
-	var k int64
-	if float64(n)*p < 32 {
-		// Geometric skipping: jump between successes.
-		i := int64(-1)
-		for {
-			i += 1 + r.Geometric(p)
-			if i >= n {
-				break
-			}
-			k++
-		}
-	} else {
-		for i := int64(0); i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-	}
-	if flip {
-		k = n - k
-	}
-	return k
-}
-
-// Poisson returns a Poisson(lambda) variate. Small means use Knuth's
-// product method; larger means split the mean and recurse, keeping each
-// stage's product away from floating-point underflow.
-func (r *Source) Poisson(lambda float64) int64 {
-	if lambda < 0 {
-		panic("rng: Poisson requires lambda >= 0")
-	}
-	var total int64
-	for lambda > 30 {
-		// A Poisson(lambda) is the sum of independent Poisson(30) and
-		// Poisson(lambda-30) variates.
-		total += r.poissonKnuth(30)
-		lambda -= 30
-	}
-	return total + r.poissonKnuth(lambda)
-}
-
-func (r *Source) poissonKnuth(lambda float64) int64 {
-	limit := math.Exp(-lambda)
-	prod := 1.0
-	var k int64 = -1
-	for prod > limit || k < 0 {
-		prod *= r.Float64()
-		k++
-		if prod <= limit {
-			break
-		}
-	}
-	return k
-}
-
-// NormFloat64 returns a standard normal variate using the polar
-// (Marsaglia) method. One of the pair is discarded to keep Source free of
-// hidden state, preserving Split determinism.
-func (r *Source) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }

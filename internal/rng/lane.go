@@ -14,8 +14,8 @@ import "math/bits"
 // trial i is seeded with Source.SplitSeed(experiment, i), tying the
 // batched flavor to the same (seed, experiment, trial) lineage as the
 // scalar path. The bounded-draw laws (Intn's multiply-shift rejection,
-// Float64's 53-bit mantissa scaling, Bool's low bit) are the same as
-// Source's, applied to this stream.
+// Float64's 53-bit mantissa scaling) are the same as Source's, applied to
+// this stream.
 //
 // A LaneSource is not safe for concurrent use; each worker owns one.
 type LaneSource struct {
@@ -35,9 +35,6 @@ func (l *LaneSource) Resize(width int) {
 	l.state = l.state[:width]
 }
 
-// Width returns the number of slots.
-func (l *LaneSource) Width() int { return len(l.state) }
-
 // Seed resets slot j to the stream determined by seed.
 func (l *LaneSource) Seed(j int, seed uint64) { l.state[j] = seed }
 
@@ -48,19 +45,6 @@ func (l *LaneSource) Uint64(j int) uint64 {
 	s = (s ^ (s >> 30)) * 0xbf58476d1ce4e5b9
 	s = (s ^ (s >> 27)) * 0x94d049bb133111eb
 	return s ^ (s >> 31)
-}
-
-// Fill advances every slot j in [0, len(dst)) by one draw, writing slot
-// j's output to dst[j] — the bulk form of Uint64 across the lane.
-func (l *LaneSource) Fill(dst []uint64) {
-	state := l.state[:len(dst)]
-	for j := range dst {
-		s := state[j] + splitmixGamma
-		state[j] = s
-		s = (s ^ (s >> 30)) * 0xbf58476d1ce4e5b9
-		s = (s ^ (s >> 27)) * 0x94d049bb133111eb
-		dst[j] = s ^ (s >> 31)
-	}
 }
 
 // Intn returns a uniform pseudo-random integer in [0, n) from slot j's
@@ -83,20 +67,8 @@ func (l *LaneSource) Intn(j, n int) int {
 	return int(hi)
 }
 
-// Int31n is Intn for call sites that index int32 CSR arrays; n must fit
-// in an int32.
-func (l *LaneSource) Int31n(j int, n int32) int32 {
-	return int32(l.Intn(j, int(n)))
-}
-
 // Float64 returns a uniform pseudo-random float64 in [0, 1) from slot j's
 // stream, under the same 53-bit law as Source.Float64.
 func (l *LaneSource) Float64(j int) float64 {
 	return float64(l.Uint64(j)>>11) * 0x1p-53
-}
-
-// Bool returns an unbiased pseudo-random boolean from slot j's stream,
-// under the same low-bit law as Source.Bool.
-func (l *LaneSource) Bool(j int) bool {
-	return l.Uint64(j)&1 == 1
 }

@@ -114,30 +114,9 @@ func TestLaneSlotStreamIsSplitmix(t *testing.T) {
 	}
 }
 
-// TestLaneFillMatchesUint64 pins Fill as the bulk form of one Uint64 per
-// slot.
-func TestLaneFillMatchesUint64(t *testing.T) {
-	var a, b LaneSource
-	a.Resize(8)
-	b.Resize(8)
-	for j := 0; j < 8; j++ {
-		a.Seed(j, uint64(j)*977)
-		b.Seed(j, uint64(j)*977)
-	}
-	dst := make([]uint64, 8)
-	for round := 0; round < 5; round++ {
-		a.Fill(dst)
-		for j := range dst {
-			if want := b.Uint64(j); dst[j] != want {
-				t.Fatalf("round %d slot %d: Fill = %#x, Uint64 = %#x", round, j, dst[j], want)
-			}
-		}
-	}
-}
-
 // TestLaneBoundedLawsMatchSource pins the lane's bounded-draw laws to the
-// scalar Source's: feeding the same 64-bit outputs through Intn, Float64
-// and Bool yields the same values. The raw streams differ by design; the
+// scalar Source's: feeding the same 64-bit outputs through Intn and
+// Float64 yields the same values. The raw streams differ by design; the
 // reduction laws must not.
 func TestLaneBoundedLawsMatchSource(t *testing.T) {
 	// A scalar Source whose Uint64 sequence is replayed into the lane via
@@ -172,9 +151,6 @@ func TestLaneBoundedLawsMatchSource(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if got, want := l.Float64(0), float64(raw.Uint64(0)>>11)*0x1p-53; got != want {
 			t.Fatalf("Float64 draw %d: %v != %v", i, got, want)
-		}
-		if got, want := l.Bool(0), raw.Uint64(0)&1 == 1; got != want {
-			t.Fatalf("Bool draw %d: %v != %v", i, got, want)
 		}
 	}
 }
@@ -223,20 +199,5 @@ func BenchmarkUint64Loop(b *testing.B) {
 		for j := range dst {
 			dst[j] = r.Uint64()
 		}
-	}
-}
-
-// BenchmarkLaneFill measures one bulk draw across a 1024-slot lane.
-func BenchmarkLaneFill(b *testing.B) {
-	var l LaneSource
-	l.Resize(1024)
-	for j := 0; j < 1024; j++ {
-		l.Seed(j, uint64(j))
-	}
-	dst := make([]uint64, 1024)
-	b.SetBytes(8 * 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Fill(dst)
 	}
 }

@@ -26,7 +26,8 @@ package rng
 import "math/bits"
 
 // Source is a xoshiro256** pseudo-random generator. It is not safe for
-// concurrent use; use Split to derive independent per-goroutine streams.
+// concurrent use; use SplitInto to derive independent per-goroutine
+// streams.
 type Source struct {
 	st State
 }
@@ -95,21 +96,12 @@ func (r *Source) Seed(seed uint64) {
 	r.st = s
 }
 
-// Split returns a new Source whose stream is a deterministic function of
-// the receiver's seed-lineage and the given identifiers. The receiver is
-// not advanced, so Split may be called concurrently with distinct ids as
-// long as the receiver itself is not being advanced.
-func (r *Source) Split(ids ...uint64) *Source {
-	dst := new(Source)
-	r.SplitInto(dst, ids...)
-	return dst
-}
-
-// SplitInto is Split writing the derived stream into dst instead of
-// allocating a new Source: the form hot per-trial loops use to reseed one
-// worker-local generator without a heap allocation per trial. dst is
-// overwritten; the derivation is identical to Split's, so the two are
-// interchangeable stream for stream.
+// SplitInto writes into dst a Source whose stream is a deterministic
+// function of the receiver's seed-lineage and the given identifiers: the
+// form hot per-trial loops use to reseed one worker-local generator
+// without a heap allocation per trial. dst is overwritten; the receiver
+// is not advanced, so SplitInto may be called concurrently with distinct
+// ids as long as the receiver itself is not being advanced.
 func (r *Source) SplitInto(dst *Source, ids ...uint64) {
 	dst.Seed(r.SplitSeed(ids...))
 }

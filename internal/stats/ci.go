@@ -15,14 +15,6 @@ type Interval struct {
 	Level  float64
 }
 
-// Contains reports whether x lies in the closed interval.
-func (iv Interval) Contains(x float64) bool { return iv.Lo <= x && x <= iv.Hi }
-
-// String renders "[lo, hi] @ level".
-func (iv Interval) String() string {
-	return fmt.Sprintf("[%.6g, %.6g] @ %.4g", iv.Lo, iv.Hi, iv.Level)
-}
-
 // checkSample rejects samples the interval estimators cannot interpret:
 // empty input, NaN and ±Inf values. Unlike the panicking oracles above,
 // the estimators return errors — they sit on the benchmark-gating path

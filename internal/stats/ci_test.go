@@ -2,10 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
-
-	"dispersion/internal/rng"
 )
 
 // --- TQuantile / TCDF / RegIncBeta against published table values ---
@@ -207,13 +206,11 @@ func TestMedianCIRejectsBadInput(t *testing.T) {
 }
 
 func TestMedianCICoversTrueMedian(t *testing.T) {
-	// Coverage check mirroring TestBootstrapCICoversMean: the
-	// distribution-free interval should cover the true median (0 for the
+	// Coverage check: the distribution-free interval should cover the true median (0 for the
 	// standard normal) at about its stated level.
-	root := rng.New(11)
 	covered, reps := 0, 300
 	for rep := 0; rep < reps; rep++ {
-		r := root.Split(uint64(rep))
+		r := rand.New(rand.NewPCG(11, uint64(rep)))
 		xs := make([]float64, 30)
 		for i := range xs {
 			xs[i] = r.NormFloat64()
@@ -222,41 +219,11 @@ func TestMedianCICoversTrueMedian(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if iv.Contains(0) {
+		if iv.Lo <= 0 && 0 <= iv.Hi {
 			covered++
 		}
 	}
 	if frac := float64(covered) / float64(reps); frac < 0.88 {
 		t.Errorf("median CI covered %.3f, want ~0.95+", frac)
-	}
-}
-
-// --- two-sided Mann-Whitney ---
-
-func TestMannWhitneyTwoSided(t *testing.T) {
-	// Fully separated samples: strong two-sided evidence either way
-	// round.
-	a := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	b := []float64{20, 21, 22, 23, 24, 25, 26, 27, 28, 29}
-	if _, p := MannWhitneyTwoSided(a, b); p > 0.001 {
-		t.Errorf("separated samples: two-sided p = %g", p)
-	}
-	if _, p := MannWhitneyTwoSided(b, a); p > 0.001 {
-		t.Errorf("separated samples (swapped): two-sided p = %g", p)
-	}
-	// Identical all-tied samples: U equals its null mean and the test
-	// must be inconclusive, not significant.
-	c := []float64{5, 5, 5, 5}
-	u, p := MannWhitneyTwoSided(c, c)
-	want := 4.0 * 4 / 2
-	if u != want {
-		t.Errorf("all-tied U = %g, want %g", u, want)
-	}
-	if p != 1 {
-		t.Errorf("all-tied two-sided p = %g, want 1", p)
-	}
-	uo, po := MannWhitneyU(c, c)
-	if uo != want || po != 0.5 {
-		t.Errorf("all-tied one-sided (u, p) = (%g, %g), want (%g, 0.5)", uo, po, want)
 	}
 }

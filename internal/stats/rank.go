@@ -3,8 +3,6 @@ package stats
 import (
 	"math"
 	"sort"
-
-	"dispersion/internal/rng"
 )
 
 // MannWhitneyU computes the two-sample Mann-Whitney U statistic for the
@@ -72,48 +70,4 @@ func MannWhitneyU(a, b []float64) (u float64, pSmaller float64) {
 	// the alternative "a smaller" is the lower tail P(U <= u) = Φ(z).
 	pSmaller = 0.5 * math.Erfc(-z/math.Sqrt2)
 	return u, pSmaller
-}
-
-// MannWhitneyTwoSided returns the U statistic and the two-sided p-value
-// of the Mann-Whitney test for any location difference between a and b
-// (normal approximation with midranks and tie-corrected variance, like
-// MannWhitneyU). Identical all-tied samples report p = 1: no evidence of
-// a shift in either direction.
-func MannWhitneyTwoSided(a, b []float64) (u float64, p float64) {
-	u, pSmaller := MannWhitneyU(a, b)
-	p = 2 * math.Min(pSmaller, 1-pSmaller)
-	if p > 1 {
-		p = 1
-	}
-	return u, p
-}
-
-// StochasticallySmaller reports whether sample a is significantly
-// stochastically smaller than sample b at level alpha, by the one-sided
-// Mann-Whitney test.
-func StochasticallySmaller(a, b []float64, alpha float64) bool {
-	_, p := MannWhitneyU(a, b)
-	return p < alpha
-}
-
-// BootstrapCI returns a percentile bootstrap (lo, hi) confidence interval
-// at the given level for an arbitrary statistic of the sample,
-// deterministic in the seed.
-func BootstrapCI(xs []float64, stat func([]float64) float64, level float64,
-	resamples int, seed uint64) (lo, hi float64) {
-	if len(xs) == 0 || resamples < 2 || level <= 0 || level >= 1 {
-		panic("stats: bad bootstrap input")
-	}
-	r := rng.New(seed)
-	vals := make([]float64, resamples)
-	buf := make([]float64, len(xs))
-	for i := range vals {
-		for j := range buf {
-			buf[j] = xs[r.Intn(len(xs))]
-		}
-		vals[i] = stat(buf)
-	}
-	sort.Float64s(vals)
-	alpha := (1 - level) / 2
-	return Quantile(vals, alpha), Quantile(vals, 1-alpha)
 }

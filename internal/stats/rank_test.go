@@ -2,23 +2,22 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
-
-	"dispersion/internal/rng"
 )
 
 func TestMannWhitneyDetectsShift(t *testing.T) {
-	r := rng.New(1)
+	r := rand.New(rand.NewPCG(1, 0))
 	a := make([]float64, 400)
 	b := make([]float64, 400)
 	for i := range a {
 		a[i] = r.NormFloat64()
 		b[i] = r.NormFloat64() + 0.5
 	}
-	if !StochasticallySmaller(a, b, 0.01) {
+	if _, p := MannWhitneyU(a, b); p >= 0.01 {
 		t.Error("failed to detect a < b shift")
 	}
-	if StochasticallySmaller(b, a, 0.01) {
+	if _, p := MannWhitneyU(b, a); p < 0.01 {
 		t.Error("detected shift in the wrong direction")
 	}
 }
@@ -26,11 +25,10 @@ func TestMannWhitneyDetectsShift(t *testing.T) {
 func TestMannWhitneyNullCalibrated(t *testing.T) {
 	// Under the null (equal distributions), p < 0.05 should happen ~5% of
 	// the time.
-	root := rng.New(2)
 	hits := 0
 	const reps = 400
 	for rep := 0; rep < reps; rep++ {
-		r := root.Split(uint64(rep))
+		r := rand.New(rand.NewPCG(2, uint64(rep)))
 		a := make([]float64, 80)
 		b := make([]float64, 80)
 		for i := range a {
@@ -54,6 +52,12 @@ func TestMannWhitneyHandlesTies(t *testing.T) {
 	if math.IsNaN(u) || math.IsNaN(p) || p < 0 || p > 1 {
 		t.Fatalf("tie handling produced u=%g p=%g", u, p)
 	}
+	// Identical all-tied samples: U equals its null mean and the test is
+	// inconclusive.
+	c := []float64{5, 5, 5, 5}
+	if u, p := MannWhitneyU(c, c); u != 8 || p != 0.5 {
+		t.Errorf("all-tied (u, p) = (%g, %g), want (8, 0.5)", u, p)
+	}
 }
 
 func TestMannWhitneyExtremeSeparation(t *testing.T) {
@@ -66,46 +70,4 @@ func TestMannWhitneyExtremeSeparation(t *testing.T) {
 	if p > 0.05 {
 		t.Errorf("fully separated samples: p = %g", p)
 	}
-}
-
-func TestBootstrapCICoversMean(t *testing.T) {
-	root := rng.New(3)
-	covered := 0
-	const reps = 200
-	for rep := 0; rep < reps; rep++ {
-		r := root.Split(uint64(rep))
-		xs := make([]float64, 120)
-		for i := range xs {
-			xs[i] = r.ExpFloat64() * 3 // true mean 3
-		}
-		lo, hi := BootstrapCI(xs, func(s []float64) float64 {
-			return Summarize(s).Mean
-		}, 0.95, 300, uint64(rep))
-		if lo <= 3 && 3 <= hi {
-			covered++
-		}
-	}
-	frac := float64(covered) / reps
-	if frac < 0.88 {
-		t.Errorf("bootstrap CI covered %.3f, want ~0.95", frac)
-	}
-}
-
-func TestBootstrapDeterministic(t *testing.T) {
-	xs := []float64{1, 5, 2, 8, 3}
-	med := func(s []float64) float64 { return Summarize(s).Median }
-	lo1, hi1 := BootstrapCI(xs, med, 0.9, 200, 7)
-	lo2, hi2 := BootstrapCI(xs, med, 0.9, 200, 7)
-	if lo1 != lo2 || hi1 != hi2 {
-		t.Error("bootstrap not deterministic in seed")
-	}
-}
-
-func TestBootstrapValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty sample accepted")
-		}
-	}()
-	BootstrapCI(nil, func([]float64) float64 { return 0 }, 0.9, 100, 1)
 }

@@ -116,9 +116,6 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(i) / float64(len(e.sorted))
 }
 
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
 // DominatedBy reports whether the distribution of e is stochastically
 // dominated by that of other up to slack: F_e(x) >= F_other(x) - slack at
 // every sample point. Stochastic domination X ⪯ Y corresponds to
@@ -184,12 +181,6 @@ func KSPValue(d float64, n, m int) float64 {
 	return p
 }
 
-// SameDistribution reports whether the KS test fails to reject equality of
-// the two samples' distributions at the given significance level alpha.
-func SameDistribution(a, b []float64, alpha float64) bool {
-	return KSPValue(KSStatistic(a, b), len(a), len(b)) > alpha
-}
-
 // LinearFit holds an ordinary least squares line y = Slope*x + Intercept.
 type LinearFit struct {
 	Slope, Intercept, R2 float64
@@ -245,40 +236,6 @@ func FitPowerLaw(xs, ys []float64) (alpha, c, r2 float64) {
 	}
 	f := FitLine(lx, ly)
 	return f.Slope, math.Exp(f.Intercept), f.R2
-}
-
-// Histogram bins a sample into k equal-width bins over [min, max] and
-// returns bin left edges and counts.
-type Histogram struct {
-	Edges  []float64
-	Counts []int
-}
-
-// NewHistogram builds a k-bin histogram of xs.
-func NewHistogram(xs []float64, k int) Histogram {
-	if len(xs) == 0 || k < 1 {
-		panic("stats: bad histogram input")
-	}
-	s := Summarize(xs)
-	width := (s.Max - s.Min) / float64(k)
-	if width == 0 {
-		width = 1
-	}
-	h := Histogram{Edges: make([]float64, k), Counts: make([]int, k)}
-	for i := range h.Edges {
-		h.Edges[i] = s.Min + float64(i)*width
-	}
-	for _, x := range xs {
-		bin := int((x - s.Min) / width)
-		if bin >= k {
-			bin = k - 1
-		}
-		if bin < 0 {
-			bin = 0
-		}
-		h.Counts[bin]++
-	}
-	return h
 }
 
 // Fraction returns the proportion of the sample satisfying pred.

@@ -37,9 +37,6 @@ func (rn *Runner) SetWorkers(w int) {
 	rn.workers = w
 }
 
-// Workers returns the configured degree of parallelism.
-func (rn *Runner) Workers() int { return rn.workers }
-
 // TrialSeed returns the seed of trial i's split stream — the same
 // (experimentID, i) derivation SplitInto reseeds workers with. The
 // engine's batched path seeds lane slots with it, tying every batched

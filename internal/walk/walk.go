@@ -1,80 +1,12 @@
-// Package walk provides the random-walk execution engine: single-step
-// kernels for simple and lazy walks, trajectory recording, Monte-Carlo
-// estimators for cover and hitting times, and a deterministic parallel
-// trial runner used by every experiment.
+// Package walk provides the deterministic parallel trial runner every
+// Engine run and experiment goes through, and the Monte-Carlo cover-time
+// estimator of the paper's Table 1.
 package walk
 
 import (
 	"dispersion/internal/graph"
 	"dispersion/internal/rng"
 )
-
-// Step advances a simple random walk one step from v: a uniformly random
-// neighbour of v. It is the hot inner loop of every simulation and
-// dispatches through the step kernel the graph selected at Build time
-// (closed-form for arithmetic families, fused CSR otherwise); the draws
-// consumed are bit-identical to the historical Degree+Neighbor lookup.
-// Loops stepping many times should hoist g.Kernel() and call it directly.
-func Step(g *graph.CSR, v int32, r *rng.Source) int32 {
-	return g.Kernel().Step(v, r)
-}
-
-// LazyStep advances a lazy random walk one step: with probability 1/2 the
-// walk stays put, otherwise it moves to a uniform neighbour.
-func LazyStep(g *graph.CSR, v int32, r *rng.Source) int32 {
-	if r.Bool() {
-		return v
-	}
-	return Step(g, v, r)
-}
-
-// Trajectory records the full vertex sequence of a simple random walk of
-// the given number of steps, including the start (so the result has
-// steps+1 entries).
-func Trajectory(g *graph.CSR, start int, steps int, r *rng.Source) []int32 {
-	kern := g.Kernel()
-	traj := make([]int32, steps+1)
-	traj[0] = int32(start)
-	v := int32(start)
-	for i := 1; i <= steps; i++ {
-		v = kern.Step(v, r)
-		traj[i] = v
-	}
-	return traj
-}
-
-// HitTime runs a simple random walk from start until it first reaches
-// target, returning the number of steps taken. maxSteps caps runaway
-// walks; on expiry it returns maxSteps and false.
-func HitTime(g *graph.CSR, start, target int, maxSteps int64, r *rng.Source) (int64, bool) {
-	kern := g.Kernel()
-	v := int32(start)
-	var t int64
-	for v != int32(target) {
-		if t >= maxSteps {
-			return maxSteps, false
-		}
-		v = kern.Step(v, r)
-		t++
-	}
-	return t, true
-}
-
-// HitSetTime runs a simple random walk from start until it first reaches
-// any vertex with inSet true.
-func HitSetTime(g *graph.CSR, start int, inSet []bool, maxSteps int64, r *rng.Source) (int64, bool) {
-	kern := g.Kernel()
-	v := int32(start)
-	var t int64
-	for !inSet[v] {
-		if t >= maxSteps {
-			return maxSteps, false
-		}
-		v = kern.Step(v, r)
-		t++
-	}
-	return t, true
-}
 
 // CoverTime runs a simple random walk from start until every vertex has
 // been visited, returning the number of steps. maxSteps caps the walk.
@@ -94,38 +26,6 @@ func CoverTime(g *graph.CSR, start int, maxSteps int64, r *rng.Source) (int64, b
 		if !visited[v] {
 			visited[v] = true
 			remaining--
-		}
-	}
-	return t, true
-}
-
-// MultiCoverTime runs k independent simple random walks from start in
-// lockstep rounds until their union of visited vertices covers the graph,
-// returning the number of rounds. This is the "cover time of multiple
-// random walks" the paper's introduction contrasts with dispersion: the
-// walks here never settle, so their trajectory lengths are all equal —
-// none of the dispersion process's correlations arise.
-func MultiCoverTime(g *graph.CSR, start, k int, maxRounds int64, r *rng.Source) (int64, bool) {
-	kern := g.Kernel()
-	visited := make([]bool, g.N())
-	visited[start] = true
-	remaining := g.N() - 1
-	pos := make([]int32, k)
-	for i := range pos {
-		pos[i] = int32(start)
-	}
-	var t int64
-	for remaining > 0 {
-		if t >= maxRounds {
-			return maxRounds, false
-		}
-		t++
-		for i := range pos {
-			pos[i] = kern.Step(pos[i], r)
-			if !visited[pos[i]] {
-				visited[pos[i]] = true
-				remaining--
-			}
 		}
 	}
 	return t, true

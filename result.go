@@ -1,6 +1,8 @@
 package dispersion
 
 import (
+	"sort"
+
 	"dispersion/internal/core"
 )
 
@@ -164,5 +166,8 @@ func (res *Result) PhaseClock(n, k int) int64 {
 // UnsettledAtClock returns how many particles were still unsettled
 // strictly after the given clock value.
 func (res *Result) UnsettledAtClock(clock int64) int {
-	return res.core().UnsettledAtClock(clock)
+	settled := sort.Search(len(res.SettleClock), func(i int) bool {
+		return res.SettleClock[i] > clock
+	})
+	return len(res.SettledAt) - settled
 }
