@@ -309,6 +309,9 @@ func TestQuantilesMergeByteIdentical(t *testing.T) {
 	}
 }
 
+// hugeValues are values whose bucket midpoint passes math.MaxFloat64.
+var hugeValues = []float64{math.MaxFloat64, math.MaxFloat64 / 1.02}
+
 func TestQuantilesJSONRoundTrip(t *testing.T) {
 	q := NewQuantiles(0)
 	for _, x := range []float64{0, 1, 2, 4, 1000} {
@@ -328,6 +331,26 @@ func TestQuantilesJSONRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(b, b2) {
 		t.Fatalf("round trip changed the JSON:\n%s\n%s", b, b2)
+	}
+	// The top buckets' midpoints pass the largest float64; their
+	// representative is capped there, so the sketch still marshals.
+	for _, x := range hugeValues {
+		q := NewQuantiles(0)
+		q.Add(x)
+		b, err := json.Marshal(q)
+		if err != nil {
+			t.Fatalf("sketch of %v: %v", x, err)
+		}
+		var r Quantiles
+		if err := json.Unmarshal(b, &r); err != nil {
+			t.Fatalf("sketch of %v: %v", x, err)
+		}
+		if b2, err := json.Marshal(&r); err != nil || !bytes.Equal(b, b2) {
+			t.Fatalf("sketch of %v: round trip gave %s, %v; want %s", x, b2, err, b)
+		}
+		if got := r.Query(0.5); math.Abs(got-x) > DefaultAlpha*x {
+			t.Errorf("sketch of %v answers %v, past relative error %v", x, got, DefaultAlpha)
+		}
 	}
 	for name, in := range map[string]string{
 		"unsorted keys":       `{"alpha":0.01,"n":2,"keys":[2,1],"counts":[1,1]}`,

@@ -169,8 +169,8 @@ func TestSummaryMarshalNonFiniteError(t *testing.T) {
 		want   string
 	}{
 		"quantile": {
-			func(s *Summary) { s.Makespan.Quantiles.keys[0] = math.MaxInt32 },
-			chain + "json: error calling MarshalJSON for type *agg.Quantiles: json: unsupported value: +Inf",
+			func(s *Summary) { s.Makespan.Quantiles.gamma = math.NaN() },
+			chain + "json: error calling MarshalJSON for type *agg.Quantiles: json: unsupported value: NaN",
 		},
 		"mean": {
 			func(s *Summary) { s.TotalSteps.Moments.sum.acc.Lsh(&s.TotalSteps.Moments.sum.acc, 2000) },

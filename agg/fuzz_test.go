@@ -69,6 +69,21 @@ func FuzzSummaryJSON(f *testing.F) {
 		f.Add(bytes.Replace(valid, []byte(swap[0]), []byte(swap[1]), 1))
 	}
 	one := oneTrial(f)
+	// The one-trial summary with its makespan sketch built from a value at
+	// the top of the float64 range instead.
+	oneQ, err := json.Marshal(fold(fakeResult("sequential", 3, 5, false)).Makespan.Quantiles)
+	if err != nil || !bytes.Contains(one, oneQ) {
+		f.Fatalf("one-trial summary lacks its makespan sketch %s (%v)", oneQ, err)
+	}
+	for _, x := range hugeValues {
+		q := NewQuantiles(0)
+		q.Add(x)
+		b, err := json.Marshal(q)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Replace(one, oneQ, b, 1))
+	}
 	for _, swap := range unreachable {
 		f.Add(bytes.Replace(one, []byte(swap[0]), []byte(swap[1]), 1))
 	}

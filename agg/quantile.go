@@ -105,9 +105,23 @@ func (s *Quantiles) Merge(o *Quantiles) error {
 
 // value returns the representative value of a bucket: the arithmetic
 // midpoint of (γ^(i-1), γ^i], within relative distance α of every point
-// of the bucket.
+// of the bucket, capped at math.MaxFloat64.
+//
+// At the top of the float64 range the product can overflow although the
+// midpoint is finite (amd64's math.Exp already returns +Inf above about
+// 709.44); the midpoint is then taken at half scale, exp(a−ln 2)·(1+γ).
+// The cap moves only a midpoint past the largest finite value, which a
+// wide bucket (a large α) at the top of the range can have. Every finite
+// value of such a bucket lies between the cap and the midpoint, so the cap
+// is nearer to it than the midpoint is, and its relative error stays
+// within α.
 func (s *Quantiles) value(key int32) float64 {
-	return math.Exp(float64(key-1)*s.lgamma) * (1 + s.gamma) / 2
+	a := float64(key-1) * s.lgamma
+	v := math.Exp(a) * (1 + s.gamma) / 2
+	if math.IsInf(v, 1) {
+		v = math.Exp(a-math.Ln2) * (1 + s.gamma)
+	}
+	return min(v, math.MaxFloat64)
 }
 
 // rank returns the representative value of the r-th smallest element

@@ -45,10 +45,15 @@ func runLab(ctx context.Context, cfgs []benchsuite.Config, quick bool, filter *r
 // and the confidence intervals quantify exactly the uncertainty a gate
 // has to discount. Warmup samples run first and are discarded (caches,
 // branch predictors, the scheduler and the allocator pools settle in).
-// Allocations are counted from runtime.MemStats.Mallocs around the timed
-// run after a forced GC; with ReuseResults on, the built-in processes
-// sit at 0 allocs/op in steady state, so a sustained nonzero median here
-// is a real hot-path regression. The graph is built once, before the
+// Allocations are counted per trial: right before each sample, after a
+// forced GC, a one-trial run of the same job counts the run's fixed
+// allocations (its first trial sizes the worker's buffers and result
+// cell); the sample, after another forced GC, subtracts them and divides
+// the rest by its other Iterations−1 trials (a one-trial sample reads the
+// difference of two identical runs). So allocs/op does not depend on the
+// budget, and with ReuseResults on the built-in processes sit at 0 in
+// steady state: a sustained nonzero median here is a real hot-path
+// regression. The graph is built once, before the
 // warmup, as Engine.Run would build it from the spec, and its build time
 // is reported apart (BuildMS): samples time trials only, so ns/op does
 // not depend on the budget.
@@ -67,11 +72,20 @@ func measureConfig(ctx context.Context, cfg benchsuite.Config) (ConfigResult, er
 			return ConfigResult{}, err
 		}
 	}
+	one := job
+	one.Trials = 1
 	nsOp := make([]float64, 0, cfg.Samples)
 	trialsSec := make([]float64, 0, cfg.Samples)
 	allocsOp := make([]float64, 0, cfg.Samples)
 	var ms0, ms1 runtime.MemStats
 	for i := 0; i < cfg.Samples; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&ms0)
+		if err := eng.Run(ctx, one, nil); err != nil {
+			return ConfigResult{}, err
+		}
+		runtime.ReadMemStats(&ms1)
+		fixed := int64(ms1.Mallocs - ms0.Mallocs)
 		runtime.GC()
 		runtime.ReadMemStats(&ms0)
 		start := time.Now()
@@ -83,7 +97,7 @@ func measureConfig(ctx context.Context, cfg benchsuite.Config) (ConfigResult, er
 		iters := float64(cfg.Iterations)
 		nsOp = append(nsOp, float64(elapsed.Nanoseconds())/iters)
 		trialsSec = append(trialsSec, iters/elapsed.Seconds())
-		allocsOp = append(allocsOp, float64(ms1.Mallocs-ms0.Mallocs)/iters)
+		allocsOp = append(allocsOp, float64(int64(ms1.Mallocs-ms0.Mallocs)-fixed)/max(iters-1, 1))
 	}
 	res := ConfigResult{Config: cfg, BuildMS: buildMS, Metrics: map[string]Metric{}}
 	for name, samples := range map[string][]float64{

@@ -26,7 +26,11 @@ type Engine struct {
 	// sharing a seed do not correlate.
 	Experiment uint64
 	// Workers caps the degree of parallelism; 0 means one per core. The
-	// setting affects scheduling only, never results.
+	// goroutine that calls Run is one of the workers: it runs trials
+	// itself and, between them, delivers finished trials to the callback,
+	// so Run starts Workers−1 goroutines (none at 1) and the callback
+	// still runs on the caller, in trial order. The setting affects
+	// scheduling only, never results.
 	Workers int
 	// ReuseResults recycles each delivered Result's backing memory for a
 	// later trial as soon as the callback returns, making steady-state
@@ -209,7 +213,7 @@ func (e Engine) runCore(ctx context.Context, rn *walk.Runner, cp *coreProcess, g
 }
 
 // laneCell carries one block of batched trials from a worker to the
-// collector: the internal result buffers, the *Result views handed to
+// delivery: the internal result buffers, the *Result views handed to
 // RunLane, the public views delivered to the callback, and the block's
 // trial seeds. Under ReuseResults whole cells cycle through a pool.
 type laneCell struct {
@@ -239,8 +243,8 @@ func (c *laneCell) grow(n int) {
 // runCoreLane is the batched hot path selected by WithBatch: trials are
 // grouped into blocks of Batch, each block runs as one core.RunLane lane
 // on a worker (SoA particle state, counter-mode slot streams, fused
-// StepLane kernels), and the collector unpacks blocks back into
-// per-trial deliveries in strict trial order. Trial i's stream is seeded
+// StepLane kernels), and the delivery unpacks blocks back into
+// per-trial callbacks in strict trial order. Trial i's stream is seeded
 // from the (Seed, Experiment, i) lineage, so results are bit-identical
 // for any Batch, Workers or sharding — and distribution-identical to the
 // scalar path.

@@ -133,8 +133,9 @@ func TestBuildOutOfRange(t *testing.T) {
 }
 
 // Cost's figures, worked out by hand from each backend's layout: 4-byte
-// offsets and adjacency entries, 20 more bytes per weighted adjacency
-// slot, 16-byte torus move-table entries and dimension records.
+// offsets and adjacency entries, 12 more bytes per weighted adjacency
+// slot (an alias probability and vertex; the weights are not kept),
+// 16-byte torus move-table entries and dimension records.
 func TestCost(t *testing.T) {
 	for _, c := range []struct {
 		spec string
@@ -156,8 +157,8 @@ func TestCost(t *testing.T) {
 		{"tree:25", Cost{25, 24, 4*26 + 8*24}},
 		{"gnp:30,0.4", Cost{30, 174, 4*31 + 8*174}},
 		{"gnp:100,0.001", Cost{100, 99, 4*101 + 8*99}},
-		{"wcomplete:512,1", Cost{512, 130816, 4*513 + 48*130816}},
-		{"wcycle:12,3", Cost{12, 12, 4*13 + 48*12}},
+		{"wcomplete:512,1", Cost{512, 130816, 4*513 + 32*130816}},
+		{"wcycle:12,3", Cost{12, 12, 4*13 + 32*12}},
 	} {
 		got, err := mustParse(t, c.spec).Cost()
 		if err != nil {

@@ -94,6 +94,25 @@ var goldenWeightedDigests = map[string]string{
 	"lane-capacity":        "4731ea7f15808065",
 }
 
+// goldenImplicitDigests pins every process over goldenImplicit, so the
+// path, circulant and random-regular kernels, which no other map reaches,
+// are held to the commit that recorded them too.
+var goldenImplicitDigests = map[string]string{
+	"sequential":           "6bbfd3529f4612f1",
+	"parallel":             "b456377d2e6688e5",
+	"uniform":              "18a0c45e150e1099",
+	"ct-uniform":           "3a2b849397c9c053",
+	"ct-sequential":        "8fc2ce96b69b0d77",
+	"sequential-geom":      "ae3d8fe0cdf93bbb",
+	"sequential-threshold": "073ff49d06acfb8d",
+	"capacity":             "96c00287481a0c17",
+	"capacity-parallel":    "5bc025590f6e2899",
+	"lane-standard":        "db418d1fbb8b43af",
+	"lane-geom":            "1dae8d259e5fe4b1",
+	"lane-threshold":       "7b8b7303fe70ba81",
+	"lane-capacity":        "c0904823056fc36f",
+}
+
 // goldenRule is the custom settle rule of the golden option sets: it
 // rejects some vacant standings early in a walk and accepts every one from
 // step 3 on, so vetoes and acceptances both occur.
@@ -189,6 +208,30 @@ func goldenWeighted() []graph.Graph {
 		panic(err)
 	}
 	return append(gs, g)
+}
+
+// goldenImplicit lists the graphs of goldenImplicitDigests: an implicit
+// and a CSR-built path, whose endpoints move without a draw, a circulant
+// with an offset of n/2 (one neighbour for it, degree 3) and one with two
+// full offsets, and implicit random-regular graphs of degree 4 and 2.
+func goldenImplicit() []graph.Graph {
+	c1, err := graph.ImplicitCirculant(8, []int{1, 4})
+	if err != nil {
+		panic(err)
+	}
+	c2, err := graph.ImplicitCirculant(12, []int{2, 3})
+	if err != nil {
+		panic(err)
+	}
+	r1, err := graph.ImplicitRandomRegular(10, 4, 5)
+	if err != nil {
+		panic(err)
+	}
+	r2, err := graph.ImplicitRandomRegular(9, 2, 1)
+	if err != nil {
+		panic(err)
+	}
+	return []graph.Graph{graph.ImplicitPath(7), graph.Path(5), c1, c2, r1, r2}
 }
 
 // goldenHash writes fixed-width little-endian words, so the digest is the
@@ -361,6 +404,9 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		if got, want := goldenDigest(p, goldenWeighted()), goldenWeightedDigests[p.name]; got != want {
 			t.Errorf("%s on weighted graphs: digest %s, pinned %s", p.name, got, want)
+		}
+		if got, want := goldenDigest(p, goldenImplicit()), goldenImplicitDigests[p.name]; got != want {
+			t.Errorf("%s on paths, circulants and random-regular graphs: digest %s, pinned %s", p.name, got, want)
 		}
 	}
 }

@@ -23,7 +23,13 @@
 // resolves the same laws. Every walk step dispatches through the step
 // Kernel the graph selected at build time (closed-form for arithmetic
 // families, fused CSR otherwise), which is likewise draw-for-draw
-// identical to the generic CSR lookup.
+// identical to the generic CSR lookup, at the coarsest grain the process
+// allows: a Sequential particle walks to its vacant standing in one
+// WalkUntilVacant call, a Parallel round moves every unsettled particle
+// in one StepEach call (and its last particle walks alone, like a
+// Sequential one), and Uniform and the continuous-time clock move one
+// particle per Step. The continuous-time Uniform process re-rings a
+// particle by replacing its event-heap entry in one sift.
 package core
 
 import (
@@ -408,6 +414,13 @@ func ParallelInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scra
 // resolves: with a common origin, the origin's capacity worth of particles
 // settles there instantly. A vertex that fills is marked occupied, so the
 // resolution tests the same occupancy map under either law.
+//
+// Every unsettled particle moves every round, so each has walked round
+// steps; its count is written when it settles or the run truncates. One
+// Kernel.StepEach call moves them all, drawing in priority order as a Step
+// loop would. Once a single particle is left, nothing else moves and the
+// occupancy map no longer changes, so it finishes in one Scratch.walk,
+// whose every move is one round and draws what that round would.
 func parallel(g graph.Graph, origin int, opt Options, variant LaneVariant, r *rng.Source, s *Scratch, res *Result) error {
 	n := g.N()
 	lw, err := opt.law(variant, n)
@@ -451,34 +464,54 @@ func parallel(g graph.Graph, origin int, opt Options, variant LaneVariant, r *rn
 			res.Trajectories[i] = []int32{pos[i]}
 		}
 	}
+	dense, occ, epoch := !s.sparse, s.occ, s.epoch
 	var round int64
 	for {
 		keep := active[:0]
 		for _, p := range active {
-			if v := pos[p]; !s.occupied(v) {
-				if !counting || s.fill(v, lw.plan.at(v)) {
-					s.occupy(v)
-				}
-				res.settle(int(p), v, res.Steps[p], round)
-			} else {
+			v := pos[p]
+			if dense && occ[v] == epoch || !dense && s.table.Full(v) {
 				keep = append(keep, p)
+				continue
 			}
+			if !counting || s.fill(v, lw.plan.at(v)) {
+				s.occupy(v)
+			}
+			res.settle(int(p), v, round, round)
 		}
 		active = keep
 		if opt.MaxSteps > 0 && res.TotalSteps >= opt.MaxSteps {
+			for _, p := range active {
+				res.Steps[p] = round
+			}
 			res.Truncated = true
 			return nil
 		}
 		if len(active) == 0 {
 			return nil
 		}
+		if len(active) == 1 {
+			p := active[0]
+			budget := int64(math.MaxInt64)
+			if opt.MaxSteps > 0 {
+				budget = opt.MaxSteps - res.TotalSteps
+			}
+			var traj *[]int32
+			if opt.Record {
+				traj = &res.Trajectories[p]
+			}
+			var walked int64
+			pos[p], walked = s.walk(kern, pos[p], 1, opt.Lazy, budget, r, traj)
+			round += walked
+			res.TotalSteps += walked
+			continue
+		}
 		// Every unsettled particle moves simultaneously.
 		round++
-		for _, p := range active {
-			pos[p] = step(kern, pos[p], opt.Lazy, r)
-			res.Steps[p]++
-			res.TotalSteps++
-			if opt.Record {
+		kern.StepEach(pos, active, opt.Lazy, r)
+		res.TotalSteps += int64(len(active))
+		if opt.Record {
+			for _, p := range active {
 				res.Trajectories[p] = append(res.Trajectories[p], pos[p])
 			}
 		}
@@ -591,31 +624,44 @@ func (h *eventHeap) push(e event) {
 	}
 }
 
-// pop removes and returns the earliest event.
-func (h *eventHeap) pop() event {
+// replaceTop replaces the earliest event with e, which must not be
+// earlier, and restores the heap order with one sift down.
+func (h eventHeap) replaceTop(e event) {
+	h[0] = e
+	h.down()
+}
+
+// pop removes the earliest event.
+func (h *eventHeap) pop() {
 	s := *h
-	top := s[0]
 	last := len(s) - 1
 	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= last {
-			break
-		}
-		next := left
-		if right := left + 1; right < last && s[right].t < s[left].t {
-			next = right
-		}
-		if s[i].t <= s[next].t {
-			break
-		}
-		s[i], s[next] = s[next], s[i]
-		i = next
+	*h = s[:last]
+	if last > 0 {
+		h.down()
 	}
-	return top
+}
+
+// down sifts the root event down to its place: the earlier child moves up
+// while it is strictly earlier than the event.
+func (h eventHeap) down() {
+	e := h[0]
+	i, n := 0, len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if right := c + 1; right < n && h[right].t < h[c].t {
+			c = right
+		}
+		if e.t <= h[c].t {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
 }
 
 // CTResult augments Result with the real-valued clock of a continuous-time
@@ -683,8 +729,13 @@ func CTUniformInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scr
 			remaining++
 		}
 	}
+	// The earliest ring moves its particle. A particle that stays
+	// unsettled rings again later, which replaces the heap top in one sift;
+	// only a settling particle leaves the heap. While event times are
+	// distinct (they are sums of continuous variates) the event order is
+	// the heap's sorted order, whatever its layout.
 	for remaining > 0 {
-		e := h.pop()
+		e := (*h)[0]
 		p := e.p
 		pos[p] = step(kern, pos[p], opt.Lazy, r)
 		res.Steps[p]++
@@ -693,13 +744,14 @@ func CTUniformInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scr
 			res.Trajectories[p] = append(res.Trajectories[p], pos[p])
 		}
 		if !s.occupied(pos[p]) {
+			h.pop()
 			s.occupy(pos[p])
 			res.settle(int(p), pos[p], res.Steps[p], int64(len(res.SettleOrder)))
 			res.SettleTimes = append(res.SettleTimes, e.t)
 			res.Time = e.t
 			remaining--
 		} else {
-			h.push(event{t: e.t + r.ExpFloat64(), p: p})
+			h.replaceTop(event{t: e.t + r.ExpFloat64(), p: p})
 		}
 		if opt.MaxSteps > 0 && res.TotalSteps >= opt.MaxSteps {
 			res.Truncated = true

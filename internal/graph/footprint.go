@@ -9,8 +9,10 @@ import (
 // graph; the *Bytes functions give the same figure from a family's
 // parameters alone, so a caller can size a graph before building it
 // (graphspec.Spec.Cost). Both count the backing arrays a graph keeps —
-// adjacency, offsets, weights, alias tables and kernel tables — and
-// neither counts the name label or the fixed-size struct headers.
+// adjacency, offsets, alias tables and kernel tables — and neither counts
+// the name label or the fixed-size struct headers. A weighted graph's
+// per-slot weights are transient: Build drops them once its alias tables
+// exist.
 
 // Footprint returns the bytes of g's backing arrays. It is 0 for the
 // closed-form implicit families, whose kernels are pure arithmetic.
@@ -19,7 +21,7 @@ func Footprint(g Graph) int64 {
 	case *CSR:
 		return int64(cap(g.offsets))*4 + int64(cap(g.adj))*4
 	case *WeightedCSR:
-		return Footprint(g.csr) + int64(cap(g.w))*8 + int64(cap(g.prob))*8 + int64(cap(g.alt))*4
+		return Footprint(g.csr) + int64(cap(g.prob))*8 + int64(cap(g.alt))*4
 	case *Implicit:
 		switch k := g.kernel.(type) {
 		case torusKernel:
@@ -40,10 +42,10 @@ func Footprint(g Graph) int64 {
 func CSRBytes(n, m int64) int64 { return satBytes(4*(n+1), 8, m) }
 
 // WeightedCSRBytes returns the footprint of a WeightedCSR with n
-// vertices and m edges: its CSR structure plus a float64 weight, a
-// float64 alias probability and an int32 alias vertex per adjacency
-// slot. It saturates at math.MaxInt64.
-func WeightedCSRBytes(n, m int64) int64 { return satBytes(4*(n+1), 8+2*(8+8+4), m) }
+// vertices and m edges: its CSR structure plus a float64 alias
+// probability and an int32 alias vertex per adjacency slot. It saturates
+// at math.MaxInt64.
+func WeightedCSRBytes(n, m int64) int64 { return satBytes(4*(n+1), 8+2*(8+4), m) }
 
 // ImplicitTorusBytes returns the footprint of ImplicitTorus with eff
 // effective (side >= 3) dimensions: the move table and the per-dimension

@@ -523,6 +523,32 @@ func (k torusKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.Lan
 	}
 }
 
+// StepEach advances the listed slots one torus move each, finding each
+// slot's move-table row as Step does and drawing from r as a Step loop
+// does (see Kernel.StepEach).
+func (k torusKernel) StepEach(pos []int32, idx []int32, lazy bool, r *rng.Source) {
+	un := uint64(k.deg)
+	thresh := -un % un
+	st := r.State()
+	for _, j := range idx {
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		if x&1 == 1 { // lazy stay
+			continue
+		}
+		st, x = st.Next()
+		hi, lo := bits.Mul64(x, un)
+		for lo < thresh {
+			st, x = st.Next()
+			hi, lo = bits.Mul64(x, un)
+		}
+		pos[j] += k.row(pos[j])[hi].off
+	}
+	r.SetState(st)
+}
+
 func (k torusKernel) nth(v, i int32) int32 { return v + k.row(v)[i].off }
 
 func (k torusKernel) degree(int32) int32 { return k.deg }
@@ -612,6 +638,38 @@ func (k circulantKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng
 	}
 }
 
+// StepEach advances the listed slots one circulant move each, drawing
+// from r as a Step loop does (see Kernel.StepEach); degree-one
+// circulants move without a draw.
+func (k circulantKernel) StepEach(pos []int32, idx []int32, lazy bool, r *rng.Source) {
+	un := uint64(k.deg)
+	thresh := -un % un
+	var buf [2 * maxCirculantOffsets]int32
+	st := r.State()
+	for _, j := range idx {
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		if x&1 == 1 { // lazy stay
+			continue
+		}
+		k.neighbors(pos[j], buf[:])
+		if un == 1 {
+			pos[j] = buf[0]
+			continue
+		}
+		st, x = st.Next()
+		hi, lo := bits.Mul64(x, un)
+		for lo < thresh {
+			st, x = st.Next()
+			hi, lo = bits.Mul64(x, un)
+		}
+		pos[j] = buf[hi]
+	}
+	r.SetState(st)
+}
+
 func (k circulantKernel) nth(v, i int32) int32 {
 	var buf [2 * maxCirculantOffsets]int32
 	k.neighbors(v, buf[:])
@@ -695,6 +753,33 @@ func (k rregKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.Lane
 		k.neighbors(pos[j], buf[:])
 		pos[j] = buf[hi]
 	}
+}
+
+// StepEach advances the listed slots one cycle-union move each, drawing
+// from r as a Step loop does (see Kernel.StepEach).
+func (k rregKernel) StepEach(pos []int32, idx []int32, lazy bool, r *rng.Source) {
+	un := uint64(k.deg)
+	thresh := -un % un
+	var buf [maxRRegularDegree]int32
+	st := r.State()
+	for _, j := range idx {
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		if x&1 == 1 { // lazy stay
+			continue
+		}
+		st, x = st.Next()
+		hi, lo := bits.Mul64(x, un)
+		for lo < thresh {
+			st, x = st.Next()
+			hi, lo = bits.Mul64(x, un)
+		}
+		k.neighbors(pos[j], buf[:])
+		pos[j] = buf[hi]
+	}
+	r.SetState(st)
 }
 
 func (k rregKernel) nth(v, i int32) int32 {

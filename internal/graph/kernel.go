@@ -55,6 +55,23 @@ type Kernel interface {
 	// listed slot, and one call per superstep is what amortizes the
 	// kernel dispatch across the whole lane.
 	StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneSource)
+	// StepEach is StepLane's scalar-stream twin: it advances every slot
+	// listed in idx by one walk move, all drawing from the one source r.
+	// Its draws are exactly those of the loop
+	//
+	//	for _, j := range idx {
+	//		if lazy && r.Bool() {
+	//			continue
+	//		}
+	//		pos[j] = Step(pos[j], r)
+	//	}
+	//
+	// so degree-one vertices move without a draw and a stay consumes only
+	// its coin. Each kernel keeps the generator state in locals for the
+	// whole call, as its fused walk does. It is the Parallel process's one
+	// move per round for every unsettled particle: a round costs one
+	// interface dispatch instead of one per particle.
+	StepEach(pos []int32, idx []int32, lazy bool, r *rng.Source)
 	// Kind names the kernel family for introspection and tests: one of
 	// "complete", "cycle", "path", "hypercube", "regular", "csr"; for
 	// weighted backends "walias" (the generic alias kernel) or
@@ -219,6 +236,41 @@ func (k csrKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneS
 	}
 }
 
+// StepEach advances the listed slots one fused-row move each, drawing
+// from r as a Step loop does (see Kernel.StepEach).
+func (k csrKernel) StepEach(pos []int32, idx []int32, lazy bool, r *rng.Source) {
+	offsets, adj := k.g.offsets, k.g.adj
+	st := r.State()
+	for _, j := range idx {
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		if x&1 == 1 { // lazy stay
+			continue
+		}
+		v := pos[j]
+		ns := adj[offsets[v]:offsets[v+1]]
+		if len(ns) == 1 {
+			pos[j] = ns[0]
+			continue
+		}
+		// Intn(len(ns))'s draw law.
+		un := uint64(len(ns))
+		st, x = st.Next()
+		hi, lo := bits.Mul64(x, un)
+		if lo < un {
+			thresh := -un % un
+			for lo < thresh {
+				st, x = st.Next()
+				hi, lo = bits.Mul64(x, un)
+			}
+		}
+		pos[j] = ns[hi]
+	}
+	r.SetState(st)
+}
+
 // regularKernel serves fixed-degree regular graphs: row v starts at v*deg,
 // so a step needs one adjacency load and no offsets lookup at all.
 type regularKernel struct {
@@ -300,6 +352,35 @@ func (k regularKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.L
 	}
 }
 
+// StepEach advances the listed slots one dense-row move each, drawing
+// from r as a Step loop does (see Kernel.StepEach).
+func (k regularKernel) StepEach(pos []int32, idx []int32, lazy bool, r *rng.Source) {
+	adj, deg := k.adj, k.deg
+	un := uint64(deg)
+	thresh := -un % un
+	st := r.State()
+	for _, j := range idx {
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		switch {
+		case x&1 == 1: // lazy stay
+		case deg == 1:
+			pos[j] = adj[pos[j]]
+		default:
+			st, x = st.Next()
+			hi, lo := bits.Mul64(x, un)
+			for lo < thresh {
+				st, x = st.Next()
+				hi, lo = bits.Mul64(x, un)
+			}
+			pos[j] = adj[pos[j]*deg+int32(hi)]
+		}
+	}
+	r.SetState(st)
+}
+
 // completeKernel is the closed-form kernel for K_n: the i-th sorted
 // neighbour of v is i when i < v and i+1 otherwise, so a step is a draw
 // and a compare — no memory touched.
@@ -359,6 +440,34 @@ func (k completeKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.
 		}
 		pos[j] = i
 	}
+}
+
+// StepEach advances the listed slots one draw-and-compare move each,
+// drawing from r as a Step loop does (see Kernel.StepEach).
+func (k completeKernel) StepEach(pos []int32, idx []int32, lazy bool, r *rng.Source) {
+	un := uint64(k.n - 1)
+	thresh := -un % un
+	st := r.State()
+	for _, j := range idx {
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		switch {
+		case x&1 == 1: // lazy stay
+		case un == 1:
+			pos[j] = 1 - pos[j]
+		default:
+			st, x = st.Next()
+			hi, lo := bits.Mul64(x, un)
+			for lo < thresh {
+				st, x = st.Next()
+				hi, lo = bits.Mul64(x, un)
+			}
+			pos[j] = k.nth(pos[j], int32(hi))
+		}
+	}
+	r.SetState(st)
 }
 
 func (k completeKernel) nth(v, i int32) int32 {
@@ -423,6 +532,24 @@ func (k cycleKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.Lan
 		hi, _ := bits.Mul64(lane.Uint64(sj), 2)
 		pos[j] = k.nth(pos[j], int32(hi))
 	}
+}
+
+// StepEach advances the listed slots one ±1 (mod n) move each, drawing
+// from r as a Step loop does (see Kernel.StepEach): Int31n(2) is the top
+// bit of one draw.
+func (k cycleKernel) StepEach(pos []int32, idx []int32, lazy bool, r *rng.Source) {
+	st := r.State()
+	for _, j := range idx {
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		if x&1 == 0 {
+			st, x = st.Next()
+			pos[j] = k.nth(pos[j], int32(x>>63))
+		}
+	}
+	r.SetState(st)
 }
 
 func (k cycleKernel) nth(v, i int32) int32 {
@@ -496,6 +623,32 @@ func (k pathKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.Lane
 			pos[j] = v - 1 + 2*int32(hi)
 		}
 	}
+}
+
+// StepEach advances the listed slots one path move each, drawing from r
+// as a Step loop does (see Kernel.StepEach); endpoints move without a
+// draw.
+func (k pathKernel) StepEach(pos []int32, idx []int32, lazy bool, r *rng.Source) {
+	st := r.State()
+	for _, j := range idx {
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		if x&1 == 1 { // lazy stay
+			continue
+		}
+		switch v := pos[j]; v {
+		case 0:
+			pos[j] = 1
+		case k.n - 1:
+			pos[j] = k.n - 2
+		default:
+			st, x = st.Next()
+			pos[j] = v - 1 + 2*int32(x>>63)
+		}
+	}
+	r.SetState(st)
 }
 
 func (k pathKernel) nth(v, i int32) int32 {
@@ -664,6 +817,42 @@ func (k hypercubeKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng
 		}
 		pos[j] = k.nth(pos[j], int32(hi))
 	}
+}
+
+// StepEach advances the listed slots one bit-flip move each, drawing
+// from r as a Step loop does (see Kernel.StepEach).
+func (k hypercubeKernel) StepEach(pos []int32, idx []int32, lazy bool, r *rng.Source) {
+	un := uint64(k.k)
+	thresh := -un % un
+	small := k.k <= 16
+	st := r.State()
+	for _, j := range idx {
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		switch {
+		case x&1 == 1: // lazy stay
+		case un == 1:
+			pos[j] ^= 1
+		default:
+			st, x = st.Next()
+			hi, lo := bits.Mul64(x, un)
+			for lo < thresh {
+				st, x = st.Next()
+				hi, lo = bits.Mul64(x, un)
+			}
+			v := uint(pos[j])
+			var d uint
+			if small {
+				d = hypercubeDim16(v, uint(hi))
+			} else {
+				d = hypercubeDim(v, uint(hi))
+			}
+			pos[j] ^= 1 << d
+		}
+	}
+	r.SetState(st)
 }
 
 func (k hypercubeKernel) nth(v, i int32) int32 {

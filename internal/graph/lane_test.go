@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -46,9 +47,36 @@ func laneFamilies(t *testing.T) map[string]Graph {
 }
 
 // rowWeights returns the edge weights of v's neighbour list, aligned with
-// g.csr.Neighbors(v): the law the weighted kernel tests draw against.
+// g.csr.Neighbors(v), from the formula of the family g's name gives: the
+// law the weighted kernel tests draw against. The graph keeps no weights.
 func rowWeights(g *WeightedCSR, v int) []float64 {
-	return g.w[g.csr.offsets[v]:g.csr.offsets[v+1]]
+	var n int
+	var p float64
+	var weight func(u int) float64
+	if _, err := fmt.Sscanf(g.Name(), "wcomplete-%d-a%g", &n, &p); err == nil {
+		// WeightedComplete: ((u+1)(v+1))^alpha.
+		weight = func(u int) float64 { return math.Pow(float64(min(u, v)+1)*float64(max(u, v)+1), p) }
+	} else if _, err := fmt.Sscanf(g.Name(), "wcycle-%d-b%g", &n, &p); err == nil {
+		// WeightedCycle: edge {x, x+1 mod n} weighs bias when x is odd.
+		weight = func(u int) float64 {
+			x := v
+			if v == (u+1)%n {
+				x = u
+			}
+			if x%2 == 1 {
+				return p
+			}
+			return 1
+		}
+	} else {
+		panic("rowWeights: no weight formula for " + g.Name())
+	}
+	ns := g.csr.Neighbors(v)
+	ws := make([]float64, len(ns))
+	for i, u := range ns {
+		ws[i] = weight(int(u))
+	}
+	return ws
 }
 
 // TestStepLaneMovesToNeighbors drives every kernel's StepLane across a

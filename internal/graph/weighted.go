@@ -25,13 +25,13 @@ import (
 // A weighted K_n (n >= 3) walks with weightedCompleteKernel, which reads
 // only prob and alt: slot i of row v sits at v·(n−1)+i, and its own
 // neighbour is i + (i >= v). The adjacency stays for Neighbors, CSR and
-// HasEdge.
+// HasEdge. The weights themselves are dropped once the alias tables are
+// built: no walk reads them.
 //
 // WeightedCSR implements Graph and EdgeChecker, so every registered
 // dispersion process runs on weighted backends unchanged.
 type WeightedCSR struct {
 	csr    *CSR
-	w      []float64 // edge weight per adjacency slot, aligned with csr.adj
 	prob   []float64 // alias acceptance probability per adjacency slot
 	alt    []int32   // alias alternative vertex per adjacency slot
 	kernel Kernel
@@ -109,42 +109,36 @@ func (b *WeightedBuilder) Build() (*WeightedCSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := newWeightedCSR(csr)
 	// Align each edge's weight with both sorted adjacency rows.
+	w := make([]float64, len(csr.adj))
 	for _, e := range b.edges {
-		g.setWeight(e.u, e.v, e.w)
-		g.setWeight(e.v, e.u, e.w)
+		setWeight(csr, w, e.u, e.v, e.w)
+		setWeight(csr, w, e.v, e.u, e.w)
 	}
-	g.finish()
-	return g, nil
+	return newWeightedCSR(csr, w), nil
 }
 
-// newWeightedCSR returns csr with zeroed weight and alias tables, one
-// entry per adjacency slot, for the caller to fill with weights and then
-// finish.
-func newWeightedCSR(csr *CSR) *WeightedCSR {
-	return &WeightedCSR{
+// newWeightedCSR returns csr walked under the weights w, one per adjacency
+// slot: it builds every vertex's alias table from w, which it does not
+// keep, and selects the kernel: the closed-form weightedCompleteKernel
+// when the structure is K_n with n >= 3, as the CSR's own kernel says,
+// and the generic alias kernel otherwise. (K_2's degree-1 moves draw
+// nothing, which the generic kernel already handles.)
+func newWeightedCSR(csr *CSR, w []float64) *WeightedCSR {
+	g := &WeightedCSR{
 		csr:  csr,
-		w:    make([]float64, len(csr.adj)),
 		prob: make([]float64, len(csr.adj)),
 		alt:  make([]int32, len(csr.adj)),
 	}
-}
-
-// finish builds every vertex's alias table from the weights and selects
-// the kernel: the closed-form weightedCompleteKernel when the structure is
-// K_n with n >= 3, as the CSR's own kernel says, and the generic alias
-// kernel otherwise. (K_2's degree-1 moves draw nothing, which the generic
-// kernel already handles.)
-func (g *WeightedCSR) finish() {
 	for v := 0; v < g.N(); v++ {
-		g.buildAlias(v)
+		g.buildAlias(v, w)
 	}
 	if ck, ok := g.csr.kernel.(completeKernel); ok && ck.n >= 3 {
 		g.kernel = weightedCompleteKernel{prob: g.prob, alt: g.alt, complete: ck}
-		return
+	} else {
+		g.kernel = weightedKernel{g: g}
 	}
-	g.kernel = weightedKernel{g: g}
+	return g
 }
 
 // checkWeight rejects an edge weight that is not positive and finite.
@@ -155,19 +149,20 @@ func checkWeight(u, v int, w float64) error {
 	return nil
 }
 
-// setWeight stores w in u's row slot for neighbour v (the row is sorted,
-// so the slot is found by binary search).
-func (g *WeightedCSR) setWeight(u, v int32, w float64) {
-	off := g.csr.offsets[u]
-	ns := g.csr.adj[off:g.csr.offsets[u+1]]
+// setWeight stores x in w's slot for u's row entry of neighbour v (the
+// row is sorted, so the slot is found by binary search).
+func setWeight(csr *CSR, w []float64, u, v int32, x float64) {
+	off := csr.offsets[u]
+	ns := csr.adj[off:csr.offsets[u+1]]
 	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	g.w[off+int32(i)] = w
+	w[off+int32(i)] = x
 }
 
-// buildAlias constructs vertex v's Walker alias table by Vose's method:
-// scale the row's weights to mean 1, then pair each deficit slot with a
-// surplus slot so every slot resolves a draw with at most one comparison.
-func (g *WeightedCSR) buildAlias(v int) {
+// buildAlias constructs vertex v's Walker alias table from the weights w
+// by Vose's method: scale the row's weights to mean 1, then pair each
+// deficit slot with a surplus slot so every slot resolves a draw with at
+// most one comparison.
+func (g *WeightedCSR) buildAlias(v int, w []float64) {
 	off := int(g.csr.offsets[v])
 	end := int(g.csr.offsets[v+1])
 	d := end - off
@@ -175,14 +170,14 @@ func (g *WeightedCSR) buildAlias(v int) {
 		return
 	}
 	var sum float64
-	for _, w := range g.w[off:end] {
-		sum += w
+	for _, x := range w[off:end] {
+		sum += x
 	}
 	scaled := make([]float64, d)
 	small := make([]int32, 0, d)
 	large := make([]int32, 0, d)
 	for i := 0; i < d; i++ {
-		scaled[i] = g.w[off+i] * float64(d) / sum
+		scaled[i] = w[off+i] * float64(d) / sum
 		if scaled[i] < 1 {
 			small = append(small, int32(i))
 		} else {
@@ -295,6 +290,50 @@ func (k weightedKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.
 		}
 		pos[j] = to
 	}
+}
+
+// StepEach advances the listed slots one weighted alias move each,
+// drawing from r as a Step loop does (see Kernel.StepEach): a slot draw
+// and an acceptance coin, none at degree one.
+func (k weightedKernel) StepEach(pos []int32, idx []int32, lazy bool, r *rng.Source) {
+	g := k.g
+	offsets, adj, prob, alt := g.csr.offsets, g.csr.adj, g.prob, g.alt
+	st := r.State()
+	for _, j := range idx {
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		if x&1 == 1 { // lazy stay
+			continue
+		}
+		v := pos[j]
+		off := offsets[v]
+		d := offsets[v+1] - off
+		if d == 1 {
+			pos[j] = adj[off]
+			continue
+		}
+		// Intn(d)'s draw law, then Float64's.
+		un := uint64(d)
+		st, x = st.Next()
+		hi, lo := bits.Mul64(x, un)
+		if lo < un {
+			thresh := -un % un
+			for lo < thresh {
+				st, x = st.Next()
+				hi, lo = bits.Mul64(x, un)
+			}
+		}
+		i := off + int32(hi)
+		st, x = st.Next()
+		if float64(x>>11)*0x1p-53 < prob[i] {
+			pos[j] = adj[i]
+		} else {
+			pos[j] = alt[i]
+		}
+	}
+	r.SetState(st)
 }
 
 // weightedCompleteKernel is the alias kernel of a weighted K_n with
@@ -418,6 +457,40 @@ func (k weightedCompleteKernel) StepLane(pos []int32, idx []int32, lazy bool, la
 	}
 }
 
+// StepEach advances the listed slots one weighted alias move each,
+// drawing from r as a Step loop does (see Kernel.StepEach), with
+// Intn(n−1)'s rejection threshold hoisted.
+func (k weightedCompleteKernel) StepEach(pos []int32, idx []int32, lazy bool, r *rng.Source) {
+	prob, alt, d := k.prob, k.alt, k.complete.n-1
+	un := uint64(d)
+	thresh := -un % un
+	st := r.State()
+	for _, j := range idx {
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		if x&1 == 1 { // lazy stay
+			continue
+		}
+		st, x = st.Next()
+		hi, lo := bits.Mul64(x, un)
+		for lo < thresh {
+			st, x = st.Next()
+			hi, lo = bits.Mul64(x, un)
+		}
+		v, i := pos[j], int32(hi)
+		s := v*d + i
+		st, x = st.Next()
+		if float64(x>>11)*0x1p-53 < prob[s] {
+			pos[j] = k.complete.nth(v, i)
+		} else {
+			pos[j] = alt[s]
+		}
+	}
+	r.SetState(st)
+}
+
 // WeightedComplete returns K_n with edge weight ((u+1)(v+1))^alpha — the
 // degree-biased family: the walk leaves any vertex toward v with
 // probability proportional to (v+1)^alpha, so alpha > 0 drags particles
@@ -430,10 +503,11 @@ func WeightedComplete(n int, alpha float64) (*WeightedCSR, error) {
 	if math.IsNaN(alpha) || math.IsInf(alpha, 0) {
 		return nil, fmt.Errorf("graph: weighted complete alpha %v (want finite)", alpha)
 	}
-	g := newWeightedCSR(completeCSR(fmt.Sprintf("wcomplete-%d-a%g", n, alpha), n))
+	csr := completeCSR(fmt.Sprintf("wcomplete-%d-a%g", n, alpha), n)
 	// Each edge's weight is computed once, in (u, v) order, and stored in
 	// both sorted rows: row u lists v > u at slot v−1, row v lists u at
 	// slot u.
+	ws := make([]float64, len(csr.adj))
 	d := n - 1
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
@@ -441,12 +515,11 @@ func WeightedComplete(n int, alpha float64) (*WeightedCSR, error) {
 			if err := checkWeight(u, v, w); err != nil {
 				return nil, err
 			}
-			g.w[u*d+v-1] = w
-			g.w[v*d+u] = w
+			ws[u*d+v-1] = w
+			ws[v*d+u] = w
 		}
 	}
-	g.finish()
-	return g, nil
+	return newWeightedCSR(csr, ws), nil
 }
 
 // WeightedCycle returns C_n with alternating edge weights: edge

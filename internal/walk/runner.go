@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"dispersion/internal/rng"
 )
@@ -47,7 +48,7 @@ func (rn *Runner) TrialSeed(i int) uint64 {
 	return rn.root.SplitSeed(rn.experimentID, uint64(i))
 }
 
-// streamed carries one trial outcome from a worker to the collector.
+// streamed carries one trial outcome from a helper worker to the caller.
 type streamed[T any] struct {
 	trial int
 	v     T
@@ -65,7 +66,7 @@ type streamed[T any] struct {
 // call concurrently with distinct sources, and r is valid only for the
 // duration of the call — each worker reseeds one local generator per
 // trial, so a retained pointer would be overwritten by the worker's next
-// trial. each is always called from a single goroutine.
+// trial. each is always called on the calling goroutine.
 //
 // The first error — from ctx, fn, or each — stops the stream and is
 // returned; trials past the failure point may never run. Once every
@@ -94,11 +95,20 @@ func StreamFrom[T any](ctx context.Context, rn *Runner, first, trials int,
 }
 
 // StreamState is StreamFrom with per-worker scratch state: newState runs
-// once inside each worker goroutine and its value is handed to every fn
-// call that worker makes. It is the hook through which the engine threads
-// a reusable per-worker Scratch (occupancy stamps, position buffers, event
-// heaps) so steady-state trials allocate nothing; any worker-affine
-// resource (arena, profiler, connection) threads the same way.
+// once in each worker and its value is handed to every fn call that worker
+// makes. It is the hook through which the engine threads a reusable
+// per-worker Scratch (occupancy stamps, position buffers, event heaps) so
+// steady-state trials allocate nothing; any worker-affine resource
+// (arena, profiler, connection) threads the same way.
+//
+// The calling goroutine is one of the W workers (W = the runner's worker
+// count, capped at trials): only W−1 helper goroutines start, none at
+// W = 1. Every worker claims the next trial index from one shared cursor,
+// and a worker may claim only while fewer than 4·W claimed trials wait
+// for delivery. The caller runs its claims on its own state and, between
+// them, delivers every finished trial in order, so each still runs on the
+// caller, in trial order. When the next trial to deliver is still running
+// on a helper and the window is full, the caller waits for it.
 //
 // The per-trial randomness is unchanged: trial i's source is reseeded from
 // the split stream (experimentID, i) — bit-identical to the Source that
@@ -106,7 +116,8 @@ func StreamFrom[T any](ctx context.Context, rn *Runner, first, trials int,
 // path performs no per-trial allocation.
 //
 // fn must not retain r or the state value past the call for types shared
-// across calls; each trial is always called from a single goroutine.
+// across calls. If fn or each panics on the caller, StreamState stops the
+// helpers and waits for them before the panic propagates.
 func StreamState[T, S any](ctx context.Context, rn *Runner, first, trials int,
 	newState func() S,
 	fn func(trial int, r *rng.Source, state S) (T, error),
@@ -115,29 +126,30 @@ func StreamState[T, S any](ctx context.Context, rn *Runner, first, trials int,
 		return nil
 	}
 	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	var wg sync.WaitGroup
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
 
 	end := first + trials
-	workers := rn.workers
-	if workers > trials {
-		workers = trials
-	}
-	// Tokens bound how far completed-but-undelivered trials can run ahead
-	// of the delivery cursor; the collector refunds one per delivery.
-	window := 4 * workers
-	if window > trials {
-		window = trials
-	}
+	workers := min(rn.workers, trials)
+	// Tokens bound how far claimed-but-undelivered trials can run ahead of
+	// the delivery cursor; the caller refunds one per delivery. Every
+	// undelivered claim therefore lies in [deliver, deliver+window), so a
+	// ring of window slots holds the finished ones.
+	window := min(4*workers, trials)
 	tokens := make(chan struct{}, window)
 	for i := 0; i < window; i++ {
 		tokens <- struct{}{}
 	}
-
+	// Helpers never block on a send: each result holds a token.
 	results := make(chan streamed[T], window)
-	next := first
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	var next atomic.Int64 // the claim cursor
+	next.Store(int64(first))
+	claim := func() int { return int(next.Add(1) - 1) }
+
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -149,10 +161,7 @@ func StreamState[T, S any](ctx context.Context, rn *Runner, first, trials int,
 					return
 				case <-tokens:
 				}
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
+				i := claim()
 				if i >= end {
 					return
 				}
@@ -166,45 +175,82 @@ func StreamState[T, S any](ctx context.Context, rn *Runner, first, trials int,
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
-	// Collector. To keep the error path deterministic too, a trial
-	// failure does not discard earlier successes: trial indices are
-	// claimed in order, so every trial below the lowest failing index is
-	// already in flight and will arrive; each of them is still delivered
-	// before the failing trial's error is returned. A callback error
-	// stops delivery at that point instead.
+	// To keep the error path deterministic too, a trial failure does not
+	// discard earlier successes: trial indices are claimed in order, so
+	// every trial below the lowest failing index is already claimed and
+	// will finish; each of them is still delivered before the failing
+	// trial's error is returned. A callback error stops delivery at that
+	// point instead.
 	var firstErr error
-	failIdx := end // lowest trial index that failed (or delivery cut-off)
-	pending := make(map[int]T, window)
-	deliver := first
-	for res := range results {
+	failIdx := end // lowest trial index that failed
+	ring := make([]struct {
+		v  T
+		ok bool
+	}, window)
+	take := func(res streamed[T]) {
 		if res.err != nil {
 			if res.trial < failIdx {
-				failIdx = res.trial
-				firstErr = res.err
+				failIdx, firstErr = res.trial, res.err
 			}
-			continue
+			cancel()
+			return
 		}
-		pending[res.trial] = res.v
-		for deliver < failIdx {
-			v, ok := pending[deliver]
-			if !ok {
-				break
-			}
-			delete(pending, deliver)
+		slot := &ring[(res.trial-first)%window]
+		slot.v, slot.ok = res.v, true
+	}
+	done := ctx.Done()
+	stopped := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+	state := newState()
+	var src rng.Source
+	deliver := first
+	for deliver < failIdx {
+		if slot := &ring[(deliver-first)%window]; slot.ok {
+			var zero T
+			v := slot.v
+			slot.v, slot.ok = zero, false
 			if err := each(deliver, v); err != nil {
 				firstErr = err
-				failIdx = deliver
-				cancel()
 				break
 			}
 			deliver++
 			tokens <- struct{}{}
+			continue
 		}
+		select {
+		case res := <-results:
+			take(res)
+			continue
+		default:
+		}
+		// The next trial to deliver is unclaimed or running on a helper:
+		// run a trial here while the window has room.
+		if int(next.Load()) < end && !stopped() {
+			select {
+			case <-tokens:
+				if i := claim(); i < end {
+					rn.root.SplitInto(&src, rn.experimentID, uint64(i))
+					v, err := fn(i, &src, state)
+					take(streamed[T]{trial: i, v: v, err: err})
+				}
+				continue
+			default:
+			}
+		}
+		if int64(deliver) >= next.Load() && stopped() {
+			// Nothing is in flight and no more trials will be claimed.
+			break
+		}
+		// A helper holds the next trial, or holds a token and is about to
+		// claim it, and sends every trial it claims.
+		take(<-results)
 	}
 	if firstErr != nil {
 		return firstErr

@@ -5,8 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dispersion/internal/rng"
 )
@@ -227,5 +231,117 @@ func TestStreamBoundedWindow(t *testing.T) {
 	// approximate sampling above.
 	if maxAhead.Load() > 64 {
 		t.Fatalf("worker ran %d trials ahead of delivery; window is not bounded", maxAhead.Load())
+	}
+}
+
+// goid returns the calling goroutine's id, read from its stack header
+// ("goroutine 7 [running]:").
+func goid() string {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	return strings.Fields(string(buf[:n]))[1]
+}
+
+// TestStreamEachRunsOnCaller checks that every delivery runs on the
+// goroutine that called Stream, and that the caller runs trials of its
+// own as one of the workers: each helper waits in its first trial until
+// the caller has run one, which it can only do by claiming from the
+// window the waiting helpers leave.
+func TestStreamEachRunsOnCaller(t *testing.T) {
+	caller := goid()
+	for _, w := range []int{1, 2, 4} {
+		rn := NewRunner(5, 2)
+		rn.SetWorkers(w)
+		ranOnCaller := make(chan struct{})
+		var once sync.Once
+		wait, stop := context.WithTimeout(context.Background(), 5*time.Second)
+		err := Stream(context.Background(), rn, 300,
+			func(i int, r *rng.Source) (int, error) {
+				if goid() == caller {
+					once.Do(func() { close(ranOnCaller) })
+					return i, nil
+				}
+				select {
+				case <-ranOnCaller:
+				case <-wait.Done():
+				}
+				return i, nil
+			},
+			func(i int, v int) error {
+				if g := goid(); g != caller {
+					t.Errorf("workers=%d: trial %d delivered on goroutine %s, caller is %s", w, i, g, caller)
+				}
+				return nil
+			})
+		stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-ranOnCaller:
+		default:
+			t.Errorf("workers=%d: the caller ran no trial", w)
+		}
+	}
+}
+
+// TestStreamSingleWorkerStartsNoGoroutine checks that W = 1 runs every
+// trial and delivery on the caller, with no goroutine started.
+func TestStreamSingleWorkerStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rn := NewRunner(1, 1)
+	rn.SetWorkers(1)
+	check := func(where string, i int) {
+		// Goroutines of earlier tests may still be exiting, so only a
+		// count above the one before the stream shows a start.
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%s of trial %d: %d goroutines, %d before the stream", where, i, n, before)
+		}
+	}
+	err := Stream(context.Background(), rn, 100,
+		func(i int, r *rng.Source) (int, error) { check("fn", i); return i, nil },
+		func(i int, v int) error { check("each", i); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamCallerPanicStopsHelpers checks that a panic of fn or each on
+// the caller stops every helper goroutine before it propagates.
+func TestStreamCallerPanicStopsHelpers(t *testing.T) {
+	for _, where := range []string{"fn", "each"} {
+		before := runtime.NumGoroutine()
+		caller := goid()
+		rn := NewRunner(1, 1)
+		rn.SetWorkers(4)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: no panic reached the caller", where)
+				}
+			}()
+			_ = Stream(context.Background(), rn, 1<<20,
+				func(i int, r *rng.Source) (int, error) {
+					if where == "fn" && i >= 20 && goid() == caller {
+						panic("fn failed")
+					}
+					return i, nil
+				},
+				func(i int, v int) error {
+					if where == "each" && i == 20 {
+						panic("each failed")
+					}
+					return nil
+				})
+		}()
+		// Helpers have returned once Stream unwinds; give the runtime a
+		// moment to retire their goroutines.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%s panic: %d goroutines still running, %d before the stream", where, n, before)
+		}
 	}
 }

@@ -477,8 +477,9 @@ type ManagerOptions struct {
 	// submissions queue. 0 means 2.
 	MaxConcurrent int
 	// EngineWorkers is passed to dispersion.Engine.Workers for every job:
-	// the per-job degree of parallelism. 0 means one worker per core.
-	// The setting affects scheduling only, never results.
+	// the per-job degree of parallelism, the job's own goroutine counted.
+	// 0 means one worker per core; at 1 a job runs its trials on its own
+	// goroutine alone. The setting affects scheduling only, never results.
 	EngineWorkers int
 	// ResultsDir, when non-empty, makes the manager persist every job's
 	// trials to <ResultsDir>/<job id>.jsonl through a dispersion/sink
