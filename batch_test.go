@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"dispersion"
@@ -329,5 +331,72 @@ func TestBatchedOptionErrors(t *testing.T) {
 	}
 	if _, err := p.Run(g, 0, dispersion.NewSource(1), dispersion.WithBatch(4)); err == nil {
 		t.Error("one-shot WithBatch accepted on the parallel process")
+	}
+}
+
+// TestBatchedMaxIntTrials runs a batched job of math.MaxInt trials, whose
+// block count once wrapped negative so that Run returned nil having
+// delivered nothing. The callback stops the job after five trials.
+func TestBatchedMaxIntTrials(t *testing.T) {
+	stop := errors.New("stop")
+	var got []int
+	err := dispersion.Engine{Seed: 1, Workers: 1}.Run(context.Background(), dispersion.Job{
+		Process: "sequential",
+		Spec:    "complete:4",
+		Trials:  math.MaxInt,
+		Options: []dispersion.Option{dispersion.WithBatch(2)},
+	}, func(tr dispersion.Trial) error {
+		got = append(got, tr.Index)
+		if len(got) == 5 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("Run returned %v after %d trials, want the callback's stop after 5", err, len(got))
+	}
+	for i, idx := range got {
+		if idx != i {
+			t.Fatalf("delivered trial indices %v, want 0..4", got)
+		}
+	}
+}
+
+// TestBatchedRangeEndingAtMaxInt runs a batched job whose trial range
+// ends at math.MaxInt, where the last block's end once overflowed: it
+// delivered 8 trials for 5, three with wrapped negative indices. It must
+// deliver exactly the range, with the results of the same trials run one
+// per block.
+func TestBatchedRangeEndingAtMaxInt(t *testing.T) {
+	run := func(b int) ([]int, []int64) {
+		var idx []int
+		var totals []int64
+		err := dispersion.Engine{Seed: 1, Workers: 1}.Run(context.Background(), dispersion.Job{
+			Process:    "sequential",
+			Spec:       "complete:4",
+			FirstTrial: math.MaxInt - 5,
+			Trials:     5,
+			Options:    []dispersion.Option{dispersion.WithBatch(b)},
+		}, func(tr dispersion.Trial) error {
+			idx = append(idx, tr.Index)
+			totals = append(totals, tr.Result.TotalSteps)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx, totals
+	}
+	idx, totals := run(4)
+	if len(idx) != 5 {
+		t.Fatalf("delivered trials %v, want the 5 ending at MaxInt-1", idx)
+	}
+	for i, x := range idx {
+		if x != math.MaxInt-5+i {
+			t.Fatalf("delivered trials %v, want the 5 ending at MaxInt-1", idx)
+		}
+	}
+	if _, want := run(1); !slices.Equal(totals, want) {
+		t.Fatalf("total steps %v at batch 4, %v at batch 1", totals, want)
 	}
 }

@@ -242,12 +242,13 @@ func (c *laneCell) grow(n int) {
 
 // runCoreLane is the batched hot path selected by WithBatch: trials are
 // grouped into blocks of Batch, each block runs as one core.RunLane lane
-// on a worker (SoA particle state, counter-mode slot streams, fused
-// StepLane kernels), and the delivery unpacks blocks back into
-// per-trial callbacks in strict trial order. Trial i's stream is seeded
-// from the (Seed, Experiment, i) lineage, so results are bit-identical
-// for any Batch, Workers or sharding — and distribution-identical to the
-// scalar path.
+// on a worker (counter-mode slot streams, laid out by the graph's kernel:
+// SoA particle state stepped by fused StepLane kernels, or one slot
+// walking trial after trial for a closed form), and the delivery unpacks
+// blocks back into per-trial callbacks in strict trial order. Trial i's
+// stream is seeded from the (Seed, Experiment, i) lineage, so results are
+// bit-identical for any Batch, Workers or sharding — and
+// distribution-identical to the scalar path.
 func (e Engine) runCoreLane(ctx context.Context, rn *walk.Runner, cp *coreProcess, g Graph, job Job, opt core.Options, each func(Trial) error) error {
 	if cp.lane == core.LaneNone {
 		return fmt.Errorf("dispersion: process %q has no batched form (WithBatch covers the Sequential-family processes)", cp.name)
@@ -256,8 +257,13 @@ func (e Engine) runCoreLane(ctx context.Context, rn *walk.Runner, cp *coreProces
 	if b < 1 {
 		return fmt.Errorf("dispersion: batch width %d (want at least 1)", b)
 	}
+	// Validate keeps end within int; the block count and each block's
+	// length are computed so that nothing else can overflow either.
 	end := job.FirstTrial + job.Trials
-	numBlocks := (job.Trials + b - 1) / b
+	numBlocks := job.Trials / b
+	if job.Trials%b != 0 {
+		numBlocks++
+	}
 	var pool sync.Pool
 	getCell := func() *laneCell { return new(laneCell) }
 	if e.ReuseResults {
@@ -272,10 +278,7 @@ func (e Engine) runCoreLane(ctx context.Context, rn *walk.Runner, cp *coreProces
 		core.NewScratch,
 		func(block int, _ *Source, s *core.Scratch) (*laneCell, error) {
 			lo := job.FirstTrial + block*b
-			cnt := b
-			if lo+cnt > end {
-				cnt = end - lo
-			}
+			cnt := min(b, end-lo)
 			cell := getCell()
 			cell.grow(cnt)
 			for t := 0; t < cnt; t++ {

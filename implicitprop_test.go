@@ -145,6 +145,59 @@ func TestImplicitProcessTwinBitIdentityOptions(t *testing.T) {
 	}
 }
 
+// TestImplicitProcessTwinBitIdentityBatched extends the twin check to the
+// batched lane, through Engine.Run at widths 4 and 64, for every process
+// with a batched form, plain, lazy, and with sub-n particle counts and
+// random origins. The implicit closed forms walk their lanes depth-first
+// (one slot at a time, graph.LaneWalker) while most CSR twins, whose
+// kernel is the regular or csr table kernel, step them breadth-first, so
+// this pins the two layouts against each other through the public engine.
+func TestImplicitProcessTwinBitIdentityBatched(t *testing.T) {
+	optionSets := map[string][]dispersion.Option{
+		"plain": nil,
+		"lazy":  {dispersion.WithLazy()},
+		"sparse-origins": {
+			dispersion.WithParticles(5),
+			dispersion.WithRandomOrigins(),
+		},
+	}
+	run := func(g dispersion.Graph, pname string, opts []dispersion.Option) ([]*dispersion.Result, error) {
+		var out []*dispersion.Result
+		err := dispersion.Engine{Seed: 37, Experiment: 2, Workers: 2}.Run(context.Background(),
+			dispersion.Job{Process: pname, Graph: g, Trials: 12, Options: opts},
+			func(tr dispersion.Trial) error {
+				out = append(out, tr.Result)
+				return nil
+			})
+		return out, err
+	}
+	batched := map[string]bool{}
+	for name, twin := range implicitTwins(t) {
+		for _, pname := range dispersion.Processes() {
+			for oname, opts := range optionSets {
+				for _, b := range []int{4, 64} {
+					opts := append([]dispersion.Option{dispersion.WithBatch(b)}, opts...)
+					resI, errI := run(twin.implicit, pname, opts)
+					resC, errC := run(twin.csr, pname, opts)
+					if (errI == nil) != (errC == nil) || errI != nil && errI.Error() != errC.Error() {
+						t.Fatalf("%s/%s batch %d on %s: implicit err %v, CSR err %v", pname, oname, b, name, errI, errC)
+					}
+					if errI != nil {
+						continue
+					}
+					batched[pname] = true
+					if !reflect.DeepEqual(resI, resC) {
+						t.Errorf("%s/%s batch %d on %s: implicit and CSR results differ", pname, oname, b, name)
+					}
+				}
+			}
+		}
+	}
+	if len(batched) != 8 {
+		t.Errorf("%d processes ran batched, want the 8 Sequential-family ones: %v", len(batched), batched)
+	}
+}
+
 // TestImplicitMakespanWithinTheoryBands simulates dispersion on implicit
 // backends and checks the sampled makespans against the paper's bands
 // computed from the materialized twin: the mean at least the Theorem 3.6

@@ -1,19 +1,24 @@
-// This file holds the batched execution lane: Options.Batch concurrent
-// trials advance together through one SoA state bank, stepped by the
-// graph kernel's fused StepLane loops. The scalar hot path walks one
+// This file holds the batched execution lane: trials run under the
+// counter-mode slot streams of the lane seed law, in one of two layouts
+// the graph kernel chooses. On a table-backed kernel, Options.Batch
+// concurrent trials advance together through one SoA state bank, stepped
+// by the kernel's fused StepLane loops: the scalar hot path walks one
 // particle at a time, so every step's load depends on the previous step's
-// RNG draw; the lane breaks that serial chain by interleaving Batch
-// independent trials, giving the CPU a window of independent draws and
-// occupancy probes per superstep. Results are identical in distribution
-// to the scalar path and, across batched runs, bit-identical for any
-// batch width, worker count or sharding: each trial draws only from its
-// own counter-mode slot stream seeded by the (seed, experiment, trial)
-// lineage.
+// RNG draw, and the lane breaks that serial chain by interleaving Batch
+// independent trials, giving the CPU a window of independent loads per
+// superstep. On a closed-form kernel that is a graph.LaneWalker there is
+// no load to overlap, so one slot hosts the trials one after another and
+// walks each stretch in one WalkLane call, at walk speed. Results are
+// identical in distribution to the scalar path and, across batched runs,
+// bit-identical for any batch width, layout, worker count or sharding:
+// each trial draws only from its own slot stream seeded by the (seed,
+// experiment, trial) lineage.
 
 package core
 
 import (
 	"fmt"
+	"math"
 
 	"dispersion/internal/graph"
 	"dispersion/internal/rng"
@@ -46,7 +51,8 @@ const (
 const maxBatch = 1 << 16
 
 // laneMaxOccBytes bounds the lane occupancy bank (width rows of n
-// vertices, one byte each — four for the capacity counts). RunLane
+// vertices, one byte each — four for the capacity counts, and five for a
+// depth-first capacity lane, which stamps full vertices as well). RunLane
 // rejects configurations over the bound instead of silently thrashing;
 // the scalar path (with its sparse backend) handles such graphs.
 const laneMaxOccBytes = 1 << 28
@@ -58,11 +64,13 @@ const laneMaxOccBytes = 1 << 28
 type laneState struct {
 	src rng.LaneSource
 	// n and width are the shape the bank is currently laid out for; a
-	// reshape invalidates every row, so prepare clears on shape change.
+	// reshape, or a change of the rows laid out, invalidates every row, so
+	// prepare clears on either.
 	n     int
 	width int
 	// occ rows mirror Scratch.occ per slot: occ[j*n+v] == epochs[j] means
-	// vertex v is occupied in slot j's trial. Unused by LaneCapacity.
+	// vertex v is occupied in slot j's trial (full, for a depth-first
+	// LaneCapacity lane). Unused by a breadth-first LaneCapacity lane.
 	occ []uint8
 	// cnt rows mirror Scratch.cnt per slot (epoch in the high byte,
 	// count in the low 24 bits). Sized only for LaneCapacity.
@@ -79,12 +87,14 @@ type laneState struct {
 	idx    []int32 // active-slot list handed to StepLane
 }
 
-// prepare lays the bank out for a width-slot lane on an n-vertex graph.
-// Occupancy rows survive across runs of the same shape (the per-slot
-// epochs keep them correct); any reshape clears them wholesale, since
-// stale stamps would land at arbitrary row offsets.
-func (ls *laneState) prepare(n, width int, counts bool) {
-	reset := ls.n != n || ls.width != width
+// prepare lays the bank out for a width-slot lane on an n-vertex graph,
+// with occupancy rows when stamps is set and count rows when counts is
+// set. Rows survive across runs of the same layout (the per-slot epochs
+// keep them correct); any other layout clears them wholesale, since stale
+// stamps would land at arbitrary row offsets, or outlive an epoch wrap
+// that cleared only the rows in use.
+func (ls *laneState) prepare(n, width int, stamps, counts bool) {
+	reset := ls.n != n || ls.width != width || (len(ls.occ) > 0) != stamps || (len(ls.cnt) > 0) != counts
 	ls.n, ls.width = n, width
 	ls.src.Resize(width)
 	ls.trial = growI32(ls.trial, width)
@@ -98,16 +108,19 @@ func (ls *laneState) prepare(n, width int, counts bool) {
 	}
 	ls.epochs = ls.epochs[:width]
 	cells := n * width
+	ls.occ = ls.occ[:0]
+	if stamps {
+		if cap(ls.occ) < cells {
+			ls.occ = make([]uint8, cells)
+		}
+		ls.occ = ls.occ[:cells]
+	}
+	ls.cnt = ls.cnt[:0]
 	if counts {
 		if cap(ls.cnt) < cells {
 			ls.cnt = make([]uint32, cells)
 		}
 		ls.cnt = ls.cnt[:cells]
-	} else {
-		if cap(ls.occ) < cells {
-			ls.occ = make([]uint8, cells)
-		}
-		ls.occ = ls.occ[:cells]
 	}
 	if reset {
 		clear(ls.occ[:cap(ls.occ)])
@@ -159,21 +172,24 @@ func (ls *laneState) setCount(j, v int32, c int32) {
 }
 
 // RunLane executes one trial per seed of the Sequential-family process
-// selected by variant, advancing up to opt.Batch trials concurrently
-// through the lane. seeds[i] must be the root of trial i's stream (the
-// engine passes Runner.TrialSeed); outs[i] receives trial i's result,
-// exactly as the scalar *Into would produce in distribution. Slots retire
-// as their trials finish and immediately rehost the next pending seed, so
-// the lane stays full until the tail.
+// selected by variant through the lane. seeds[i] must be the root of
+// trial i's stream (the engine passes Runner.TrialSeed); outs[i] receives
+// trial i's result, exactly as the scalar *Into would produce in
+// distribution. Slots retire as their trials finish and immediately
+// rehost the next pending seed, so the lane stays full until the tail.
 //
-// The scheduler alternates two phases over the active slots: a resolve
-// phase (truncation check, then the variant's settlement cascade, then
-// retire/rehost) touching only per-slot state, and one fused
-// kern.StepLane call advancing every unresolved slot a single walk move.
-// A trial's draw sequence — origin draws, lazy coins, step draws,
-// acceptance coins — therefore depends only on its own slot stream,
-// which is what makes batched results invariant to Batch, workers and
-// sharding.
+// The scheduler alternates two phases: a resolve phase (truncation check,
+// then the variant's settlement cascade, then retire/rehost) touching only
+// per-slot state, and a walk phase. The graph kernel picks the layout of
+// the walk phase. A kernel without WalkLane gets a lane of up to
+// opt.Batch slots, and one fused kern.StepLane call advances every
+// unresolved slot a single walk move, so the slots' cache misses overlap.
+// A closed-form kernel that is a graph.LaneWalker gets a lane of physical
+// width 1: the one slot hosts the seeds one after another and walks each
+// stretch between two resolves in one WalkLane call. Either way a trial's
+// draw sequence — origin draws, lazy coins, step draws, acceptance coins —
+// depends only on its own slot stream, which is what makes batched results
+// invariant to Batch, the layout, workers and sharding.
 func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds []uint64, s *Scratch, outs []*Result) error {
 	n := g.N()
 	if len(seeds) != len(outs) {
@@ -199,11 +215,16 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 	if len(seeds) == 0 {
 		return nil
 	}
+	kern := g.Kernel()
+	walker, depth := kern.(graph.LaneWalker)
 	width := opt.Batch
+	if depth {
+		width = 1
+	}
 	if width > len(seeds) {
 		width = len(seeds)
 	}
-	if bytes := n * width * laneCellBytes(variant); bytes > laneMaxOccBytes {
+	if bytes := n * width * laneCellBytes(variant, depth); bytes > laneMaxOccBytes {
 		return fmt.Errorf("core: batch %d on %d vertices needs %d bytes of lane occupancy (max %d); lower the batch width",
 			width, n, bytes, laneMaxOccBytes)
 	}
@@ -211,8 +232,7 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 		s = NewScratch()
 	}
 	ls := &s.lane
-	ls.prepare(n, width, variant == LaneCapacity)
-	kern := g.Kernel()
+	ls.prepare(n, width, variant != LaneCapacity || depth, variant == LaneCapacity)
 
 	next := 0 // next seed to host
 	// host seats trial `next` on slot j: seeds the slot stream, resets the
@@ -277,6 +297,11 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 					return false
 				}
 				ls.setCount(j, v, cv+1)
+				if depth && int(cv)+1 == plan.at(v) {
+					// WalkLane tests the occupancy row, so a vertex that
+					// fills is stamped there, as the scalar loop marks it.
+					ls.occupy(j, v)
+				}
 			}
 			res.settle(int(ls.part[j]), v, ls.steps[j], ls.total[j])
 			ls.part[j]++
@@ -305,13 +330,33 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 		return j
 	}
 
+	maxSteps := opt.MaxSteps
+	if depth {
+		// Depth-first: between two resolves the slot owes one move, or
+		// under LaneThreshold the rest of its T forced moves (T is zero
+		// for the other laws), and then walks while it stands occupied:
+		// exactly the moves the breadth-first supersteps below would make,
+		// one StepLane move at a time.
+		host(0)
+		for slow(0) == 0 {
+			owed := max(1, T-ls.steps[0])
+			budget := int64(math.MaxInt64)
+			if maxSteps > 0 {
+				budget = maxSteps - ls.total[0]
+			}
+			v, walked := walker.WalkLane(ls.pos[0], owed, opt.Lazy, ls.occ, ls.epochs[0], budget, &ls.src, 0)
+			ls.pos[0] = v
+			ls.steps[0] += walked
+			ls.total[0] += walked
+		}
+		return nil
+	}
 	ls.idx = growI32(ls.idx, width)
 	active := ls.idx[:0]
 	for j := int32(0); int(j) < width; j++ {
 		host(j)
 		active = append(active, j)
 	}
-	maxSteps := opt.MaxSteps
 	for {
 		// Phase 1: settle, retire and rehost until every remaining active
 		// slot owes a walk move. The common superstep outcome by far is
@@ -365,10 +410,13 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 }
 
 // laneCellBytes returns the occupancy bytes one lane cell costs under the
-// variant.
-func laneCellBytes(variant LaneVariant) int {
-	if variant == LaneCapacity {
-		return 4
+// variant and layout (see laneMaxOccBytes).
+func laneCellBytes(variant LaneVariant, depth bool) int {
+	switch {
+	case variant != LaneCapacity:
+		return 1
+	case depth:
+		return 5
 	}
-	return 1
+	return 4
 }

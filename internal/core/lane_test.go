@@ -96,6 +96,113 @@ func TestLaneBatchInvariance(t *testing.T) {
 	}
 }
 
+// breadthFirst wraps a graph so that its kernel hides WalkLane: RunLane
+// then lays the lane out breadth-first, one StepLane move per superstep,
+// whatever the kernel.
+type breadthFirst struct{ graph.Graph }
+
+// Kernel returns the graph's kernel with only the Kernel methods.
+func (g breadthFirst) Kernel() graph.Kernel { return stepOnly{g.Graph.Kernel()} }
+
+// stepOnly is a kernel without the optional LaneWalker form.
+type stepOnly struct{ graph.Kernel }
+
+// TestLaneLayoutsAgree pins the depth-first layout to the breadth-first
+// one on every closed-form kernel: the same seeds give the same results,
+// or the same error, under all four laws and every golden option set,
+// at widths that rehost slots and at one wider than the seed set.
+func TestLaneLayoutsAgree(t *testing.T) {
+	graphs := []graph.Graph{
+		graph.Complete(2), graph.ImplicitComplete(11), graph.ImplicitCycle(3), graph.Cycle(13),
+		graph.ImplicitPath(2), graph.Path(9), graph.ImplicitHypercube(1), graph.ImplicitHypercube(5),
+	}
+	graphs = append(graphs, goldenTori()[2]) // 6x1x4: a side-1 dimension
+	variants := map[string]LaneVariant{
+		"standard": LaneStandard, "geom": LaneGeom, "threshold": LaneThreshold, "capacity": LaneCapacity,
+	}
+	seeds := laneSeeds(9)
+	for _, g := range graphs {
+		if _, ok := g.Kernel().(graph.LaneWalker); !ok {
+			t.Fatalf("%s: kernel %q has no WalkLane", g.Name(), g.Kernel().Kind())
+		}
+		for vname, variant := range variants {
+			for _, o := range goldenOptions() {
+				for _, batch := range []int{4, 64} {
+					opt := o.opt(g.N())
+					opt.Batch = batch
+					outs := func(g graph.Graph) ([]*Result, error) {
+						outs := make([]*Result, len(seeds))
+						for i := range outs {
+							outs[i] = new(Result)
+						}
+						return outs, RunLane(g, 0, opt, variant, seeds, NewScratch(), outs)
+					}
+					depth, errD := outs(g)
+					breadth, errB := outs(breadthFirst{g})
+					if (errD == nil) != (errB == nil) || errD != nil && errD.Error() != errB.Error() {
+						t.Fatalf("%s %s/%s batch %d: depth-first err %v, breadth-first err %v", g.Name(), vname, o.name, batch, errD, errB)
+					}
+					if errD != nil {
+						continue
+					}
+					for i := range depth {
+						if !resultsEqual(depth[i], breadth[i]) {
+							t.Fatalf("%s %s/%s batch %d: trial %d differs between the layouts", g.Name(), vname, o.name, batch, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLaneScratchAcrossLayouts reuses one Scratch for width-1 lanes that
+// lay out different rows: a depth-first lane keeps occupancy stamps (and
+// counts, under the capacity law), a breadth-first one stamps or, under
+// the capacity law, counts alone. In each sequence the middle run takes
+// 254 trials, so the last run's first trial reuses the first run's last
+// epoch: a stamp or count that outlived the middle run would collide
+// with it. Every run must match a run on a fresh Scratch.
+func TestLaneScratchAcrossLayouts(t *testing.T) {
+	g := graph.ImplicitCycle(13)
+	// A stale stamp on every vertex would walk forever; the budget turns
+	// it into a truncated trial.
+	opt := Options{Batch: 1, Particles: 7, MaxSteps: 1 << 16}
+	type lane struct {
+		g       graph.Graph
+		variant LaneVariant
+	}
+	depthStd, depthCap := lane{g, LaneStandard}, lane{g, LaneCapacity}
+	breadthStd, breadthCap := lane{breadthFirst{g}, LaneStandard}, lane{breadthFirst{g}, LaneCapacity}
+	for i, seq := range [][3]lane{
+		{depthStd, breadthCap, depthStd},
+		{breadthCap, depthStd, breadthCap},
+		{depthCap, breadthStd, depthCap},
+		{breadthStd, depthCap, breadthCap},
+	} {
+		s := NewScratch()
+		for r, run := range seq {
+			seeds := laneSeeds(300)
+			if r == 1 {
+				seeds = seeds[:254]
+			}
+			want := runLane(t, run.g, 0, opt, run.variant, seeds)
+			outs := make([]*Result, len(seeds))
+			for k := range outs {
+				outs[k] = new(Result)
+			}
+			if err := RunLane(run.g, 0, opt, run.variant, seeds, s, outs); err != nil {
+				t.Fatal(err)
+			}
+			for k := range outs {
+				if !resultsEqual(outs[k], want[k]) {
+					t.Fatalf("sequence %d, run %d: trial %d differs from a fresh Scratch's", i, r, k)
+				}
+			}
+		}
+	}
+}
+
 // TestLaneResultsCheck validates every variant's batched results against
 // the structural run invariants (full occupancy, clock monotonicity,
 // dispersion = max steps).
@@ -296,15 +403,30 @@ func TestLaneErrors(t *testing.T) {
 	}
 	// A huge implicit graph times a wide lane overflows the occupancy
 	// bound (the width only reaches Batch when enough seeds are pending).
+	// The bound counts the physical width: the breadth-first layout lays
+	// out 64 rows, the depth-first one a single row, which fits.
 	big := graph.ImplicitComplete(1 << 24)
 	bigSeeds := laneSeeds(64)
 	bigOuts := make([]*Result, len(bigSeeds))
 	for i := range bigOuts {
 		bigOuts[i] = new(Result)
 	}
-	if err := RunLane(big, 0, Options{Batch: 64, Particles: 1}, LaneStandard, bigSeeds, nil, bigOuts); err == nil ||
+	if err := RunLane(breadthFirst{big}, 0, Options{Batch: 64, Particles: 1}, LaneStandard, bigSeeds, nil, bigOuts); err == nil ||
 		!strings.Contains(err.Error(), "occupancy") {
 		t.Fatalf("occupancy bound: err = %v", err)
+	}
+	if err := RunLane(big, 0, Options{Batch: 64, Particles: 1}, LaneStandard, bigSeeds, nil, bigOuts); err != nil {
+		t.Fatalf("depth-first lane of width 1: %v", err)
+	}
+	// A breadth-first capacity cell holds a count (4 bytes); only the
+	// depth-first lane, whose walk tests the occupancy row, adds a stamp.
+	if got := laneCellBytes(LaneCapacity, false); got != 4 {
+		t.Fatalf("breadth-first capacity cell: %d bytes, want 4", got)
+	}
+	huge := graph.ImplicitCycle(1 << 26) // 5·2^26 bytes > the bound
+	if err := RunLane(huge, 0, Options{Batch: 64, Particles: 1}, LaneCapacity, bigSeeds, nil, bigOuts); err == nil ||
+		!strings.Contains(err.Error(), "occupancy") {
+		t.Fatalf("depth-first capacity occupancy bound: err = %v", err)
 	}
 	// Empty seed sets are a no-op.
 	if err := RunLane(g, 0, Options{Batch: 2}, LaneStandard, nil, nil, nil); err != nil {

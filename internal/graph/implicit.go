@@ -505,6 +505,57 @@ func (k torusKernel) WalkUntilVacantSparse(v int32, lazy bool, t *OccupancyTable
 	return v, steps
 }
 
+// WalkLane walks lane slot j from v (see LaneWalker), tracking v's
+// coordinates and class index across the walk as WalkUntilVacant does,
+// and drawing what StepLane draws with the slot state in locals.
+func (k torusKernel) WalkLane(v int32, owed int64, lazy bool, occ []uint8, epoch uint8, budget int64, lane *rng.LaneSource, j int) (int32, int64) {
+	if owed <= 0 && occ[v] != epoch {
+		return v, 0
+	}
+	var coord, last, pow3 [MaxTorusDims]int32
+	for d, td := range k.dims {
+		last[d&(MaxTorusDims-1)], pow3[d&(MaxTorusDims-1)] = td.side-1, td.pow3
+	}
+	cls := k.locate(v, &coord)
+	moves, deg := k.moves, int(k.deg)
+	un := uint64(deg)
+	thresh := -un % un
+	st := lane.State(j)
+	var steps int64
+	for steps < owed || occ[v] == epoch {
+		var x uint64
+		if lazy {
+			st, x = st.Next()
+		}
+		if x&1 == 0 {
+			st, x = st.Next()
+			hi, lo := bits.Mul64(x, un)
+			for lo < thresh {
+				st, x = st.Next()
+				hi, lo = bits.Mul64(x, un)
+			}
+			m := moves[int(cls)*deg+int(hi)]
+			v += m.off
+			d := m.dim & (MaxTorusDims - 1)
+			c := coord[d] + m.dc
+			coord[d] = c
+			cls = m.mid
+			if c == 0 {
+				cls -= pow3[d]
+			}
+			if c == last[d] {
+				cls += pow3[d]
+			}
+		}
+		steps++
+		if steps >= budget {
+			break
+		}
+	}
+	lane.SetState(j, st)
+	return v, steps
+}
+
 // StepLane advances the listed lane slots one torus move each, finding
 // each slot's move-table row exactly as Step does.
 func (k torusKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneSource) {

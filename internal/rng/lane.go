@@ -38,13 +38,37 @@ func (l *LaneSource) Resize(width int) {
 // Seed resets slot j to the stream determined by seed.
 func (l *LaneSource) Seed(j int, seed uint64) { l.state[j] = seed }
 
+// LaneState is one lane slot's splitmix64 counter held by value, the
+// register-resident form of a slot for a walk that draws from one slot
+// many times: copy it out with LaneSource.State, advance it with Next in
+// locals, and write it back once with LaneSource.SetState. It is State's
+// counterpart for the lane streams. Next is the slot stream's only step:
+// LaneSource.Uint64 is built on it, so a loop over Next produces the
+// slot's stream draw for draw.
+type LaneState struct {
+	s uint64
+}
+
+// Next returns the state advanced by one draw, and that draw's 64 bits.
+func (st LaneState) Next() (LaneState, uint64) {
+	s := st.s + splitmixGamma
+	z := (s ^ s>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return LaneState{s}, z ^ z>>31
+}
+
+// State returns a copy of slot j's current state.
+func (l *LaneSource) State(j int) LaneState { return LaneState{l.state[j]} }
+
+// SetState replaces slot j's state, typically with a LaneState copied out
+// by State and advanced with Next.
+func (l *LaneSource) SetState(j int, st LaneState) { l.state[j] = st.s }
+
 // Uint64 returns the next 64 pseudo-random bits of slot j's stream.
 func (l *LaneSource) Uint64(j int) uint64 {
-	s := l.state[j] + splitmixGamma
-	l.state[j] = s
-	s = (s ^ (s >> 30)) * 0xbf58476d1ce4e5b9
-	s = (s ^ (s >> 27)) * 0x94d049bb133111eb
-	return s ^ (s >> 31)
+	st, x := LaneState{l.state[j]}.Next()
+	l.state[j] = st.s
+	return x
 }
 
 // Intn returns a uniform pseudo-random integer in [0, n) from slot j's

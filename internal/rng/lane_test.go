@@ -114,6 +114,41 @@ func TestLaneSlotStreamIsSplitmix(t *testing.T) {
 	}
 }
 
+// TestLaneStateNextMatchesUint64 pins the register-resident form of a
+// lane slot to the slot's stream: copying slot j out with State, drawing
+// with Next and writing it back with SetState gives Uint64's draws and
+// leaves the slot where as many Uint64 calls would, and no other slot
+// moves. (TestLaneSlotStreamIsSplitmix pins Uint64 itself.)
+func TestLaneStateNextMatchesUint64(t *testing.T) {
+	for _, draws := range []int{0, 1, 2, 7, 1000} {
+		var a, b LaneSource
+		a.Resize(3)
+		b.Resize(3)
+		for j := range 3 {
+			a.Seed(j, uint64(j)*0x1234567+5)
+			b.Seed(j, uint64(j)*0x1234567+5)
+			for range 13 {
+				a.Uint64(j)
+				b.Uint64(j)
+			}
+		}
+		st := a.State(1)
+		for i := 0; i < draws; i++ {
+			var got uint64
+			st, got = st.Next()
+			if want := b.Uint64(1); got != want {
+				t.Fatalf("draws %d: Next %d = %#x, Uint64 = %#x", draws, i, got, want)
+			}
+		}
+		a.SetState(1, st)
+		for j := range 3 {
+			if x, y := a.Uint64(j), b.Uint64(j); x != y {
+				t.Fatalf("draws %d: slot %d streams diverge after SetState", draws, j)
+			}
+		}
+	}
+}
+
 // TestLaneBoundedLawsMatchSource pins the lane's bounded-draw laws to the
 // scalar Source's: feeding the same 64-bit outputs through Intn and
 // Float64 yields the same values. The raw streams differ by design; the
