@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -124,9 +126,10 @@ func TestBatchedMeanMatchesExact(t *testing.T) {
 }
 
 // TestBatchedMatchesScalarStats compares the batched and scalar paths as
-// estimators on the same jobs: their dispersion and total-steps means
-// must agree within a generous multiple of the Monte-Carlo standard
-// error. The streams differ (counter-mode vs xoshiro), the laws must not.
+// estimators on the same jobs, through Engine.Sample and
+// Engine.TotalSteps on parsed specs: since a batched trial draws its
+// scalar stream, the two samples, and so every statistic of them, must
+// be equal, draw for draw.
 func TestBatchedMatchesScalarStats(t *testing.T) {
 	const trials = 6000
 	for _, tc := range []struct {
@@ -135,6 +138,7 @@ func TestBatchedMatchesScalarStats(t *testing.T) {
 	}{
 		{"complete:64", nil},
 		{"cycle:4096", []dispersion.Option{dispersion.WithParticles(32)}},
+		{"hair:64", nil}, // a table kernel: the batch steps the lane superstep
 	} {
 		base := dispersion.Job{Process: "sequential", Spec: tc.spec, Trials: trials, Options: tc.opts}
 		batched := base
@@ -152,14 +156,164 @@ func TestBatchedMatchesScalarStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mx, vx := meanVar(xs)
-			my, vy := meanVar(ys)
-			se := math.Sqrt(vx/float64(len(xs)) + vy/float64(len(ys)))
-			if diff := math.Abs(mx - my); diff > 6*se+1e-9 {
-				t.Errorf("%s %s: scalar mean %.4f vs batched %.4f (diff %.4f, 6·se %.4f)",
-					tc.spec, name, mx, my, diff, 6*se)
+			if len(xs) != trials || !slices.Equal(xs, ys) {
+				mx, _ := meanVar(xs)
+				my, _ := meanVar(ys)
+				t.Errorf("%s %s: batched sample differs from the scalar one (%d and %d trials, means %.4f and %.4f)",
+					tc.spec, name, len(xs), len(ys), mx, my)
 			}
 		}
+	}
+}
+
+// TestBatchedMatchesScalarBytes holds WithBatch to the one stream law
+// through Engine.Run: a batched trial draws its scalar stream in the
+// scalar loop's order, so each batched Result equals its unbatched twin
+// field for field, and the agg.Summary bytes equal the unbatched run's
+// at every batch width, across worker counts, two merged FirstTrial
+// shards and ReuseResults; a one-shot Process.Run likewise. It covers
+// every lane-capable process on a graph of every kernel kind
+// (closed-form, implicit, CSR and weighted), under every option set the
+// lane accepts. An invalid job must fail on both sides with the same
+// error text.
+func TestBatchedMatchesScalarBytes(t *testing.T) {
+	must := func(g dispersion.Graph, err error) dispersion.Graph {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	graphs := map[string]dispersion.Graph{
+		"complete":  graph.Complete(12),
+		"cycle":     graph.ImplicitCycle(14),
+		"path":      graph.ImplicitPath(9),
+		"hypercube": graph.ImplicitHypercube(4),
+		"torus":     must(graph.ImplicitTorus([]int{4, 3})),
+		"circulant": must(graph.ImplicitCirculant(13, []int{1, 4})),
+		"rregular":  must(graph.ImplicitRandomRegular(14, 4, 3)),
+		"csr":       graph.CliqueWithHair(9),
+		"regular":   graph.Grid([]int{4, 4}, true),
+		"walias":    must(graph.WeightedCycle(11, 3)),
+		"wcomplete": must(graph.WeightedComplete(10, 1)),
+	}
+	optionSets := []struct {
+		name string
+		opts func(n int) []dispersion.Option
+	}{
+		{"plain", func(int) []dispersion.Option { return nil }},
+		{"lazy", func(int) []dispersion.Option { return []dispersion.Option{dispersion.WithLazy()} }},
+		{"origins", func(int) []dispersion.Option {
+			return []dispersion.Option{dispersion.WithParticles(5), dispersion.WithRandomOrigins()}
+		}},
+		{"steps-50", func(int) []dispersion.Option { return []dispersion.Option{dispersion.WithMaxSteps(50)} }},
+		{"steps-5000", func(int) []dispersion.Option { return []dispersion.Option{dispersion.WithMaxSteps(5000)} }},
+		{"param-0.3", func(int) []dispersion.Option { return []dispersion.Option{dispersion.WithSettleParam(0.3)} }},
+		{"param-4", func(int) []dispersion.Option { return []dispersion.Option{dispersion.WithSettleParam(4)} }},
+		{"capacity-2", func(int) []dispersion.Option { return []dispersion.Option{dispersion.WithCapacity(2)} }},
+		{"capacities", func(n int) []dispersion.Option {
+			caps := make([]int, n)
+			for v := range caps {
+				caps[v] = 1 + v%3
+			}
+			return []dispersion.Option{dispersion.WithCapacities(caps)}
+		}},
+	}
+	const trials = 20
+	eng := dispersion.Engine{Seed: 37, Experiment: 2, Workers: 1}
+	// run returns the job's results (nil under ReuseResults, which
+	// recycles them) and its summary bytes.
+	run := func(eng dispersion.Engine, job dispersion.Job) ([]*dispersion.Result, []byte, error) {
+		var out []*dispersion.Result
+		sum := agg.NewSummary()
+		err := eng.Run(context.Background(), job, func(tr dispersion.Trial) error {
+			if !eng.ReuseResults {
+				out = append(out, tr.Result)
+			}
+			sum.Add(tr.Result)
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		b, err := json.Marshal(sum)
+		return out, b, err
+	}
+	ran, failed := 0, 0
+	for kind, g := range graphs {
+		if got := g.Kernel().Kind(); got != kind {
+			t.Fatalf("%s graph has kernel %q", kind, got)
+		}
+		for _, proc := range dispersion.Processes() {
+			if !isLaneCapable(proc) {
+				continue
+			}
+			for _, o := range optionSets {
+				name := fmt.Sprintf("%s/%s on %s", proc, o.name, kind)
+				// The one-shot Process.Run holds the same law.
+				p, err := dispersion.Lookup(proc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				one, errOne := p.Run(g, 0, dispersion.NewSource(5), o.opts(g.N())...)
+				oneB, errOneB := p.Run(g, 0, dispersion.NewSource(5), append(o.opts(g.N()), dispersion.WithBatch(4))...)
+				if (errOne == nil) != (errOneB == nil) || errOne != nil && errOne.Error() != errOneB.Error() {
+					t.Fatalf("%s one-shot: batched err %v, unbatched err %v", name, errOneB, errOne)
+				}
+				if !reflect.DeepEqual(one, oneB) {
+					t.Fatalf("%s one-shot: batched result differs from the unbatched one", name)
+				}
+				job := dispersion.Job{Process: proc, Graph: g, Trials: trials, Options: o.opts(g.N())}
+				want, wantSum, wantErr := run(eng, job)
+				for _, b := range []int{1, 8, 64} {
+					batched := job
+					batched.Options = append(o.opts(g.N()), dispersion.WithBatch(b))
+					got, gotSum, err := run(eng, batched)
+					if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+						t.Fatalf("%s batch %d: err %v, unbatched err %v", name, b, err, wantErr)
+					}
+					if err != nil {
+						failed++
+						continue
+					}
+					ran++
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s batch %d: results differ from the unbatched run's", name, b)
+					}
+					if !bytes.Equal(gotSum, wantSum) {
+						t.Fatalf("%s batch %d: summary differs from the unbatched run's", name, b)
+					}
+					for _, split := range []struct {
+						name string
+						eng  dispersion.Engine
+					}{
+						{"workers 3", dispersion.Engine{Seed: 37, Experiment: 2, Workers: 3}},
+						{"ReuseResults", dispersion.Engine{Seed: 37, Experiment: 2, Workers: 2, ReuseResults: true}},
+					} {
+						if _, gotSum, err := run(split.eng, batched); err != nil || !bytes.Equal(gotSum, wantSum) {
+							t.Fatalf("%s batch %d, %s: summary differs from the unbatched run's (err %v)", name, b, split.name, err)
+						}
+					}
+					merged := agg.NewSummary()
+					for _, r := range [][2]int{{0, 7}, {7, trials - 7}} {
+						shard := batched
+						shard.FirstTrial, shard.Trials = r[0], r[1]
+						part, _ := foldSummary(t, dispersion.Engine{Seed: 37, Experiment: 2, Workers: 2}, shard)
+						if err := merged.Merge(part); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if gotSum, err := json.Marshal(merged); err != nil || !bytes.Equal(gotSum, wantSum) {
+						t.Fatalf("%s batch %d: merged shard summaries differ from the unbatched run's (err %v)", name, b, err)
+					}
+				}
+			}
+		}
+	}
+	// Every lane law must have run somewhere, and the invalid option sets
+	// (a geometric q above 1, say) must have failed somewhere.
+	if ran == 0 || failed == 0 {
+		t.Fatalf("%d batched jobs ran and %d failed; want both", ran, failed)
 	}
 }
 

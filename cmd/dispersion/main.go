@@ -20,7 +20,8 @@
 // million-vertex sizes run in O(particles) memory — e.g. -graph
 // torus:2048x2048 -particles 4096. The w-prefixed families are weighted
 // (alias-table walk kernels); add -batch to run the Sequential-family
-// processes through the batched lane scheduler.
+// processes in blocks of trials stepped together on table-backed graphs,
+// which changes no result.
 package main
 
 import (
@@ -53,7 +54,7 @@ func main() {
 		capacity = flag.Int("capacity", 0,
 			"per-vertex capacity of the capacity processes (0 = default 2)")
 		batch = flag.Int("batch", 0,
-			"run trials through the batched lane scheduler, this many lanes per block (0 = scalar)")
+			"run trials in blocks of this many, stepped together on table-backed graphs; changes no result (0 = scalar)")
 		csvPath     = flag.String("csv", "", "write per-trial scalar rows as CSV to this file")
 		jsonlPath   = flag.String("jsonl", "", "write full per-trial results as JSONL to this file")
 		summaryPath = flag.String("summary", "", `write the mergeable agg.Summary JSON to this file ("-" = stdout)`)

@@ -241,14 +241,13 @@ func (c *laneCell) grow(n int) {
 }
 
 // runCoreLane is the batched hot path selected by WithBatch: trials are
-// grouped into blocks of Batch, each block runs as one core.RunLane lane
-// on a worker (counter-mode slot streams, laid out by the graph's kernel:
-// SoA particle state stepped by fused StepLane kernels, or one slot
-// walking trial after trial for a closed form), and the delivery unpacks
-// blocks back into per-trial callbacks in strict trial order. Trial i's
-// stream is seeded from the (Seed, Experiment, i) lineage, so results are
-// bit-identical for any Batch, Workers or sharding — and
-// distribution-identical to the scalar path.
+// grouped into blocks of Batch, each block runs as one core.RunLane call
+// on a worker (SoA particle state stepped by fused StepLane kernels on a
+// table-backed graph, the scalar loop trial after trial on any other),
+// and the delivery unpacks blocks back into per-trial callbacks in strict
+// trial order. Trial i draws the scalar stream of the (Seed, Experiment,
+// i) lineage in the scalar order, so results are byte-identical to the
+// scalar path's for any Batch, Workers or sharding.
 func (e Engine) runCoreLane(ctx context.Context, rn *walk.Runner, cp *coreProcess, g Graph, job Job, opt core.Options, each func(Trial) error) error {
 	if cp.lane == core.LaneNone {
 		return fmt.Errorf("dispersion: process %q has no batched form (WithBatch covers the Sequential-family processes)", cp.name)

@@ -148,10 +148,11 @@ func TestImplicitProcessTwinBitIdentityOptions(t *testing.T) {
 // TestImplicitProcessTwinBitIdentityBatched extends the twin check to the
 // batched lane, through Engine.Run at widths 4 and 64, for every process
 // with a batched form, plain, lazy, and with sub-n particle counts and
-// random origins. The implicit closed forms walk their lanes depth-first
-// (one slot at a time, graph.LaneWalker) while most CSR twins, whose
-// kernel is the regular or csr table kernel, step them breadth-first, so
-// this pins the two layouts against each other through the public engine.
+// random origins. An implicit closed-form kernel computes its neighbour,
+// so its batched jobs run the scalar loop on a lane slot's Source, while
+// a CSR twin's table kernel (csr or regular) steps the breadth-first lane
+// superstep; this pins the two paths against each other through the
+// public engine.
 func TestImplicitProcessTwinBitIdentityBatched(t *testing.T) {
 	optionSets := map[string][]dispersion.Option{
 		"plain": nil,

@@ -20,7 +20,9 @@ import (
 // digests compare a build against the commit that recorded them, so a
 // refactor that changes any sample path of any process fails here. Update a
 // digest only together with a deliberate, documented change to that
-// process's stream.
+// process's stream. The batched lane has no digests of its own: under the
+// one stream law it must reproduce the scalar Sequential loop, which
+// TestGoldenDigests checks on every graph set (see goldenLane).
 var goldenDigests = map[string]string{
 	"sequential":           "b9e38219b64545d3",
 	"parallel":             "c4c1ee94b2be5bc9",
@@ -31,10 +33,6 @@ var goldenDigests = map[string]string{
 	"sequential-threshold": "e5384f46aa09a039",
 	"capacity":             "6e56b565f3339851",
 	"capacity-parallel":    "34d3360a95243387",
-	"lane-standard":        "031cc277728dee4b",
-	"lane-geom":            "58345d02b96472e5",
-	"lane-threshold":       "f62738893da36005",
-	"lane-capacity":        "9f266dd4f844a527",
 }
 
 // goldenTorusDigests pins every process over goldenTori the same way, so
@@ -50,15 +48,11 @@ var goldenTorusDigests = map[string]string{
 	"sequential-threshold": "05fab01ae9f5b1d1",
 	"capacity":             "091c4795e9d57a27",
 	"capacity-parallel":    "fdadc855538513bf",
-	"lane-standard":        "9e9fe39154a49e0d",
-	"lane-geom":            "3eb1f57c82dda5b7",
-	"lane-threshold":       "07e8deae8deafcd9",
-	"lane-capacity":        "f8b594609c08d859",
 }
 
 // goldenHypercubeDigests pins every process over goldenHypercubes, so the
-// hypercube kernel's Step, fused walk and StepLane are held to the commit
-// that recorded them too.
+// hypercube kernel's Step and fused walk are held to the commit that
+// recorded them too.
 var goldenHypercubeDigests = map[string]string{
 	"sequential":           "f0061be7453e3207",
 	"parallel":             "0cac625dd34820c9",
@@ -69,15 +63,11 @@ var goldenHypercubeDigests = map[string]string{
 	"sequential-threshold": "077f3f866deb2c39",
 	"capacity":             "1e0cda065838fc8f",
 	"capacity-parallel":    "44ddfaf65894e14d",
-	"lane-standard":        "6df00d1e244b0fc9",
-	"lane-geom":            "e5aa6c8d84468561",
-	"lane-threshold":       "5d8ecca63c048585",
-	"lane-capacity":        "422bdec17dbacaab",
 }
 
 // goldenWeightedDigests pins every process over goldenWeighted, so the
-// alias kernels' Step, fused walk and StepLane are held to the commit that
-// recorded them too.
+// alias kernels' Step and fused walk are held to the commit that recorded
+// them too, and their StepLane, through the lane, to the fused walk.
 var goldenWeightedDigests = map[string]string{
 	"sequential":           "c29da33a0961a5eb",
 	"parallel":             "f8441e5a33d716fd",
@@ -88,10 +78,6 @@ var goldenWeightedDigests = map[string]string{
 	"sequential-threshold": "5108e46e41c77f7b",
 	"capacity":             "17c748174bccce89",
 	"capacity-parallel":    "b2a97f728e6afc41",
-	"lane-standard":        "5fd2f14718253735",
-	"lane-geom":            "95effcacfb83a39f",
-	"lane-threshold":       "a796e10b39119e9f",
-	"lane-capacity":        "4731ea7f15808065",
 }
 
 // goldenImplicitDigests pins every process over goldenImplicit, so the
@@ -107,10 +93,6 @@ var goldenImplicitDigests = map[string]string{
 	"sequential-threshold": "073ff49d06acfb8d",
 	"capacity":             "96c00287481a0c17",
 	"capacity-parallel":    "5bc025590f6e2899",
-	"lane-standard":        "db418d1fbb8b43af",
-	"lane-geom":            "1dae8d259e5fe4b1",
-	"lane-threshold":       "7b8b7303fe70ba81",
-	"lane-capacity":        "c0904823056fc36f",
 }
 
 // goldenRule is the custom settle rule of the golden option sets: it
@@ -328,9 +310,15 @@ func goldenContinuous(into func(graph.Graph, int, Options, *rng.Source, *Scratch
 }
 
 // goldenLane runs six trials through a width-4 lane, so slots retire and
-// rehost.
-func goldenLane(variant LaneVariant) goldenRun {
+// rehost, or, when scalar is set, the same six seeds one after another
+// through the scalar Sequential loop under the same law: the two runs must
+// fold to one digest. The lane rejects the Record and Rule option sets
+// (TestLaneErrors), so both runs skip them.
+func goldenLane(variant LaneVariant, scalar bool) goldenRun {
 	return func(h goldenHash, g graph.Graph, opt Options, seed uint64, s *Scratch) {
+		if opt.Record || opt.Rule != nil {
+			return
+		}
 		src := rng.New(seed)
 		seeds := make([]uint64, 6)
 		outs := make([]*Result, len(seeds))
@@ -338,8 +326,18 @@ func goldenLane(variant LaneVariant) goldenRun {
 			seeds[i] = src.Uint64()
 			outs[i] = new(Result)
 		}
-		opt.Batch = 4
-		h.err(RunLane(g, 0, opt, variant, seeds, s, outs))
+		var err error
+		if scalar {
+			// Only the law's validation can fail, and it fails every
+			// trial alike, before writing a result.
+			for i := 0; i < len(seeds) && err == nil; i++ {
+				err = sequential(g, 0, opt, variant, rng.New(seeds[i]), s, outs[i])
+			}
+		} else {
+			opt.Batch = 4
+			err = RunLane(g, 0, opt, variant, seeds, s, outs)
+		}
+		h.err(err)
 		for _, res := range outs {
 			h.result(res)
 		}
@@ -362,10 +360,6 @@ func goldenProcesses() []goldenProcess {
 		{"sequential-threshold", goldenDiscrete(SequentialThresholdInto)},
 		{"capacity", goldenDiscrete(CapacitySequentialInto)},
 		{"capacity-parallel", goldenDiscrete(CapacityParallelInto)},
-		{"lane-standard", goldenLane(LaneStandard)},
-		{"lane-geom", goldenLane(LaneGeom)},
-		{"lane-threshold", goldenLane(LaneThreshold)},
-		{"lane-capacity", goldenLane(LaneCapacity)},
 	}
 }
 
@@ -389,24 +383,42 @@ func goldenDigest(p goldenProcess, graphs []graph.Graph) string {
 	return fmt.Sprintf("%016x", h.h.Sum64())
 }
 
+// goldenSets pairs each pinned digest map with its graphs.
+func goldenSets() []struct {
+	name    string
+	digests map[string]string
+	graphs  []graph.Graph
+} {
+	return []struct {
+		name    string
+		digests map[string]string
+		graphs  []graph.Graph
+	}{
+		{"the golden graphs", goldenDigests, goldenGraphs()},
+		{"tori", goldenTorusDigests, goldenTori()},
+		{"hypercubes", goldenHypercubeDigests, goldenHypercubes()},
+		{"weighted graphs", goldenWeightedDigests, goldenWeighted()},
+		{"paths, circulants and random-regular graphs", goldenImplicitDigests, goldenImplicit()},
+	}
+}
+
 // TestGoldenDigests checks every process's output against its pinned
-// digests.
+// digests, and every lane law's output against the scalar loop's.
 func TestGoldenDigests(t *testing.T) {
-	for _, p := range goldenProcesses() {
-		if got, want := goldenDigest(p, goldenGraphs()), goldenDigests[p.name]; got != want {
-			t.Errorf("%s: digest %s, pinned %s", p.name, got, want)
+	for _, set := range goldenSets() {
+		for _, p := range goldenProcesses() {
+			if got, want := goldenDigest(p, set.graphs), set.digests[p.name]; got != want {
+				t.Errorf("%s on %s: digest %s, pinned %s", p.name, set.name, got, want)
+			}
 		}
-		if got, want := goldenDigest(p, goldenTori()), goldenTorusDigests[p.name]; got != want {
-			t.Errorf("%s on tori: digest %s, pinned %s", p.name, got, want)
-		}
-		if got, want := goldenDigest(p, goldenHypercubes()), goldenHypercubeDigests[p.name]; got != want {
-			t.Errorf("%s on hypercubes: digest %s, pinned %s", p.name, got, want)
-		}
-		if got, want := goldenDigest(p, goldenWeighted()), goldenWeightedDigests[p.name]; got != want {
-			t.Errorf("%s on weighted graphs: digest %s, pinned %s", p.name, got, want)
-		}
-		if got, want := goldenDigest(p, goldenImplicit()), goldenImplicitDigests[p.name]; got != want {
-			t.Errorf("%s on paths, circulants and random-regular graphs: digest %s, pinned %s", p.name, got, want)
+		for name, variant := range map[string]LaneVariant{
+			"standard": LaneStandard, "geom": LaneGeom, "threshold": LaneThreshold, "capacity": LaneCapacity,
+		} {
+			lane := goldenDigest(goldenProcess{"lane", goldenLane(variant, false)}, set.graphs)
+			scalar := goldenDigest(goldenProcess{"scalar", goldenLane(variant, true)}, set.graphs)
+			if lane != scalar {
+				t.Errorf("lane law %s on %s: digest %s, scalar loop's %s", name, set.name, lane, scalar)
+			}
 		}
 	}
 }

@@ -1,24 +1,20 @@
-// This file holds the batched execution lane: trials run under the
-// counter-mode slot streams of the lane seed law, in one of two layouts
-// the graph kernel chooses. On a table-backed kernel, Options.Batch
-// concurrent trials advance together through one SoA state bank, stepped
-// by the kernel's fused StepLane loops: the scalar hot path walks one
-// particle at a time, so every step's load depends on the previous step's
-// RNG draw, and the lane breaks that serial chain by interleaving Batch
-// independent trials, giving the CPU a window of independent loads per
-// superstep. On a closed-form kernel that is a graph.LaneWalker there is
-// no load to overlap, so one slot hosts the trials one after another and
-// walks each stretch in one WalkLane call, at walk speed. Results are
-// identical in distribution to the scalar path and, across batched runs,
-// bit-identical for any batch width, layout, worker count or sharding:
-// each trial draws only from its own slot stream seeded by the (seed,
-// experiment, trial) lineage.
+// This file holds the batched execution lane. On a table-backed kernel,
+// Options.Batch concurrent trials advance together through one SoA state
+// bank, stepped by the kernel's fused StepLane loops: the scalar hot path
+// walks one particle at a time, so every step's load depends on the
+// previous step's RNG draw, and the lane breaks that serial chain by
+// interleaving Batch independent trials, giving the CPU a window of
+// independent loads per superstep. Every other kernel computes its
+// neighbour, so there is no load to overlap, and the trials run one after
+// another through the scalar Sequential loop. Either way trial i draws its
+// scalar stream, seeded by the (seed, experiment, trial) lineage, in the
+// scalar loop's order, so its result is byte-identical to the unbatched
+// one, for any batch width, worker count or sharding.
 
 package core
 
 import (
 	"fmt"
-	"math"
 
 	"dispersion/internal/graph"
 	"dispersion/internal/rng"
@@ -51,8 +47,7 @@ const (
 const maxBatch = 1 << 16
 
 // laneMaxOccBytes bounds the lane occupancy bank (width rows of n
-// vertices, one byte each — four for the capacity counts, and five for a
-// depth-first capacity lane, which stamps full vertices as well). RunLane
+// vertices, one byte each, four under the capacity law's counts). RunLane
 // rejects configurations over the bound instead of silently thrashing;
 // the scalar path (with its sparse backend) handles such graphs.
 const laneMaxOccBytes = 1 << 28
@@ -69,8 +64,7 @@ type laneState struct {
 	n     int
 	width int
 	// occ rows mirror Scratch.occ per slot: occ[j*n+v] == epochs[j] means
-	// vertex v is occupied in slot j's trial (full, for a depth-first
-	// LaneCapacity lane). Unused by a breadth-first LaneCapacity lane.
+	// vertex v is occupied in slot j's trial. Unused by LaneCapacity.
 	occ []uint8
 	// cnt rows mirror Scratch.cnt per slot (epoch in the high byte,
 	// count in the low 24 bits). Sized only for LaneCapacity.
@@ -88,13 +82,13 @@ type laneState struct {
 }
 
 // prepare lays the bank out for a width-slot lane on an n-vertex graph,
-// with occupancy rows when stamps is set and count rows when counts is
-// set. Rows survive across runs of the same layout (the per-slot epochs
-// keep them correct); any other layout clears them wholesale, since stale
-// stamps would land at arbitrary row offsets, or outlive an epoch wrap
-// that cleared only the rows in use.
-func (ls *laneState) prepare(n, width int, stamps, counts bool) {
-	reset := ls.n != n || ls.width != width || (len(ls.occ) > 0) != stamps || (len(ls.cnt) > 0) != counts
+// with count rows when counts is set (the capacity law) and occupancy
+// rows otherwise. Rows survive across runs of the same layout (the
+// per-slot epochs keep them correct); any other layout clears them
+// wholesale, since stale stamps would land at arbitrary row offsets, or
+// outlive an epoch wrap that cleared only the rows in use.
+func (ls *laneState) prepare(n, width int, counts bool) {
+	reset := ls.n != n || ls.width != width || (len(ls.cnt) > 0) != counts
 	ls.n, ls.width = n, width
 	ls.src.Resize(width)
 	ls.trial = growI32(ls.trial, width)
@@ -109,7 +103,7 @@ func (ls *laneState) prepare(n, width int, stamps, counts bool) {
 	ls.epochs = ls.epochs[:width]
 	cells := n * width
 	ls.occ = ls.occ[:0]
-	if stamps {
+	if !counts {
 		if cap(ls.occ) < cells {
 			ls.occ = make([]uint8, cells)
 		}
@@ -174,22 +168,22 @@ func (ls *laneState) setCount(j, v int32, c int32) {
 // RunLane executes one trial per seed of the Sequential-family process
 // selected by variant through the lane. seeds[i] must be the root of
 // trial i's stream (the engine passes Runner.TrialSeed); outs[i] receives
-// trial i's result, exactly as the scalar *Into would produce in
-// distribution. Slots retire as their trials finish and immediately
-// rehost the next pending seed, so the lane stays full until the tail.
+// trial i's result, exactly what the scalar *Into writes for a Source
+// seeded with seeds[i].
 //
-// The scheduler alternates two phases: a resolve phase (truncation check,
-// then the variant's settlement cascade, then retire/rehost) touching only
-// per-slot state, and a walk phase. The graph kernel picks the layout of
-// the walk phase. A kernel without WalkLane gets a lane of up to
-// opt.Batch slots, and one fused kern.StepLane call advances every
-// unresolved slot a single walk move, so the slots' cache misses overlap.
-// A closed-form kernel that is a graph.LaneWalker gets a lane of physical
-// width 1: the one slot hosts the seeds one after another and walks each
-// stretch between two resolves in one WalkLane call. Either way a trial's
-// draw sequence — origin draws, lazy coins, step draws, acceptance coins —
-// depends only on its own slot stream, which is what makes batched results
-// invariant to Batch, the layout, workers and sharding.
+// On a kernel that computes its neighbour (see graph.LaneGathers) the
+// trials run one after another through the scalar Sequential loop. On a
+// table-backed kernel they run in a lane of up to opt.Batch slots, slot j
+// drawing from its own Source seeded with its trial's seed. The scheduler
+// then alternates two phases: a resolve phase (truncation check, then the
+// variant's settlement cascade, then retire/rehost) touching only
+// per-slot state, and a walk phase, in which one fused kern.StepLane call
+// advances every unresolved slot a single walk move, so the slots' cache
+// misses overlap. Slots retire as their trials finish and immediately
+// rehost the next pending seed, so the lane stays full until the tail. A
+// slot makes its trial's draws — origin draws, lazy coins, step draws,
+// acceptance coins — in the scalar loop's order, which is what makes
+// batched results the scalar ones, whatever Batch, workers or sharding.
 func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds []uint64, s *Scratch, outs []*Result) error {
 	n := g.N()
 	if len(seeds) != len(outs) {
@@ -215,24 +209,33 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 	if len(seeds) == 0 {
 		return nil
 	}
-	kern := g.Kernel()
-	walker, depth := kern.(graph.LaneWalker)
-	width := opt.Batch
-	if depth {
-		width = 1
-	}
-	if width > len(seeds) {
-		width = len(seeds)
-	}
-	if bytes := n * width * laneCellBytes(variant, depth); bytes > laneMaxOccBytes {
-		return fmt.Errorf("core: batch %d on %d vertices needs %d bytes of lane occupancy (max %d); lower the batch width",
-			width, n, bytes, laneMaxOccBytes)
-	}
 	if s == nil {
 		s = NewScratch()
 	}
 	ls := &s.lane
-	ls.prepare(n, width, variant != LaneCapacity || depth, variant == LaneCapacity)
+	kern := g.Kernel()
+	if !graph.LaneGathers(kern) {
+		// No miss to overlap: slot 0 hosts the trials one after another.
+		ls.src.Resize(1)
+		r := ls.src.Slot(0)
+		for i, seed := range seeds {
+			r.Seed(seed)
+			if err := sequential(g, origin, opt, variant, r, s, outs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	width := min(opt.Batch, len(seeds))
+	bytes := int64(n) * int64(width)
+	if variant == LaneCapacity {
+		bytes *= 4 // a count a cell
+	}
+	if bytes > laneMaxOccBytes {
+		return fmt.Errorf("core: batch %d on %d vertices needs %d bytes of lane occupancy (max %d); lower the batch width",
+			width, n, bytes, laneMaxOccBytes)
+	}
+	ls.prepare(n, width, variant == LaneCapacity)
 
 	next := 0 // next seed to host
 	// host seats trial `next` on slot j: seeds the slot stream, resets the
@@ -248,11 +251,7 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 		ls.part[j] = 0
 		ls.steps[j] = 0
 		ls.total[j] = 0
-		if opt.RandomOrigins {
-			ls.pos[j] = int32(ls.src.Intn(int(j), n))
-		} else {
-			ls.pos[j] = int32(origin)
-		}
+		ls.pos[j] = opt.startVertex(origin, n, ls.src.Slot(int(j)))
 		next++
 	}
 	// resolve applies the truncation check and the variant's settlement
@@ -282,7 +281,7 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 				// The acceptance coin is drawn once per vacant standing,
 				// matching the scalar draw schedule; a rejected standing
 				// owes the forced move, which is this superstep's step.
-				if ls.occupied(j, v) || ls.src.Float64(int(j)) >= q {
+				if ls.occupied(j, v) || ls.src.Slot(int(j)).Float64() >= q {
 					return false
 				}
 				ls.occupy(j, v)
@@ -297,11 +296,6 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 					return false
 				}
 				ls.setCount(j, v, cv+1)
-				if depth && int(cv)+1 == plan.at(v) {
-					// WalkLane tests the occupancy row, so a vertex that
-					// fills is stamped there, as the scalar loop marks it.
-					ls.occupy(j, v)
-				}
 			}
 			res.settle(int(ls.part[j]), v, ls.steps[j], ls.total[j])
 			ls.part[j]++
@@ -310,11 +304,7 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 				return true
 			}
 			ls.steps[j] = 0
-			if opt.RandomOrigins {
-				ls.pos[j] = int32(ls.src.Intn(int(j), n))
-			} else {
-				ls.pos[j] = int32(origin)
-			}
+			ls.pos[j] = opt.startVertex(origin, n, ls.src.Slot(int(j)))
 		}
 	}
 
@@ -331,26 +321,6 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 	}
 
 	maxSteps := opt.MaxSteps
-	if depth {
-		// Depth-first: between two resolves the slot owes one move, or
-		// under LaneThreshold the rest of its T forced moves (T is zero
-		// for the other laws), and then walks while it stands occupied:
-		// exactly the moves the breadth-first supersteps below would make,
-		// one StepLane move at a time.
-		host(0)
-		for slow(0) == 0 {
-			owed := max(1, T-ls.steps[0])
-			budget := int64(math.MaxInt64)
-			if maxSteps > 0 {
-				budget = maxSteps - ls.total[0]
-			}
-			v, walked := walker.WalkLane(ls.pos[0], owed, opt.Lazy, ls.occ, ls.epochs[0], budget, &ls.src, 0)
-			ls.pos[0] = v
-			ls.steps[0] += walked
-			ls.total[0] += walked
-		}
-		return nil
-	}
 	ls.idx = growI32(ls.idx, width)
 	active := ls.idx[:0]
 	for j := int32(0); int(j) < width; j++ {
@@ -407,16 +377,4 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 			ls.total[j]++
 		}
 	}
-}
-
-// laneCellBytes returns the occupancy bytes one lane cell costs under the
-// variant and layout (see laneMaxOccBytes).
-func laneCellBytes(variant LaneVariant, depth bool) int {
-	switch {
-	case variant != LaneCapacity:
-		return 1
-	case depth:
-		return 5
-	}
-	return 4
 }

@@ -73,82 +73,25 @@ func laneVariants() map[string]struct {
 	}
 }
 
-// TestLaneBatchInvariance pins the core determinism contract of the
-// batched mode: a trial's result is a pure function of its seed, so any
-// batch width yields bit-identical results for every variant.
+// TestLaneBatchInvariance pins the core stream law of the batched mode:
+// a trial's result is what the scalar Sequential loop gives a Source
+// seeded with the trial's seed, so every batch width yields it, for every
+// variant, on closed-form and table-backed kernels alike.
 func TestLaneBatchInvariance(t *testing.T) {
 	seeds := laneSeeds(24)
-	for _, g := range []graph.Graph{graph.Complete(16), graph.Cycle(17)} {
+	for _, g := range []graph.Graph{graph.Complete(16), graph.Grid([]int{4, 5}, true), graph.CliqueWithHair(9)} {
 		for name, tc := range laneVariants() {
 			opt := tc.opt
-			opt.Batch = 1
-			base := runLane(t, g, 0, opt, tc.variant, seeds)
-			for _, b := range []int{3, 8, 64} {
+			for _, b := range []int{1, 3, 8, 64} {
 				opt.Batch = b
 				got := runLane(t, g, 0, opt, tc.variant, seeds)
-				for i := range got {
-					if !resultsEqual(base[i], got[i]) {
-						t.Fatalf("%s %s: trial %d differs between batch 1 and batch %d", g.Name(), name, i, b)
+				for i, seed := range seeds {
+					var want Result
+					if err := sequential(g, 0, opt, tc.variant, rng.New(seed), nil, &want); err != nil {
+						t.Fatal(err)
 					}
-				}
-			}
-		}
-	}
-}
-
-// breadthFirst wraps a graph so that its kernel hides WalkLane: RunLane
-// then lays the lane out breadth-first, one StepLane move per superstep,
-// whatever the kernel.
-type breadthFirst struct{ graph.Graph }
-
-// Kernel returns the graph's kernel with only the Kernel methods.
-func (g breadthFirst) Kernel() graph.Kernel { return stepOnly{g.Graph.Kernel()} }
-
-// stepOnly is a kernel without the optional LaneWalker form.
-type stepOnly struct{ graph.Kernel }
-
-// TestLaneLayoutsAgree pins the depth-first layout to the breadth-first
-// one on every closed-form kernel: the same seeds give the same results,
-// or the same error, under all four laws and every golden option set,
-// at widths that rehost slots and at one wider than the seed set.
-func TestLaneLayoutsAgree(t *testing.T) {
-	graphs := []graph.Graph{
-		graph.Complete(2), graph.ImplicitComplete(11), graph.ImplicitCycle(3), graph.Cycle(13),
-		graph.ImplicitPath(2), graph.Path(9), graph.ImplicitHypercube(1), graph.ImplicitHypercube(5),
-	}
-	graphs = append(graphs, goldenTori()[2]) // 6x1x4: a side-1 dimension
-	variants := map[string]LaneVariant{
-		"standard": LaneStandard, "geom": LaneGeom, "threshold": LaneThreshold, "capacity": LaneCapacity,
-	}
-	seeds := laneSeeds(9)
-	for _, g := range graphs {
-		if _, ok := g.Kernel().(graph.LaneWalker); !ok {
-			t.Fatalf("%s: kernel %q has no WalkLane", g.Name(), g.Kernel().Kind())
-		}
-		for vname, variant := range variants {
-			for _, o := range goldenOptions() {
-				for _, batch := range []int{4, 64} {
-					opt := o.opt(g.N())
-					opt.Batch = batch
-					outs := func(g graph.Graph) ([]*Result, error) {
-						outs := make([]*Result, len(seeds))
-						for i := range outs {
-							outs[i] = new(Result)
-						}
-						return outs, RunLane(g, 0, opt, variant, seeds, NewScratch(), outs)
-					}
-					depth, errD := outs(g)
-					breadth, errB := outs(breadthFirst{g})
-					if (errD == nil) != (errB == nil) || errD != nil && errD.Error() != errB.Error() {
-						t.Fatalf("%s %s/%s batch %d: depth-first err %v, breadth-first err %v", g.Name(), vname, o.name, batch, errD, errB)
-					}
-					if errD != nil {
-						continue
-					}
-					for i := range depth {
-						if !resultsEqual(depth[i], breadth[i]) {
-							t.Fatalf("%s %s/%s batch %d: trial %d differs between the layouts", g.Name(), vname, o.name, batch, i)
-						}
+					if !resultsEqual(got[i], &want) {
+						t.Fatalf("%s %s: trial %d at batch %d differs from the scalar loop", g.Name(), name, i, b)
 					}
 				}
 			}
@@ -157,41 +100,32 @@ func TestLaneLayoutsAgree(t *testing.T) {
 }
 
 // TestLaneScratchAcrossLayouts reuses one Scratch for width-1 lanes that
-// lay out different rows: a depth-first lane keeps occupancy stamps (and
-// counts, under the capacity law), a breadth-first one stamps or, under
-// the capacity law, counts alone. In each sequence the middle run takes
-// 254 trials, so the last run's first trial reuses the first run's last
+// lay out different rows: occupancy stamps under the standard law, counts
+// under the capacity law. In each sequence the middle run takes 254
+// trials, so the last run's first trial reuses the first run's last
 // epoch: a stamp or count that outlived the middle run would collide
 // with it. Every run must match a run on a fresh Scratch.
 func TestLaneScratchAcrossLayouts(t *testing.T) {
-	g := graph.ImplicitCycle(13)
+	g := graph.CliqueWithHair(9) // the csr kernel, which steps a lane
 	// A stale stamp on every vertex would walk forever; the budget turns
 	// it into a truncated trial.
 	opt := Options{Batch: 1, Particles: 7, MaxSteps: 1 << 16}
-	type lane struct {
-		g       graph.Graph
-		variant LaneVariant
-	}
-	depthStd, depthCap := lane{g, LaneStandard}, lane{g, LaneCapacity}
-	breadthStd, breadthCap := lane{breadthFirst{g}, LaneStandard}, lane{breadthFirst{g}, LaneCapacity}
-	for i, seq := range [][3]lane{
-		{depthStd, breadthCap, depthStd},
-		{breadthCap, depthStd, breadthCap},
-		{depthCap, breadthStd, depthCap},
-		{breadthStd, depthCap, breadthCap},
+	for i, seq := range [][3]LaneVariant{
+		{LaneStandard, LaneCapacity, LaneStandard},
+		{LaneCapacity, LaneStandard, LaneCapacity},
 	} {
 		s := NewScratch()
-		for r, run := range seq {
+		for r, variant := range seq {
 			seeds := laneSeeds(300)
 			if r == 1 {
 				seeds = seeds[:254]
 			}
-			want := runLane(t, run.g, 0, opt, run.variant, seeds)
+			want := runLane(t, g, 0, opt, variant, seeds)
 			outs := make([]*Result, len(seeds))
 			for k := range outs {
 				outs[k] = new(Result)
 			}
-			if err := RunLane(run.g, 0, opt, run.variant, seeds, s, outs); err != nil {
+			if err := RunLane(g, 0, opt, variant, seeds, s, outs); err != nil {
 				t.Fatal(err)
 			}
 			for k := range outs {
@@ -208,7 +142,7 @@ func TestLaneScratchAcrossLayouts(t *testing.T) {
 // dispersion = max steps).
 func TestLaneResultsCheck(t *testing.T) {
 	seeds := laneSeeds(16)
-	g := graph.Complete(12)
+	g := graph.Grid([]int{3, 4}, true) // the regular kernel, which steps a lane
 	for name, tc := range laneVariants() {
 		opt := tc.opt
 		opt.Batch = 8
@@ -231,7 +165,7 @@ func TestLaneResultsCheck(t *testing.T) {
 // wraps.
 func TestLaneEpochWrap(t *testing.T) {
 	seeds := laneSeeds(600)
-	g := graph.Complete(4)
+	g := graph.Star(5) // the csr kernel, which steps a lane
 	s := NewScratch()
 	narrow := make([]*Result, len(seeds))
 	for i := range narrow {
@@ -258,7 +192,7 @@ func TestLaneEpochWrap(t *testing.T) {
 // settleable vertex on the budget-exhausting step still truncates, and
 // the partial particle's steps are included in TotalSteps.
 func TestLaneTruncation(t *testing.T) {
-	g := graph.Cycle(64)
+	g := graph.Grid([]int{8, 8}, true) // the regular kernel, which steps a lane
 	seeds := laneSeeds(32)
 	opt := Options{Batch: 8, MaxSteps: 50}
 	for name, variant := range map[string]LaneVariant{
@@ -283,11 +217,11 @@ func TestLaneTruncation(t *testing.T) {
 			}
 		}
 	}
-	// On a 64-cycle, dispersing all 64 particles within 50 total steps is
-	// impossible, so every trial must truncate.
+	// On a 64-vertex torus, dispersing all 64 particles within 50 total
+	// steps is impossible, so every trial must truncate.
 	for _, res := range runLane(t, g, 0, opt, LaneStandard, seeds) {
 		if !res.Truncated {
-			t.Fatal("standard: 64-cycle trial completed under a 50-step budget")
+			t.Fatal("standard: 64-vertex torus trial completed under a 50-step budget")
 		}
 	}
 }
@@ -296,7 +230,7 @@ func TestLaneTruncation(t *testing.T) {
 // per-vertex capacity vector and checks the aggregate fills each vertex
 // to exactly its own capacity.
 func TestLaneCapacityVector(t *testing.T) {
-	g := graph.Complete(4)
+	g := graph.Star(4) // the csr kernel, which steps a lane
 	caps := []int{3, 1, 2, 5}
 	opt := Options{Batch: 4, Capacities: caps}
 	for _, res := range runLane(t, g, 0, opt, LaneCapacity, laneSeeds(12)) {
@@ -401,32 +335,34 @@ func TestLaneErrors(t *testing.T) {
 	if err := RunLane(g, 99, Options{Batch: 2}, LaneStandard, seeds, nil, outs); err == nil {
 		t.Fatal("invalid origin accepted")
 	}
-	// A huge implicit graph times a wide lane overflows the occupancy
-	// bound (the width only reaches Batch when enough seeds are pending).
-	// The bound counts the physical width: the breadth-first layout lays
-	// out 64 rows, the depth-first one a single row, which fits.
+	// A large table-backed graph times a wide lane overflows the occupancy
+	// bound before anything is allocated (the width only reaches Batch
+	// when enough seeds are pending): a cell costs a byte under the
+	// standard law and a four-byte count under the capacity law.
+	grid := graph.Grid([]int{257, 256}, true) // the regular kernel, n = 65,792
+	for _, c := range []struct {
+		variant LaneVariant
+		width   int
+	}{{LaneStandard, 4096}, {LaneCapacity, 1024}} {
+		wide := make([]*Result, c.width)
+		for i := range wide {
+			wide[i] = new(Result)
+		}
+		if err := RunLane(grid, 0, Options{Batch: c.width, Particles: 1}, c.variant, laneSeeds(c.width), nil, wide); err == nil ||
+			!strings.Contains(err.Error(), "occupancy") {
+			t.Fatalf("occupancy bound at width %d: err = %v", c.width, err)
+		}
+	}
+	// A closed-form kernel runs its trials through the scalar loop, which
+	// lays out no lane rows, so the bound does not apply.
 	big := graph.ImplicitComplete(1 << 24)
 	bigSeeds := laneSeeds(64)
 	bigOuts := make([]*Result, len(bigSeeds))
 	for i := range bigOuts {
 		bigOuts[i] = new(Result)
 	}
-	if err := RunLane(breadthFirst{big}, 0, Options{Batch: 64, Particles: 1}, LaneStandard, bigSeeds, nil, bigOuts); err == nil ||
-		!strings.Contains(err.Error(), "occupancy") {
-		t.Fatalf("occupancy bound: err = %v", err)
-	}
 	if err := RunLane(big, 0, Options{Batch: 64, Particles: 1}, LaneStandard, bigSeeds, nil, bigOuts); err != nil {
-		t.Fatalf("depth-first lane of width 1: %v", err)
-	}
-	// A breadth-first capacity cell holds a count (4 bytes); only the
-	// depth-first lane, whose walk tests the occupancy row, adds a stamp.
-	if got := laneCellBytes(LaneCapacity, false); got != 4 {
-		t.Fatalf("breadth-first capacity cell: %d bytes, want 4", got)
-	}
-	huge := graph.ImplicitCycle(1 << 26) // 5·2^26 bytes > the bound
-	if err := RunLane(huge, 0, Options{Batch: 64, Particles: 1}, LaneCapacity, bigSeeds, nil, bigOuts); err == nil ||
-		!strings.Contains(err.Error(), "occupancy") {
-		t.Fatalf("depth-first capacity occupancy bound: err = %v", err)
+		t.Fatalf("closed-form lane: %v", err)
 	}
 	// Empty seed sets are a no-op.
 	if err := RunLane(g, 0, Options{Batch: 2}, LaneStandard, nil, nil, nil); err != nil {

@@ -104,16 +104,13 @@ type Options struct {
 	// particles disperse; Result.Capacity reports the vector's maximum.
 	// Nil selects the uniform law.
 	Capacities []int
-	// Batch selects the batched execution mode: up to Batch concurrent
-	// trials per worker, laid out by the graph kernel (see RunLane): a
-	// SoA lane stepped by the kernel's fused lane loops, or one slot
-	// walking trial after trial for a closed-form kernel. Zero (the
-	// default) is the scalar path. Batched trials draw from per-trial
-	// counter-mode streams (see rng's lane seed law), so their results are
-	// pure functions of (seed, experiment, trial) — invariant to the batch
-	// width, worker count and sharding — and distribution-identical (not
-	// bit-identical) to the scalar path. Only the Sequential-family
-	// processes have a batched form.
+	// Batch selects the batched execution mode: blocks of up to Batch
+	// trials per worker (see RunLane), stepped together through a SoA lane
+	// on a table-backed kernel and run one after another through the
+	// scalar loop on every other kernel. Zero (the default) is the scalar
+	// path. A batched trial draws its scalar stream in the scalar order
+	// (see rng's stream law), so Batch changes no result. Only the
+	// Sequential-family processes have a batched form.
 	Batch int
 }
 

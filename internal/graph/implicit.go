@@ -505,73 +505,9 @@ func (k torusKernel) WalkUntilVacantSparse(v int32, lazy bool, t *OccupancyTable
 	return v, steps
 }
 
-// WalkLane walks lane slot j from v (see LaneWalker), tracking v's
-// coordinates and class index across the walk as WalkUntilVacant does,
-// and drawing what StepLane draws with the slot state in locals.
-func (k torusKernel) WalkLane(v int32, owed int64, lazy bool, occ []uint8, epoch uint8, budget int64, lane *rng.LaneSource, j int) (int32, int64) {
-	if owed <= 0 && occ[v] != epoch {
-		return v, 0
-	}
-	var coord, last, pow3 [MaxTorusDims]int32
-	for d, td := range k.dims {
-		last[d&(MaxTorusDims-1)], pow3[d&(MaxTorusDims-1)] = td.side-1, td.pow3
-	}
-	cls := k.locate(v, &coord)
-	moves, deg := k.moves, int(k.deg)
-	un := uint64(deg)
-	thresh := -un % un
-	st := lane.State(j)
-	var steps int64
-	for steps < owed || occ[v] == epoch {
-		var x uint64
-		if lazy {
-			st, x = st.Next()
-		}
-		if x&1 == 0 {
-			st, x = st.Next()
-			hi, lo := bits.Mul64(x, un)
-			for lo < thresh {
-				st, x = st.Next()
-				hi, lo = bits.Mul64(x, un)
-			}
-			m := moves[int(cls)*deg+int(hi)]
-			v += m.off
-			d := m.dim & (MaxTorusDims - 1)
-			c := coord[d] + m.dc
-			coord[d] = c
-			cls = m.mid
-			if c == 0 {
-				cls -= pow3[d]
-			}
-			if c == last[d] {
-				cls += pow3[d]
-			}
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	lane.SetState(j, st)
-	return v, steps
-}
-
-// StepLane advances the listed lane slots one torus move each, finding
-// each slot's move-table row exactly as Step does.
+// StepLane advances the listed lane slots one move each (see stepLane).
 func (k torusKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneSource) {
-	un := uint64(k.deg)
-	thresh := -un % un
-	for _, j := range idx {
-		sj := int(j)
-		if lazy && lane.Uint64(sj)&1 == 1 {
-			continue
-		}
-		hi, lo := bits.Mul64(lane.Uint64(sj), un)
-		for lo < thresh {
-			hi, lo = bits.Mul64(lane.Uint64(sj), un)
-		}
-		pos[j] += k.row(pos[j])[hi].off
-	}
+	stepLane(k, pos, idx, lazy, lane)
 }
 
 // StepEach advances the listed slots one torus move each, finding each
@@ -665,28 +601,9 @@ func (k circulantKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch 
 	return v, steps
 }
 
-// StepLane advances the listed lane slots one circulant move each;
-// degree-one circulants move without a draw, exactly as Step does.
+// StepLane advances the listed lane slots one move each (see stepLane).
 func (k circulantKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneSource) {
-	un := uint64(k.deg)
-	thresh := -un % un
-	var buf [2 * maxCirculantOffsets]int32
-	for _, j := range idx {
-		sj := int(j)
-		if lazy && lane.Uint64(sj)&1 == 1 {
-			continue
-		}
-		k.neighbors(pos[j], buf[:])
-		if k.deg == 1 {
-			pos[j] = buf[0]
-			continue
-		}
-		hi, lo := bits.Mul64(lane.Uint64(sj), un)
-		for lo < thresh {
-			hi, lo = bits.Mul64(lane.Uint64(sj), un)
-		}
-		pos[j] = buf[hi]
-	}
+	stepLane(k, pos, idx, lazy, lane)
 }
 
 // StepEach advances the listed slots one circulant move each, drawing
@@ -787,23 +704,9 @@ func (k rregKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8
 	return v, steps
 }
 
-// StepLane advances the listed lane slots one cycle-union move each.
+// StepLane advances the listed lane slots one move each (see stepLane).
 func (k rregKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneSource) {
-	un := uint64(k.deg)
-	thresh := -un % un
-	var buf [maxRRegularDegree]int32
-	for _, j := range idx {
-		sj := int(j)
-		if lazy && lane.Uint64(sj)&1 == 1 {
-			continue
-		}
-		hi, lo := bits.Mul64(lane.Uint64(sj), un)
-		for lo < thresh {
-			hi, lo = bits.Mul64(lane.Uint64(sj), un)
-		}
-		k.neighbors(pos[j], buf[:])
-		pos[j] = buf[hi]
-	}
+	stepLane(k, pos, idx, lazy, lane)
 }
 
 // StepEach advances the listed slots one cycle-union move each, drawing

@@ -45,19 +45,25 @@ type Kernel interface {
 	// equivalent Step loop.
 	WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64)
 	// StepLane advances every slot listed in idx by one walk move of the
-	// batched lane: for each j in idx, a lazy stay-coin is drawn first
-	// from slot j's stream when lazy is set (low bit 1 stays — Bool's
-	// law), then a uniformly random neighbour of pos[j] is drawn from the
-	// same slot stream and written back to pos[j]. Vertices of degree one
-	// move without consuming randomness and a stay consumes only its
-	// coin, mirroring Step's scalar draw law slot by slot. Occupancy is
-	// the lane scheduler's concern: StepLane unconditionally moves every
-	// listed slot, and one call per superstep is what amortizes the
-	// kernel dispatch across the whole lane.
+	// batched lane, each slot drawing from its own Source, lane.Slot(j),
+	// exactly what the loop
+	//
+	//	for _, j := range idx {
+	//		r := lane.Slot(int(j))
+	//		if lazy && r.Bool() {
+	//			continue
+	//		}
+	//		pos[j] = Step(pos[j], r)
+	//	}
+	//
+	// draws, so a slot hosting a trial draws that trial's scalar stream.
+	// Occupancy is the lane scheduler's concern: StepLane unconditionally
+	// moves every listed slot, and one call per superstep is what
+	// amortizes the kernel dispatch across the whole lane.
 	StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneSource)
-	// StepEach is StepLane's scalar-stream twin: it advances every slot
-	// listed in idx by one walk move, all drawing from the one source r.
-	// Its draws are exactly those of the loop
+	// StepEach is StepLane with one source: it advances every slot
+	// listed in idx by one walk move, all drawing from r. Its draws are
+	// exactly those of the loop
 	//
 	//	for _, j := range idx {
 	//		if lazy && r.Bool() {
@@ -81,40 +87,35 @@ type Kernel interface {
 	Kind() string
 }
 
-// LaneWalker is the optional depth-first form of a kernel's lane move: one
-// slot of the batched lane walks a whole stretch in one call, with the
-// slot's stream state in a register, instead of one StepLane move per
-// superstep. The complete, cycle, path, hypercube and implicit torus
-// kernels have it: a step computes its neighbour (the hypercube and the
-// torus read one small table), so one slot walking alone runs at walk
-// speed, and a lane of slots stepping together only adds a resolve pass
-// per move. Against the breadth-first lane at width 64, at the sizes graph
-// specs build these kernels for, the depth-first one measured 0.29–0.77×
-// the time per step (medians of 10 to 20 alternating single-threaded
-// pairs), and 0.92× on K_512 with 128 particles, where a particle takes
-// about one step and both layouts spend their time resolving. The
-// table-backed kernels (csr, regular, walias, wcomplete) leave it out,
-// because stepping many slots together is what overlaps their cache
-// misses; the circulant and random-regular kernels leave it out until a
-// measurement shows it winning on them. The lane scheduler picks the
-// layout by this interface alone.
-type LaneWalker interface {
-	// WalkLane walks slot j of lane from v: first owed moves blind to
-	// occupancy, then moves while occ[v] == epoch. It stops as soon as
-	// steps reaches budget, whatever the vertex, and returns the final
-	// vertex and the steps taken. Each move draws exactly what StepLane
-	// draws for slot j (the lazy coin first when lazy is set, low bit 1
-	// staying, then Intn(deg)'s Lemire rejection on the slot stream;
-	// degree-one moves draw nothing), so WalkLane equals the loop
-	//
-	//	for steps < owed || occ[v] == epoch {
-	//		StepLane(pos, []int32{int32(j)}, lazy, lane) // pos[j] == v
-	//		steps++
-	//		if steps >= budget {
-	//			break
-	//		}
-	//	}
-	WalkLane(v int32, owed int64, lazy bool, occ []uint8, epoch uint8, budget int64, lane *rng.LaneSource, j int) (int32, int64)
+// LaneGathers reports whether the batched lane steps k's slots together,
+// one StepLane call per superstep: true for the kernels whose step loads
+// adjacency or alias memory (csr, regular, walias, wcomplete), where
+// stepping many slots at once overlaps their cache misses. Every other
+// kernel computes its neighbour, so there is no miss to overlap, and the
+// lane runs its trials one after another through the scalar walk, which
+// draws the same streams.
+func LaneGathers(k Kernel) bool {
+	switch k.(type) {
+	case csrKernel, regularKernel, weightedKernel, weightedCompleteKernel:
+		return true
+	}
+	return false
+}
+
+// stepLane is StepLane for every kernel whose step computes its
+// neighbour: each listed slot draws its lazy coin and its Step from its
+// own Source, the loop the StepLane contract states, so it holds by
+// construction. The lane runs these kernels' trials through the scalar
+// walk instead (see LaneGathers). It is generic so that a call boxes no
+// kernel value: an interface parameter would allocate one per call.
+func stepLane[K Kernel](k K, pos []int32, idx []int32, lazy bool, lane *rng.LaneSource) {
+	for _, j := range idx {
+		r := lane.Slot(int(j))
+		if lazy && r.Bool() {
+			continue
+		}
+		pos[j] = k.Step(pos[j], r)
+	}
 }
 
 // Kernel returns the step kernel selected for this graph at Build time.
@@ -240,13 +241,11 @@ func (k csrKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8,
 
 // StepLane advances the listed lane slots one gather-loop move each.
 //
-// Every kernel's StepLane hand-inlines the bounded-draw law of
-// rng.LaneSource.Intn (Lemire multiply-shift rejection on the slot
+// The table-backed kernels' StepLane loops hand-inline the bounded-draw
+// law of rng.Source.Intn (Lemire multiply-shift rejection on the slot
 // stream) instead of calling it: the call would not inline, and the whole
 // point of the lane is that the per-slot draw+arithmetic stays branch-thin
-// and register-resident so the CPU overlaps the independent slots. The
-// closed-form kernels additionally hoist the rejection threshold out of
-// the loop, removing the division the scalar path pays per draw.
+// so the CPU overlaps the independent slots' loads.
 func (k csrKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneSource) {
 	offsets, adj := k.g.offsets, k.g.adj
 	for _, j := range idx {
@@ -475,64 +474,9 @@ func (k completeKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch u
 	return v, steps
 }
 
-// WalkLane walks lane slot j from v (see LaneWalker), drawing what
-// StepLane draws with the slot state in locals.
-func (k completeKernel) WalkLane(v int32, owed int64, lazy bool, occ []uint8, epoch uint8, budget int64, lane *rng.LaneSource, j int) (int32, int64) {
-	un := uint64(k.n - 1)
-	thresh := -un % un
-	st := lane.State(j)
-	var steps int64
-	for steps < owed || occ[v] == epoch {
-		var x uint64
-		if lazy {
-			st, x = st.Next()
-		}
-		switch {
-		case x&1 == 1: // lazy stay
-		case un == 1:
-			v = 1 - v
-		default:
-			st, x = st.Next()
-			hi, lo := bits.Mul64(x, un)
-			for lo < thresh {
-				st, x = st.Next()
-				hi, lo = bits.Mul64(x, un)
-			}
-			v = completeSelect(v, int32(hi))
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	lane.SetState(j, st)
-	return v, steps
-}
-
-// StepLane advances the listed lane slots one draw-and-select move each.
+// StepLane advances the listed lane slots one move each (see stepLane).
 func (k completeKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneSource) {
-	if k.n == 2 {
-		for _, j := range idx {
-			if lazy && lane.Uint64(int(j))&1 == 1 {
-				continue
-			}
-			pos[j] = 1 - pos[j]
-		}
-		return
-	}
-	un := uint64(k.n - 1)
-	thresh := -un % un
-	for _, j := range idx {
-		sj := int(j)
-		if lazy && lane.Uint64(sj)&1 == 1 {
-			continue
-		}
-		hi, lo := bits.Mul64(lane.Uint64(sj), un)
-		for lo < thresh {
-			hi, lo = bits.Mul64(lane.Uint64(sj), un)
-		}
-		pos[j] = completeSelect(pos[j], int32(hi))
-	}
+	stepLane(k, pos, idx, lazy, lane)
 }
 
 // StepEach advances the listed slots one draw-and-select move each,
@@ -613,41 +557,9 @@ func (k cycleKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint
 	return v, steps
 }
 
-// WalkLane walks lane slot j from v (see LaneWalker), drawing what
-// StepLane draws with the slot state in locals.
-func (k cycleKernel) WalkLane(v int32, owed int64, lazy bool, occ []uint8, epoch uint8, budget int64, lane *rng.LaneSource, j int) (int32, int64) {
-	st := lane.State(j)
-	var steps int64
-	for steps < owed || occ[v] == epoch {
-		var x uint64
-		if lazy {
-			st, x = st.Next()
-		}
-		if x&1 == 0 {
-			st, x = st.Next()
-			v = k.nth(v, int32(x>>63))
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	lane.SetState(j, st)
-	return v, steps
-}
-
-// StepLane advances the listed lane slots one ±1 (mod n) move each. A
-// two-way draw never rejects (2^64 is divisible by 2), so the drawn index
-// is simply the top multiply word.
+// StepLane advances the listed lane slots one move each (see stepLane).
 func (k cycleKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneSource) {
-	for _, j := range idx {
-		sj := int(j)
-		if lazy && lane.Uint64(sj)&1 == 1 {
-			continue
-		}
-		hi, _ := bits.Mul64(lane.Uint64(sj), 2)
-		pos[j] = k.nth(pos[j], int32(hi))
-	}
+	stepLane(k, pos, idx, lazy, lane)
 }
 
 // StepEach advances the listed slots one ±1 (mod n) move each, drawing
@@ -721,55 +633,9 @@ func (k pathKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8
 	return v, steps
 }
 
-// WalkLane walks lane slot j from v (see LaneWalker), drawing what
-// StepLane draws with the slot state in locals; endpoints move without a
-// draw.
-func (k pathKernel) WalkLane(v int32, owed int64, lazy bool, occ []uint8, epoch uint8, budget int64, lane *rng.LaneSource, j int) (int32, int64) {
-	st := lane.State(j)
-	var steps int64
-	for steps < owed || occ[v] == epoch {
-		var x uint64
-		if lazy {
-			st, x = st.Next()
-		}
-		if x&1 == 0 {
-			switch v {
-			case 0:
-				v = 1
-			case k.n - 1:
-				v = k.n - 2
-			default:
-				st, x = st.Next()
-				v += 2*int32(x>>63) - 1
-			}
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	lane.SetState(j, st)
-	return v, steps
-}
-
-// StepLane advances the listed lane slots one path move each; endpoints
-// move without a draw, exactly as Step does.
+// StepLane advances the listed lane slots one move each (see stepLane).
 func (k pathKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneSource) {
-	for _, j := range idx {
-		sj := int(j)
-		if lazy && lane.Uint64(sj)&1 == 1 {
-			continue
-		}
-		switch v := pos[j]; v {
-		case 0:
-			pos[j] = 1
-		case k.n - 1:
-			pos[j] = k.n - 2
-		default:
-			hi, _ := bits.Mul64(lane.Uint64(sj), 2)
-			pos[j] = v - 1 + 2*int32(hi)
-		}
-	}
+	stepLane(k, pos, idx, lazy, lane)
 }
 
 // StepEach advances the listed slots one path move each, drawing from r
@@ -940,71 +806,9 @@ func (k hypercubeKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch 
 	return v, steps
 }
 
-// WalkLane walks lane slot j from v (see LaneWalker), drawing what
-// StepLane draws with the slot state in locals.
-func (k hypercubeKernel) WalkLane(v int32, owed int64, lazy bool, occ []uint8, epoch uint8, budget int64, lane *rng.LaneSource, j int) (int32, int64) {
-	un := uint64(k.k)
-	thresh := -un % un
-	small := k.k <= 16
-	st := lane.State(j)
-	var steps int64
-	for steps < owed || occ[v] == epoch {
-		var x uint64
-		if lazy {
-			st, x = st.Next()
-		}
-		switch {
-		case x&1 == 1: // lazy stay
-		case un == 1:
-			v ^= 1
-		default:
-			st, x = st.Next()
-			hi, lo := bits.Mul64(x, un)
-			for lo < thresh {
-				st, x = st.Next()
-				hi, lo = bits.Mul64(x, un)
-			}
-			var d uint
-			if small {
-				d = hypercubeDim16(uint(v), uint(hi))
-			} else {
-				d = hypercubeDim(uint(v), uint(hi))
-			}
-			v ^= 1 << d
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	lane.SetState(j, st)
-	return v, steps
-}
-
-// StepLane advances the listed lane slots one bit-flip move each.
+// StepLane advances the listed lane slots one move each (see stepLane).
 func (k hypercubeKernel) StepLane(pos []int32, idx []int32, lazy bool, lane *rng.LaneSource) {
-	if k.k == 1 {
-		for _, j := range idx {
-			if lazy && lane.Uint64(int(j))&1 == 1 {
-				continue
-			}
-			pos[j] ^= 1
-		}
-		return
-	}
-	un := uint64(k.k)
-	thresh := -un % un
-	for _, j := range idx {
-		sj := int(j)
-		if lazy && lane.Uint64(sj)&1 == 1 {
-			continue
-		}
-		hi, lo := bits.Mul64(lane.Uint64(sj), un)
-		for lo < thresh {
-			hi, lo = bits.Mul64(lane.Uint64(sj), un)
-		}
-		pos[j] = k.nth(pos[j], int32(hi))
-	}
+	stepLane(k, pos, idx, lazy, lane)
 }
 
 // StepEach advances the listed slots one bit-flip move each, drawing

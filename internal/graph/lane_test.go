@@ -297,7 +297,7 @@ func TestWeightedScalarStepLaw(t *testing.T) {
 }
 
 // TestWeightedStepLaneMatchesLaneLaws pins the hand-inlined lane loop of
-// the alias kernel to the LaneSource's own bounded-draw methods,
+// the alias kernel to the bounded-draw methods of each slot's Source,
 // draw for draw.
 func TestWeightedStepLaneMatchesLaneLaws(t *testing.T) {
 	g, err := WeightedComplete(9, -0.75)
@@ -328,8 +328,8 @@ func TestWeightedStepLaneMatchesLaneLaws(t *testing.T) {
 				v := want[j]
 				off := g.csr.offsets[v]
 				d := int(g.csr.offsets[v+1] - off)
-				i := off + int32(ref.Intn(j, d))
-				if ref.Float64(j) < g.prob[i] {
+				i := off + int32(ref.Slot(j).Intn(d))
+				if ref.Slot(j).Float64() < g.prob[i] {
 					want[j] = g.csr.adj[i]
 				} else {
 					want[j] = g.alt[i]

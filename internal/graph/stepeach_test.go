@@ -50,10 +50,12 @@ func stepEachCases(t *testing.T) []struct {
 	}
 }
 
-// TestStepEachMatchesStepLoop runs chained rounds of StepEach against the
-// Step loop its contract defines, lazy and not, on a shuffled index list
-// that leaves some slots out, and compares the positions and the source's
-// next draw after every round.
+// TestStepEachMatchesStepLoop runs chained rounds of StepEach and StepLane
+// against the Step loops their contracts define, lazy and not, on a
+// shuffled index list that leaves some slots out. StepEach draws from one
+// source; each StepLane slot draws from its own, whose twin drives the
+// slot's Step loop. After every round it compares the positions and the
+// next draw of every source with the loops'.
 func TestStepEachMatchesStepLoop(t *testing.T) {
 	kinds := map[string]bool{}
 	for _, c := range stepEachCases(t) {
@@ -73,7 +75,16 @@ func TestStepEachMatchesStepLoop(t *testing.T) {
 			// have: path endpoints, star leaves, K_2 and Q_1.
 			pos[0], pos[1] = 0, int32(c.g.N()-1)
 			want := append([]int32(nil), pos...)
+			lanePos := append([]int32(nil), pos...)
+			laneWant := append([]int32(nil), pos...)
 			a, b := rng.New(7), rng.New(7)
+			var lane rng.LaneSource
+			lane.Resize(slots)
+			ref := make([]rng.Source, slots)
+			for j := range ref {
+				lane.Seed(j, uint64(j)+7)
+				ref[j].Seed(uint64(j) + 7)
+			}
 			for round := 0; round < 60; round++ {
 				idx := make([]int32, 0, slots)
 				for _, j := range setup.Perm(slots) {
@@ -82,16 +93,27 @@ func TestStepEachMatchesStepLoop(t *testing.T) {
 					}
 				}
 				kern.StepEach(pos, idx, lazy, a)
+				kern.StepLane(lanePos, idx, lazy, &lane)
 				for _, j := range idx {
-					if lazy && b.Bool() {
-						continue
+					if !lazy || !b.Bool() {
+						want[j] = kern.Step(want[j], b)
 					}
-					want[j] = kern.Step(want[j], b)
+					if !lazy || !ref[j].Bool() {
+						laneWant[j] = kern.Step(laneWant[j], &ref[j])
+					}
 				}
 				for j := range pos {
 					if pos[j] != want[j] {
-						t.Fatalf("%s lazy=%v round %d: slot %d at %d, Step loop at %d",
+						t.Fatalf("%s lazy=%v round %d: StepEach slot %d at %d, Step loop at %d",
 							c.g.Name(), lazy, round, j, pos[j], want[j])
+					}
+					if lanePos[j] != laneWant[j] {
+						t.Fatalf("%s lazy=%v round %d: StepLane slot %d at %d, Step loop at %d",
+							c.g.Name(), lazy, round, j, lanePos[j], laneWant[j])
+					}
+					if x, y := lane.Uint64(j), ref[j].Uint64(); x != y {
+						t.Fatalf("%s lazy=%v round %d: slot %d next draw %#x after StepLane, %#x after the Step loop",
+							c.g.Name(), lazy, round, j, x, y)
 					}
 				}
 				if x, y := a.Uint64(), b.Uint64(); x != y {

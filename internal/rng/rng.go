@@ -7,20 +7,14 @@
 // reproducible: trial i of experiment e always derives its stream from
 // (seed, e, i) regardless of scheduling.
 //
-// # Lane seed law
+// # One stream law
 //
-// The batched execution lane draws from LaneSource, a bank of splitmix64
-// counter-mode streams (one per lane slot) rather than from xoshiro
-// sources. Slot j hosting trial i is seeded with SplitSeed(e, i) — the
-// exact 64-bit value SplitInto would expand into trial i's scalar xoshiro
-// state — so scalar and batched flavors of a run share one derivation
-// lineage rooted at (seed, experiment, trial). A batched trial's draw
-// sequence is a pure function of those three coordinates: independent of
-// the lane width, the worker count, and how trials are blocked, which
-// makes batched runs bit-identical to each other across all those
-// settings. Against the scalar flavor the batched stream is a different
-// generator entirely, so batched results are distribution-identical, not
-// bit-identical; the scalar stream itself is untouched.
+// Trial i of experiment e draws one stream, however it runs: a Source
+// seeded with SplitSeed(e, i), which is what SplitInto(dst, e, i) expands.
+// The batched execution lane holds such a Source per slot (LaneSource),
+// seeded with the same value, so a batched trial draws its scalar stream,
+// and draws it in the scalar loop's order. Its result is byte-identical
+// to the unbatched one, whatever the lane width, worker count or blocking.
 package rng
 
 import "math/bits"
@@ -108,11 +102,9 @@ func (r *Source) SplitInto(dst *Source, ids ...uint64) {
 
 // SplitSeed returns the 64-bit seed of the derived stream for the given
 // identifiers: SplitInto(dst, ids...) is exactly dst.Seed(r.SplitSeed(ids...)).
-// Exposing the seed itself lets a different generator join the same
-// derivation lineage — the batched LaneSource seeds slot streams with
-// SplitSeed(experiment, trial), pinning them to the identical
-// (seed, experiment, trial) coordinates as the scalar xoshiro streams
-// without being those streams (see the package-level lane seed law).
+// Exposing the seed lets a Source the caller already owns, such as a
+// LaneSource slot, take up a trial's stream (see the package-level stream
+// law).
 func (r *Source) SplitSeed(ids ...uint64) uint64 {
 	st := r.st.s0 ^ bits.RotateLeft64(r.st.s2, 17)
 	for _, id := range ids {
@@ -134,7 +126,7 @@ func (r *Source) Uint64() uint64 {
 // is draw-for-draw identical to the scalar loop (a property test pins
 // this). The state is a local State for the whole batch instead of
 // round-tripping through the receiver once per draw, which is what makes
-// bulk generation for the batched lane cheaper than the loop.
+// bulk generation cheaper than the loop.
 func (r *Source) FillUint64(dst []uint64) {
 	s := r.st
 	// Incrementing i after the store lets the compiler bump it in place;

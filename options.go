@@ -89,28 +89,20 @@ func WithCapacities(caps []int) Option {
 	return func(cfg *config) { cfg.core.Capacities = caps }
 }
 
-// WithBatch routes the run through the batched execution mode, whose
-// trials draw from per-trial counter-mode streams, in blocks of b trials
-// per worker. The engine picks the lane layout from the graph's kernel.
-// On a table-backed kernel (CSR and regular adjacency, the weighted alias
-// tables) and on circulant and random-regular graphs, b trials advance
-// together through one structure-of-arrays lane, so the cache misses of
-// different trials overlap: worth 2× and more trials/sec where walks are
-// memory-bound (the weighted alias families, large adjacency tables). On
-// a closed-form kernel (complete, cycle, path, hypercube and implicit
-// torus graphs) there is no miss to overlap, so one slot walks the
-// block's trials one after another, each walk in one call. Such a walk
-// costs what the scalar one does plus the lane stream's splitmix64
-// finalizer: on cycle:1024 it measured 1.17–1.20× the scalar walk per
-// step, and sequential with 192 particles 1.14–1.19× the scalar time per
-// trial, single-threaded on a 2-vCPU shared Xeon VM. Results never depend
-// on the layout.
+// WithBatch routes the run through the batched execution mode, in blocks
+// of b trials per worker. It changes no result: a batched trial draws the
+// stream its unbatched twin draws, seeded by the same (seed, experiment,
+// trial) lineage, and draws it in the same order, so the results are
+// byte-identical to the scalar path's for every batch width, worker count
+// and trial sharding. It steps trials together only on table-backed
+// kernels (CSR and regular adjacency, the weighted alias tables): there b
+// trials advance through one structure-of-arrays lane, so the cache misses
+// of different trials overlap, worth 2× and more trials/sec where walks
+// are memory-bound (the weighted alias families, large adjacency tables).
+// Every other kernel computes its neighbour, so there is no miss to
+// overlap, and a block's trials run one after another through the scalar
+// walk.
 //
-// Determinism contract: a batched trial draws from a counter-mode stream
-// seeded by the same (seed, experiment, trial) lineage as the scalar
-// path, so batched results are bit-identical for every batch width,
-// worker count and trial sharding — but distribution-identical (not
-// bit-identical) to the scalar path, whose xoshiro streams they replace.
 // Only the Sequential-family processes ("sequential", "sequential-geom",
 // "sequential-threshold", "capacity" and their lazy variants) have a
 // batched form; WithRecord and WithSettleRule stay scalar-only. Zero

@@ -108,19 +108,16 @@ func (p *coreProcess) Continuous() bool { return p.continuous }
 func (p *coreProcess) Run(g Graph, origin int, r *Source, opts ...Option) (*Result, error) {
 	opt := buildOptions(append(append([]Option(nil), p.forced...), opts...))
 	if opt.Batch != 0 {
-		// One-shot batched run: a width-1 lane whose slot stream is
-		// seeded by one draw from r — deterministic given r's state, and
-		// the same code path the engine batches.
+		// A batched trial draws its scalar stream in the scalar order, so
+		// a one-shot batched run is the scalar run on r, once the lane has
+		// rejected what the engine's batched path rejects (an empty lane
+		// only validates).
 		if p.lane == core.LaneNone {
 			return nil, fmt.Errorf("dispersion: process %q has no batched form (WithBatch covers the Sequential-family processes)", p.name)
 		}
-		var cr core.Result
-		if err := core.RunLane(g, origin, opt, p.lane, []uint64{r.Uint64()}, nil, []*core.Result{&cr}); err != nil {
+		if err := core.RunLane(g, origin, opt, p.lane, nil, nil, nil); err != nil {
 			return nil, err
 		}
-		res := new(Result)
-		res.setCoreResult(&cr, p.name)
-		return res, nil
 	}
 	var ct core.CTResult
 	if err := p.runInto(g, origin, opt, r, nil, &ct); err != nil {

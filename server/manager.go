@@ -99,8 +99,9 @@ type Options struct {
 	// Capacities gives every vertex its own capacity (WithCapacities);
 	// empty leaves the scalar Capacity in charge.
 	Capacities []int `json:"capacities,omitempty"`
-	// Batch routes the run through the batched lane scheduler with the
-	// given lane width (WithBatch); 0 keeps the scalar path.
+	// Batch runs the trials in blocks of this many (WithBatch), stepped
+	// together on table-backed graphs. It changes no result; 0 keeps the
+	// scalar path.
 	Batch int `json:"batch,omitempty"`
 }
 
