@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/big"
 	"math/rand"
 	"sort"
 	"strings"
@@ -79,13 +80,13 @@ func TestExactSumRoundTrip(t *testing.T) {
 	s.add(3.7)
 	s.add(-1.2e-30)
 	var r exactSum
-	if err := r.setText(s.text()); err != nil {
+	if err := r.setText(s.text(), sumBits); err != nil {
 		t.Fatal(err)
 	}
 	if r.text() != s.text() || r.value() != s.value() {
 		t.Fatalf("round trip changed the accumulator: %s -> %s", s.text(), r.text())
 	}
-	if err := r.setText("not a number"); err == nil {
+	if err := r.setText("not a number", sumBits); err == nil {
 		t.Fatal("setText accepted garbage")
 	}
 }
@@ -100,7 +101,7 @@ func TestExactSumTextBounded(t *testing.T) {
 	}
 	var r exactSum
 	for _, ok := range []string{large.text(), "1*2^1086", "-1*2^1086", "1*2^-1126"} {
-		if err := r.setText(ok); err != nil {
+		if err := r.setText(ok, sumBits); err != nil {
 			t.Errorf("setText(%.40s) refused: %v", ok, err)
 		}
 	}
@@ -109,13 +110,78 @@ func TestExactSumTextBounded(t *testing.T) {
 		strings.Repeat("9", 1000) + "*2^0", "1" + strings.Repeat("0", 700) + "*2^-1126",
 	} {
 		allocs := testing.AllocsPerRun(1, func() {
-			if err := r.setText(bad); err == nil {
+			if err := r.setText(bad, sumBits); err == nil {
 				t.Errorf("setText(%.40s) accepted", bad)
 			}
 		})
 		if allocs > 20 {
 			t.Errorf("setText(%.40s) made %v allocations", bad, allocs)
 		}
+	}
+}
+
+// TestMomentsHugeValues adds finite values whose square passes the
+// float64 range. Add must not panic, Σx² must hold the exact square, and
+// a one-trial summary of such a time must marshal, decode and marshal
+// again to the same bytes, and merge. Just below the range the rounded
+// x·x stays, so no existing sketch changes.
+func TestMomentsHugeValues(t *testing.T) {
+	exactSq := func(x float64) *big.Float {
+		f := new(big.Float).SetPrec(2048).SetFloat64(x)
+		return f.Mul(f, f)
+	}
+	var neg Moments
+	neg.Add(-1.35e154)
+	if got := neg.sqs.float(0); got.Cmp(exactSq(-1.35e154)) != 0 {
+		t.Fatalf("-1.35e154: sum of squares %v, want %v", got, exactSq(-1.35e154))
+	}
+	for _, x := range []float64{1.35e154, math.MaxFloat64} {
+		s := NewSummary()
+		res := fakeResult("ct-uniform", 0, 5, false)
+		res.Continuous, res.Time = true, x
+		s.Add(res)
+		if got := s.Makespan.Moments.sqs.float(0); got.Cmp(exactSq(x)) != 0 {
+			t.Fatalf("%v: sum of squares %v, want %v", x, got, exactSq(x))
+		}
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("%v: %v", x, err)
+		}
+		var r Summary
+		if err := json.Unmarshal(b, &r); err != nil {
+			t.Fatalf("%v: %v", x, err)
+		}
+		if b2, err := json.Marshal(&r); err != nil || !bytes.Equal(b, b2) {
+			t.Fatalf("%v: round trip gave %s, %v; want %s", x, b2, err, b)
+		}
+		merged := NewSummary()
+		for _, part := range []*Summary{s, &r} {
+			if err := merged.Merge(part); err != nil {
+				t.Fatalf("%v: %v", x, err)
+			}
+		}
+		m := merged.Makespan.Moments
+		if m.N() != 2 || m.Mean() != x || m.Variance() != 0 {
+			t.Fatalf("%v: merged n %d, mean %v, variance %v", x, m.N(), m.Mean(), m.Variance())
+		}
+		if _, err := json.Marshal(merged); err != nil {
+			t.Fatalf("%v: merged: %v", x, err)
+		}
+	}
+	// Two huge values far apart: the variance passes the float64 range
+	// and reads +Inf, as documented.
+	var m Moments
+	m.Add(math.MaxFloat64)
+	m.Add(0)
+	if v := m.Variance(); !math.IsInf(v, 1) || !math.IsInf(m.StdErr(), 1) {
+		t.Fatalf("variance %v, standard error %v; want +Inf", v, m.StdErr())
+	}
+	x := 1.34e154 // x·x is finite
+	var below, rounded Moments
+	below.Add(x)
+	rounded.sqs.add(x * x)
+	if below.sqs.text() != rounded.sqs.text() {
+		t.Fatalf("%v: sum of squares %s, want the rounded square %s", x, below.sqs.text(), rounded.sqs.text())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -14,11 +15,12 @@ import (
 // decomposition exponent produced by frexp is 2^-1126).
 const sumScale = 1126
 
-// sumBits bounds an accumulator's bit length. Every addend is below
-// 2^1024 in magnitude, and so is every square, or add would have
-// panicked on its infinity; a sum of at most 2^63 of them stays below
-// 2^1087, which the fixed-point scale makes 2^(1087+sumScale).
-const sumBits = 1087 + sumScale
+// sumBits and sqsBits bound the bit length of a sum of values and of a
+// sum of their squares. Every value is below 2^1024 in magnitude, or add
+// would have panicked on its infinity, so its exact square is below
+// 2^2048; a sum of at most 2^63 of them stays below 2^1087 or 2^2111,
+// which the fixed-point scale makes 2^(1087+sumScale) or 2^(2111+sumScale).
+const sumBits, sqsBits = 1087 + sumScale, 2111 + sumScale
 
 // exactSum accumulates float64 values exactly: each addend is
 // decomposed into its integer mantissa and exponent and added to a
@@ -50,6 +52,22 @@ func (s *exactSum) add(x float64) {
 	s.tmp.SetInt64(m)
 	s.tmp.Lsh(&s.tmp, uint(exp-53+sumScale))
 	s.acc.Add(&s.acc, &s.tmp)
+}
+
+// addSquare folds in the square of a finite x: the rounded x·x where it
+// is finite, so no existing sum changes, else the exact square. With
+// x = m·2^(e−53) and m the 53-bit mantissa, that is m² at 2^(2e−106).
+func (s *exactSum) addSquare(x float64) {
+	if sq := x * x; !math.IsInf(sq, 0) {
+		s.add(sq)
+		return
+	}
+	fr, e := math.Frexp(math.Abs(x))
+	m := uint64(fr * (1 << 53))
+	hi, lo := bits.Mul64(m, m)
+	shift := uint(2*e - 106 + sumScale)
+	s.acc.Add(&s.acc, s.tmp.Lsh(s.tmp.SetUint64(hi), shift+64))
+	s.acc.Add(&s.acc, s.tmp.Lsh(s.tmp.SetUint64(lo), shift))
 }
 
 // merge folds another accumulator in.
@@ -100,8 +118,9 @@ func (s *exactSum) appendText(dst []byte) []byte {
 	return strconv.AppendInt(dst, int64(tz)-sumScale, 10)
 }
 
-// setText restores an accumulator serialized by text.
-func (s *exactSum) setText(t string) error {
+// setText restores an accumulator serialized by text, of at most maxBits
+// bits.
+func (s *exactSum) setText(t string, maxBits int) error {
 	if t == "0" {
 		s.acc.SetInt64(0)
 		return nil
@@ -111,18 +130,18 @@ func (s *exactSum) setText(t string) error {
 		return fmt.Errorf("agg: bad exact-sum accumulator %q (want \"m*2^k\")", t)
 	}
 	k, err := strconv.Atoi(kt)
-	if err != nil || k < -sumScale || k > sumBits-sumScale {
+	if err != nil || k < -sumScale || k > maxBits-sumScale {
 		return fmt.Errorf("agg: bad exact-sum exponent in %q", t)
 	}
 	// A decimal digit carries more than three bits, so a longer mantissa
 	// is out of range before it is parsed.
-	if len(mt) > sumBits/3 {
+	if len(mt) > maxBits/3 {
 		return fmt.Errorf("agg: exact-sum mantissa of %d digits is beyond any sum of 2^63 float64 values", len(mt))
 	}
 	if _, ok := s.acc.SetString(mt, 10); !ok {
 		return fmt.Errorf("agg: bad exact-sum mantissa in %q", t)
 	}
-	if s.acc.BitLen()+k+sumScale > sumBits {
+	if s.acc.BitLen()+k+sumScale > maxBits {
 		return fmt.Errorf("agg: exact-sum accumulator %q is beyond any sum of 2^63 float64 values", t)
 	}
 	s.acc.Lsh(&s.acc, uint(k+sumScale))

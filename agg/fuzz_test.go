@@ -3,6 +3,7 @@ package agg
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -87,6 +88,15 @@ func FuzzSummaryJSON(f *testing.F) {
 	for _, swap := range unreachable {
 		f.Add(bytes.Replace(one, []byte(swap[0]), []byte(swap[1]), 1))
 	}
+	// A one-trial continuous-time summary whose time's square passes the
+	// float64 range, so its sum of squares holds the exact square.
+	huge := fakeResult("ct-uniform", 0, 5, false)
+	huge.Continuous, huge.Time = true, math.MaxFloat64
+	hugeB, err := json.Marshal(fold(huge))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(hugeB)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got, ref Summary
 		gotErr, refErr := got.UnmarshalJSON(data), ref.decodeJSON(data)

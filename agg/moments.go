@@ -33,7 +33,7 @@ type Moments struct {
 func NewMoments() *Moments { return &Moments{} }
 
 // Add folds one value in. Like every sketch in this package it panics
-// on NaN or ±Inf.
+// on NaN or ±Inf; every finite value's square fits Σx² (addSquare).
 func (m *Moments) Add(x float64) {
 	if m.n == 0 || x < m.min {
 		m.min = x
@@ -43,7 +43,7 @@ func (m *Moments) Add(x float64) {
 	}
 	m.n++
 	m.sum.add(x)
-	m.sqs.add(x * x)
+	m.sqs.addSquare(x)
 }
 
 // Merge folds another Moments in; o is left unchanged.
@@ -89,7 +89,9 @@ func (m *Moments) Mean() float64 {
 // Variance returns the unbiased (n-1 denominator) sample variance,
 // computed as (Σx² - (Σx)²/n)/(n-1) from the exact accumulators at
 // reportPrec working precision; 0 when fewer than two values were
-// added. The result is a deterministic function of the sketch state.
+// added. The result is a deterministic function of the sketch state. It
+// reads +Inf past the float64 range (so do StdDev and StdErr), and a
+// marshal then fails, since JSON cannot hold it.
 func (m *Moments) Variance() float64 {
 	if m.n < 2 {
 		return 0
@@ -176,10 +178,10 @@ func (m *Moments) UnmarshalJSON(b []byte) error {
 // can produce it. Both summary decoders validate through it.
 func (m *Moments) restore(w *momentsJSON) error {
 	m.n, m.min, m.max = w.N, w.Min, w.Max
-	if err := m.sum.setText(w.Sum); err != nil {
+	if err := m.sum.setText(w.Sum, sumBits); err != nil {
 		return err
 	}
-	if err := m.sqs.setText(w.SumSq); err != nil {
+	if err := m.sqs.setText(w.SumSq, sqsBits); err != nil {
 		return err
 	}
 	// Added values lie in [min, max], and so does their mean; a sum

@@ -18,10 +18,12 @@ import (
 )
 
 // TestBatchedSummaryInvariance is the batched determinism contract at the
-// engine layer: over 10^4 trials on K_64 (full load) and the 4096-cycle
-// (32 particles), the trial summary is byte-identical for every batch
-// width, worker count and trial sharding — the batched stream depends
-// only on the (seed, experiment, trial) lineage, never on scheduling.
+// engine layer: over 10^4 trials on the 64-vertex clique with a hair
+// (full load, the csr kernel) and the weighted 4096-cycle (32 particles,
+// the alias kernel), both table-backed so every job steps lanes, the
+// trial summary is byte-identical for every batch width, worker count
+// and trial sharding — the batched stream depends only on the (seed,
+// experiment, trial) lineage, never on scheduling.
 func TestBatchedSummaryInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10^4-trial invariance sweep")
@@ -31,8 +33,8 @@ func TestBatchedSummaryInvariance(t *testing.T) {
 		spec string
 		opts []dispersion.Option
 	}{
-		{"complete:64", nil},
-		{"cycle:4096", []dispersion.Option{dispersion.WithParticles(32)}},
+		{"hair:64", nil},
+		{"wcycle:4096,3", []dispersion.Option{dispersion.WithParticles(32)}},
 	} {
 		base := dispersion.Job{
 			Process: "sequential",
@@ -92,11 +94,11 @@ func TestBatchedSummaryInvariance(t *testing.T) {
 }
 
 // TestBatchedMeanMatchesExact pins the batched path's dispersion mean on
-// K_5 against the internal/exact subset DP — the ground-truth side of the
-// "distribution-identical to scalar" contract, since the scalar path is
-// pinned to the same constant.
+// the 5-vertex clique with a hair (the csr kernel, so the job steps a
+// lane) against the internal/exact subset DP — the ground-truth side of
+// the "byte-identical to scalar" contract.
 func TestBatchedMeanMatchesExact(t *testing.T) {
-	g := graph.Complete(5)
+	g := graph.CliqueWithHair(5)
 	e, err := exact.NewSequential(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -381,9 +383,10 @@ func isLaneCapable(proc string) bool {
 
 // TestBatchedManyWorkersSmallB floods the lane scheduler with far more
 // workers than lane slots — the CI -race smoke shape — and checks the
-// delivery order and per-trial invariants survive.
+// delivery order and per-trial invariants survive. The clique with a
+// hair has the csr kernel, so every block steps a lane.
 func TestBatchedManyWorkersSmallB(t *testing.T) {
-	g := graph.Complete(16)
+	g := graph.CliqueWithHair(16)
 	eng := dispersion.Engine{Seed: 13, Experiment: 1, Workers: 16, ReuseResults: true}
 	next := 0
 	err := eng.Run(context.Background(), dispersion.Job{
@@ -490,13 +493,14 @@ func TestBatchedOptionErrors(t *testing.T) {
 
 // TestBatchedMaxIntTrials runs a batched job of math.MaxInt trials, whose
 // block count once wrapped negative so that Run returned nil having
-// delivered nothing. The callback stops the job after five trials.
+// delivered nothing. The callback stops the job after five trials. The
+// spec is table-backed (the csr kernel), so the job runs lane blocks.
 func TestBatchedMaxIntTrials(t *testing.T) {
 	stop := errors.New("stop")
 	var got []int
 	err := dispersion.Engine{Seed: 1, Workers: 1}.Run(context.Background(), dispersion.Job{
 		Process: "sequential",
-		Spec:    "complete:4",
+		Spec:    "hair:4",
 		Trials:  math.MaxInt,
 		Options: []dispersion.Option{dispersion.WithBatch(2)},
 	}, func(tr dispersion.Trial) error {
@@ -520,14 +524,15 @@ func TestBatchedMaxIntTrials(t *testing.T) {
 // ends at math.MaxInt, where the last block's end once overflowed: it
 // delivered 8 trials for 5, three with wrapped negative indices. It must
 // deliver exactly the range, with the results of the same trials run one
-// per block.
+// per block. The spec is table-backed (the csr kernel), so the job runs
+// lane blocks.
 func TestBatchedRangeEndingAtMaxInt(t *testing.T) {
 	run := func(b int) ([]int, []int64) {
 		var idx []int
 		var totals []int64
 		err := dispersion.Engine{Seed: 1, Workers: 1}.Run(context.Background(), dispersion.Job{
 			Process:    "sequential",
-			Spec:       "complete:4",
+			Spec:       "hair:4",
 			FirstTrial: math.MaxInt - 5,
 			Trials:     5,
 			Options:    []dispersion.Option{dispersion.WithBatch(b)},

@@ -19,9 +19,9 @@
 // circulant, rregular, and the closed forms) build implicit backends, so
 // million-vertex sizes run in O(particles) memory — e.g. -graph
 // torus:2048x2048 -particles 4096. The w-prefixed families are weighted
-// (alias-table walk kernels); add -batch to run the Sequential-family
-// processes in blocks of trials stepped together on table-backed graphs,
-// which changes no result.
+// (alias-table walk kernels); -batch B lets the Sequential-family
+// processes step blocks of at most B trials together on table-backed
+// graphs (elsewhere they run unbatched), which changes no result.
 package main
 
 import (
@@ -35,6 +35,7 @@ import (
 	"dispersion"
 	"dispersion/graphspec"
 	"dispersion/internal/stats"
+	"dispersion/server"
 	"dispersion/sink"
 )
 
@@ -54,7 +55,7 @@ func main() {
 		capacity = flag.Int("capacity", 0,
 			"per-vertex capacity of the capacity processes (0 = default 2)")
 		batch = flag.Int("batch", 0,
-			"run trials in blocks of this many, stepped together on table-backed graphs; changes no result (0 = scalar)")
+			"cap on the blocks of trials stepped together on table-backed graphs (other graphs run unbatched); changes no result (0 = unbatched)")
 		csvPath     = flag.String("csv", "", "write per-trial scalar rows as CSV to this file")
 		jsonlPath   = flag.String("jsonl", "", "write full per-trial results as JSONL to this file")
 		summaryPath = flag.String("summary", "", `write the mergeable agg.Summary JSON to this file ("-" = stdout)`)
@@ -70,25 +71,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var opts []dispersion.Option
-	if *lazy {
-		opts = append(opts, dispersion.WithLazy())
-	}
-	if *particles > 0 {
-		opts = append(opts, dispersion.WithParticles(*particles))
-	}
-	if *randomOrigins {
-		opts = append(opts, dispersion.WithRandomOrigins())
-	}
-	if *settleParam != 0 {
-		opts = append(opts, dispersion.WithSettleParam(*settleParam))
-	}
-	if *capacity != 0 {
-		opts = append(opts, dispersion.WithCapacity(*capacity))
-	}
-	if *batch != 0 {
-		opts = append(opts, dispersion.WithBatch(*batch))
-	}
+	opts := server.Options{
+		Lazy:          *lazy,
+		Particles:     *particles,
+		RandomOrigins: *randomOrigins,
+		SettleParam:   *settleParam,
+		Capacity:      *capacity,
+		Batch:         *batch,
+	}.Build()
 
 	// The run streams every trial through one callback: makespan
 	// collection for the statistics below, teed with the requested sinks.

@@ -174,22 +174,20 @@ type trialCell struct {
 // worker-local source, and — under ReuseResults — result cells cycle
 // through a pool. Steady-state trials of a non-Record job then allocate
 // nothing. The RNG draws are identical to the generic path's, so results
-// are bit-for-bit the same.
+// are bit-for-bit the same. A batched job runs the lane where
+// core.LaneWidth chooses one and this unbatched path everywhere else.
 func (e Engine) runCore(ctx context.Context, rn *walk.Runner, cp *coreProcess, g Graph, job Job, each func(Trial) error) error {
 	opt := buildOptions(append(append([]Option(nil), cp.forced...), job.Options...))
 	if opt.Batch != 0 {
-		return e.runCoreLane(ctx, rn, cp, g, job, opt, each)
-	}
-	var pool sync.Pool
-	getCell := func() *trialCell { return new(trialCell) }
-	if e.ReuseResults {
-		getCell = func() *trialCell {
-			if cell, ok := pool.Get().(*trialCell); ok {
-				return cell
-			}
-			return new(trialCell)
+		width, err := core.LaneWidth(g, job.Origin, opt, cp.lane, job.Trials, rn.Workers())
+		if err != nil {
+			return err
+		}
+		if width > 0 {
+			return e.runCoreLane(ctx, rn, cp, g, job, opt, width, each)
 		}
 	}
+	getCell, putCell := cellPool[trialCell](e.ReuseResults)
 	return walk.StreamState(ctx, rn, job.FirstTrial, job.Trials,
 		core.NewScratch,
 		func(i int, r *Source, s *core.Scratch) (*trialCell, error) {
@@ -205,57 +203,42 @@ func (e Engine) runCore(ctx context.Context, rn *walk.Runner, cp *coreProcess, g
 			if each != nil {
 				err = each(Trial{Index: i, Result: &cell.out})
 			}
-			if e.ReuseResults {
-				pool.Put(cell)
-			}
+			putCell(cell)
 			return err
 		})
 }
 
 // laneCell carries one block of batched trials from a worker to the
-// delivery: the internal result buffers, the *Result views handed to
-// RunLane, the public views delivered to the callback, and the block's
-// trial seeds. Under ReuseResults whole cells cycle through a pool.
+// delivery: a trial cell per trial, the *Result views handed to RunLane,
+// and the block's trial seeds. Under ReuseResults whole cells cycle
+// through a pool.
 type laneCell struct {
-	res   []core.Result
-	ptrs  []*core.Result
-	outs  []Result
-	seeds []uint64
+	trials []trialCell
+	ptrs   []*core.Result
+	seeds  []uint64
 }
 
 // grow sizes the cell for a block of n trials, reusing backing arrays.
 func (c *laneCell) grow(n int) {
-	if cap(c.res) < n {
-		c.res = make([]core.Result, n)
+	if cap(c.trials) < n {
+		c.trials = make([]trialCell, n)
 		c.ptrs = make([]*core.Result, n)
-		c.outs = make([]Result, n)
 		c.seeds = make([]uint64, n)
 	}
-	c.res = c.res[:n]
-	c.ptrs = c.ptrs[:n]
-	c.outs = c.outs[:n]
-	c.seeds = c.seeds[:n]
+	c.trials, c.ptrs, c.seeds = c.trials[:n], c.ptrs[:n], c.seeds[:n]
 	for i := range c.ptrs {
-		c.ptrs[i] = &c.res[i]
+		c.ptrs[i] = &c.trials[i].ct.Result
 	}
 }
 
-// runCoreLane is the batched hot path selected by WithBatch: trials are
-// grouped into blocks of Batch, each block runs as one core.RunLane call
-// on a worker (SoA particle state stepped by fused StepLane kernels on a
-// table-backed graph, the scalar loop trial after trial on any other),
-// and the delivery unpacks blocks back into per-trial callbacks in strict
-// trial order. Trial i draws the scalar stream of the (Seed, Experiment,
-// i) lineage in the scalar order, so results are byte-identical to the
-// scalar path's for any Batch, Workers or sharding.
-func (e Engine) runCoreLane(ctx context.Context, rn *walk.Runner, cp *coreProcess, g Graph, job Job, opt core.Options, each func(Trial) error) error {
-	if cp.lane == core.LaneNone {
-		return fmt.Errorf("dispersion: process %q has no batched form (WithBatch covers the Sequential-family processes)", cp.name)
-	}
-	b := opt.Batch
-	if b < 1 {
-		return fmt.Errorf("dispersion: batch width %d (want at least 1)", b)
-	}
+// runCoreLane is the batched hot path, where core.LaneWidth chose a lane
+// (a table-backed kernel) of width b: each block of b trials runs as one
+// core.RunLane call on a worker, and the delivery unpacks blocks back
+// into per-trial callbacks in strict trial order. Trial i draws the
+// scalar stream of the (Seed, Experiment, i) lineage in the scalar order,
+// so results are byte-identical to the unbatched path's for any Batch,
+// Workers or sharding.
+func (e Engine) runCoreLane(ctx context.Context, rn *walk.Runner, cp *coreProcess, g Graph, job Job, opt core.Options, b int, each func(Trial) error) error {
 	// Validate keeps end within int; the block count and each block's
 	// length are computed so that nothing else can overflow either.
 	end := job.FirstTrial + job.Trials
@@ -263,16 +246,7 @@ func (e Engine) runCoreLane(ctx context.Context, rn *walk.Runner, cp *coreProces
 	if job.Trials%b != 0 {
 		numBlocks++
 	}
-	var pool sync.Pool
-	getCell := func() *laneCell { return new(laneCell) }
-	if e.ReuseResults {
-		getCell = func() *laneCell {
-			if cell, ok := pool.Get().(*laneCell); ok {
-				return cell
-			}
-			return new(laneCell)
-		}
-	}
+	getCell, putCell := cellPool[laneCell](e.ReuseResults)
 	return walk.StreamState(ctx, rn, 0, numBlocks,
 		core.NewScratch,
 		func(block int, _ *Source, s *core.Scratch) (*laneCell, error) {
@@ -286,25 +260,40 @@ func (e Engine) runCoreLane(ctx context.Context, rn *walk.Runner, cp *coreProces
 			if err := core.RunLane(g, job.Origin, opt, cp.lane, cell.seeds, s, cell.ptrs); err != nil {
 				return nil, err
 			}
-			for t := 0; t < cnt; t++ {
-				cell.outs[t].setCoreResult(&cell.res[t], cp.name)
+			for t := range cell.trials {
+				tc := &cell.trials[t]
+				tc.out.setCore(&tc.ct, cp.name, cp.continuous)
 			}
 			return cell, nil
 		},
 		func(block int, cell *laneCell) error {
 			lo := job.FirstTrial + block*b
 			if each != nil {
-				for t := range cell.outs {
-					if err := each(Trial{Index: lo + t, Result: &cell.outs[t]}); err != nil {
+				for t := range cell.trials {
+					if err := each(Trial{Index: lo + t, Result: &cell.trials[t].out}); err != nil {
 						return err
 					}
 				}
 			}
-			if e.ReuseResults {
-				pool.Put(cell)
-			}
+			putCell(cell)
 			return nil
 		})
+}
+
+// cellPool returns how a job gets a result cell and gives it back: under
+// ReuseResults cells cycle through a pool, otherwise each is new and is
+// never given back.
+func cellPool[T any](reuse bool) (get func() *T, put func(*T)) {
+	if !reuse {
+		return func() *T { return new(T) }, func(*T) {}
+	}
+	var pool sync.Pool
+	return func() *T {
+		if cell, ok := pool.Get().(*T); ok {
+			return cell
+		}
+		return new(T)
+	}, func(cell *T) { pool.Put(cell) }
 }
 
 // Sample runs the job and returns each trial's Makespan — the dispersion
@@ -312,26 +301,23 @@ func (e Engine) runCoreLane(ctx context.Context, rn *walk.Runner, cp *coreProces
 // reduction for statistics over many trials. Sample reduces each trial to
 // one scalar, so it always runs with ReuseResults on.
 func (e Engine) Sample(ctx context.Context, job Job) ([]float64, error) {
-	e.ReuseResults = true
-	out := make([]float64, 0, max(job.Trials, 0))
-	err := e.Run(ctx, job, func(t Trial) error {
-		out = append(out, t.Result.Makespan())
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return e.reduce(ctx, job, (*Result).Makespan)
 }
 
 // TotalSteps runs the job and returns each trial's total jump count in
 // trial order (Theorem 4.1's conserved quantity across the Sequential and
 // Parallel processes). Like Sample, it always runs with ReuseResults on.
 func (e Engine) TotalSteps(ctx context.Context, job Job) ([]float64, error) {
+	return e.reduce(ctx, job, func(r *Result) float64 { return float64(r.TotalSteps) })
+}
+
+// reduce runs the job with ReuseResults on and returns f of each trial's
+// result, in trial order.
+func (e Engine) reduce(ctx context.Context, job Job, f func(*Result) float64) ([]float64, error) {
 	e.ReuseResults = true
 	out := make([]float64, 0, max(job.Trials, 0))
 	err := e.Run(ctx, job, func(t Trial) error {
-		out = append(out, float64(t.Result.TotalSteps))
+		out = append(out, f(t.Result))
 		return nil
 	})
 	if err != nil {

@@ -146,13 +146,13 @@ func TestImplicitProcessTwinBitIdentityOptions(t *testing.T) {
 }
 
 // TestImplicitProcessTwinBitIdentityBatched extends the twin check to the
-// batched lane, through Engine.Run at widths 4 and 64, for every process
-// with a batched form, plain, lazy, and with sub-n particle counts and
-// random origins. An implicit closed-form kernel computes its neighbour,
-// so its batched jobs run the scalar loop on a lane slot's Source, while
-// a CSR twin's table kernel (csr or regular) steps the breadth-first lane
-// superstep; this pins the two paths against each other through the
-// public engine.
+// batched lane, through Engine.Run at batch caps 4 and 64, for every
+// process with a batched form, plain, lazy, and with sub-n particle counts
+// and random origins. An implicit closed-form kernel computes its
+// neighbour, so its batched jobs run the unbatched path, while a CSR
+// twin's table kernel (csr or regular) steps the breadth-first lane
+// superstep in blocks of up to 6 trials (12 trials on 2 workers); this
+// pins the two paths against each other through the public engine.
 func TestImplicitProcessTwinBitIdentityBatched(t *testing.T) {
 	optionSets := map[string][]dispersion.Option{
 		"plain": nil,

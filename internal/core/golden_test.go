@@ -403,7 +403,9 @@ func goldenSets() []struct {
 }
 
 // TestGoldenDigests checks every process's output against its pinned
-// digests, and every lane law's output against the scalar loop's.
+// digests, and every lane law's output against the scalar loop's: RunLane
+// steps its lane superstep on every kernel of the five sets, the shared
+// stepLane loop of the kernels that compute their neighbour among them.
 func TestGoldenDigests(t *testing.T) {
 	for _, set := range goldenSets() {
 		for _, p := range goldenProcesses() {

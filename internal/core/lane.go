@@ -1,15 +1,15 @@
-// This file holds the batched execution lane. On a table-backed kernel,
-// Options.Batch concurrent trials advance together through one SoA state
-// bank, stepped by the kernel's fused StepLane loops: the scalar hot path
-// walks one particle at a time, so every step's load depends on the
-// previous step's RNG draw, and the lane breaks that serial chain by
-// interleaving Batch independent trials, giving the CPU a window of
-// independent loads per superstep. Every other kernel computes its
-// neighbour, so there is no load to overlap, and the trials run one after
-// another through the scalar Sequential loop. Either way trial i draws its
-// scalar stream, seeded by the (seed, experiment, trial) lineage, in the
-// scalar loop's order, so its result is byte-identical to the unbatched
-// one, for any batch width, worker count or sharding.
+// This file holds the batched execution lane: up to Options.Batch
+// concurrent trials advance together through one SoA state bank, stepped
+// by the kernel's StepLane superstep. The scalar hot path walks one
+// particle at a time, so every step's load depends on the previous step's
+// RNG draw; the lane breaks that serial chain by interleaving independent
+// trials, giving the CPU a window of independent loads per superstep.
+// Only a table-backed kernel has loads to overlap, so LaneWidth, the one
+// place that decides how a batched job runs, chooses a lane only there
+// and sends every other batched job down the unbatched path. Either way trial
+// i draws its scalar stream, seeded by the (seed, experiment, trial)
+// lineage, in the scalar loop's order, so its result is byte-identical to
+// the unbatched one, for any batch width, worker count or sharding.
 
 package core
 
@@ -46,11 +46,60 @@ const (
 // only inflate the occupancy bank.
 const maxBatch = 1 << 16
 
-// laneMaxOccBytes bounds the lane occupancy bank (width rows of n
-// vertices, one byte each, four under the capacity law's counts). RunLane
-// rejects configurations over the bound instead of silently thrashing;
-// the scalar path (with its sparse backend) handles such graphs.
+// laneMaxOccBytes bounds the memory a batched job holds in lanes: RunLane
+// rejects a lane whose occupancy rows exceed it, and LaneWidth narrows
+// the engine's blocks until the rows and the results in flight fit it.
 const laneMaxOccBytes = 1 << 28
+
+// A lane trial's result holds 24 bytes a particle (its Steps, SettledAt,
+// SettleOrder and SettleClock entries) and at most 512 more (the
+// engine's result headers and its seed).
+const laneParticleBytes, laneTrialBytes = 24, 512
+
+// laneRowBytes is a slot's occupancy row: a byte a vertex, or a 4-byte count.
+func laneRowBytes(n int, variant LaneVariant) int64 {
+	if variant == LaneCapacity {
+		return 4 * int64(n)
+	}
+	return int64(n)
+}
+
+// laneLaw resolves the settlement law of a batched run and validates the
+// run. LaneWidth and RunLane both check through it, so the engine, a
+// one-shot run and a direct RunLane caller reject the same jobs alike.
+func (o *Options) laneLaw(g graph.Graph, origin int, variant LaneVariant) (law, error) {
+	lw, err := o.law(variant, g.N())
+	switch {
+	case err != nil:
+	case o.Batch < 1 || o.Batch > maxBatch:
+		err = fmt.Errorf("core: batch width %d (want 1..%d)", o.Batch, maxBatch)
+	case o.Record:
+		err = fmt.Errorf("core: batched execution cannot record trajectories")
+	case o.Rule != nil:
+		err = fmt.Errorf("core: batched execution cannot apply a custom settle rule")
+	default:
+		err = validateRun(g, origin)
+	}
+	return lw, err
+}
+
+// LaneWidth is the one decision about a batched job of trials trials on
+// workers ≥ 1 workers. It fails where the batched form cannot run the
+// job, and returns 0, run it unbatched (the same bytes), on a kernel that
+// computes its neighbour (graph.LaneGathers false), which has no loads
+// to overlap. On a table-backed kernel it returns the lane width: the
+// smallest of Options.Batch, which is only a cap; ⌈trials/workers⌉, so
+// no worker idles; and the widest block for which every worker's lane
+// rows and the results of the 4·workers blocks the delivery window holds
+// fit laneMaxOccBytes together, 0 if not one slot fits.
+func LaneWidth(g graph.Graph, origin int, opt Options, variant LaneVariant, trials, workers int) (int, error) {
+	lw, err := opt.laneLaw(g, origin, variant)
+	if err != nil || !graph.LaneGathers(g.Kernel()) {
+		return 0, err
+	}
+	slot := int64(workers) * (laneRowBytes(g.N(), variant) + 4*(laneTrialBytes+laneParticleBytes*int64(lw.k)))
+	return int(min(int64(opt.Batch), int64((trials-1)/workers+1), laneMaxOccBytes/slot)), nil
+}
 
 // laneState is the SoA state bank of the batched scheduler, living on
 // Scratch so steady-state lane runs allocate nothing. Slot j of the bank
@@ -169,39 +218,26 @@ func (ls *laneState) setCount(j, v int32, c int32) {
 // selected by variant through the lane. seeds[i] must be the root of
 // trial i's stream (the engine passes Runner.TrialSeed); outs[i] receives
 // trial i's result, exactly what the scalar *Into writes for a Source
-// seeded with seeds[i].
+// seeded with seeds[i]. It rejects what LaneWidth rejects, and lanes
+// whose occupancy rows exceed laneMaxOccBytes.
 //
-// On a kernel that computes its neighbour (see graph.LaneGathers) the
-// trials run one after another through the scalar Sequential loop. On a
-// table-backed kernel they run in a lane of up to opt.Batch slots, slot j
-// drawing from its own Source seeded with its trial's seed. The scheduler
-// then alternates two phases: a resolve phase (truncation check, then the
-// variant's settlement cascade, then retire/rehost) touching only
-// per-slot state, and a walk phase, in which one fused kern.StepLane call
-// advances every unresolved slot a single walk move, so the slots' cache
-// misses overlap. Slots retire as their trials finish and immediately
-// rehost the next pending seed, so the lane stays full until the tail. A
-// slot makes its trial's draws — origin draws, lazy coins, step draws,
-// acceptance coins — in the scalar loop's order, which is what makes
-// batched results the scalar ones, whatever Batch, workers or sharding.
+// The trials run in a lane of up to opt.Batch slots, slot j drawing from
+// its own Source seeded with its trial's seed. The scheduler alternates
+// two phases: a resolve phase (truncation check, then the variant's
+// settlement cascade, then retire/rehost) touching only per-slot state,
+// and a walk phase, in which one kern.StepLane call advances every
+// unresolved slot a single walk move, so on a table-backed kernel the
+// slots' cache misses overlap. Slots retire as their trials finish and
+// immediately rehost the next pending seed, so the lane stays full until
+// the tail. A slot makes its trial's draws — origin draws, lazy coins,
+// step draws, acceptance coins — in the scalar loop's order, which is
+// what makes batched results the scalar ones, whatever Batch, workers or
+// sharding.
 func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds []uint64, s *Scratch, outs []*Result) error {
-	n := g.N()
 	if len(seeds) != len(outs) {
 		return fmt.Errorf("core: %d lane seeds for %d results", len(seeds), len(outs))
 	}
-	if opt.Batch < 1 || opt.Batch > maxBatch {
-		return fmt.Errorf("core: batch width %d (want 1..%d)", opt.Batch, maxBatch)
-	}
-	if opt.Record {
-		return fmt.Errorf("core: batched execution cannot record trajectories")
-	}
-	if opt.Rule != nil {
-		return fmt.Errorf("core: batched execution cannot apply a custom settle rule")
-	}
-	if err := validateRun(g, origin); err != nil {
-		return err
-	}
-	lw, err := opt.law(variant, n)
+	lw, err := opt.laneLaw(g, origin, variant)
 	if err != nil {
 		return err
 	}
@@ -209,32 +245,17 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 	if len(seeds) == 0 {
 		return nil
 	}
+	n := g.N()
+	width := min(opt.Batch, len(seeds))
+	if bytes := int64(width) * laneRowBytes(n, variant); bytes > laneMaxOccBytes {
+		return fmt.Errorf("core: batch %d on %d vertices needs %d bytes of lane occupancy (max %d); lower the batch width",
+			width, n, bytes, laneMaxOccBytes)
+	}
 	if s == nil {
 		s = NewScratch()
 	}
 	ls := &s.lane
 	kern := g.Kernel()
-	if !graph.LaneGathers(kern) {
-		// No miss to overlap: slot 0 hosts the trials one after another.
-		ls.src.Resize(1)
-		r := ls.src.Slot(0)
-		for i, seed := range seeds {
-			r.Seed(seed)
-			if err := sequential(g, origin, opt, variant, r, s, outs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	width := min(opt.Batch, len(seeds))
-	bytes := int64(n) * int64(width)
-	if variant == LaneCapacity {
-		bytes *= 4 // a count a cell
-	}
-	if bytes > laneMaxOccBytes {
-		return fmt.Errorf("core: batch %d on %d vertices needs %d bytes of lane occupancy (max %d); lower the batch width",
-			width, n, bytes, laneMaxOccBytes)
-	}
 	ls.prepare(n, width, variant == LaneCapacity)
 
 	next := 0 // next seed to host

@@ -353,16 +353,18 @@ func TestLaneErrors(t *testing.T) {
 			t.Fatalf("occupancy bound at width %d: err = %v", c.width, err)
 		}
 	}
-	// A closed-form kernel runs its trials through the scalar loop, which
-	// lays out no lane rows, so the bound does not apply.
+	// A closed-form kernel steps the same lane rows when RunLane is
+	// called directly, so the bound applies there too (the engine runs
+	// such a job unbatched; see TestLaneWidth).
 	big := graph.ImplicitComplete(1 << 24)
 	bigSeeds := laneSeeds(64)
 	bigOuts := make([]*Result, len(bigSeeds))
 	for i := range bigOuts {
 		bigOuts[i] = new(Result)
 	}
-	if err := RunLane(big, 0, Options{Batch: 64, Particles: 1}, LaneStandard, bigSeeds, nil, bigOuts); err != nil {
-		t.Fatalf("closed-form lane: %v", err)
+	if err := RunLane(big, 0, Options{Batch: 64, Particles: 1}, LaneStandard, bigSeeds, nil, bigOuts); err == nil ||
+		!strings.Contains(err.Error(), "occupancy") {
+		t.Fatalf("occupancy bound on a closed-form kernel: err = %v", err)
 	}
 	// Empty seed sets are a no-op.
 	if err := RunLane(g, 0, Options{Batch: 2}, LaneStandard, nil, nil, nil); err != nil {
@@ -380,5 +382,112 @@ func TestLaneParamErrors(t *testing.T) {
 	}
 	if err := RunLane(g, 0, Options{Batch: 2, SettleParam: -1}, LaneThreshold, []uint64{1}, nil, outs); err == nil {
 		t.Fatal("negative threshold accepted")
+	}
+}
+
+// TestLaneWidth holds LaneWidth, the engine's one decision about a
+// batched job, to its rules: no lane (0) on a kernel that computes its
+// neighbour; on a table-backed kernel the smallest of the batch cap,
+// ⌈trials/workers⌉ and the memory bound, which every width it returns
+// keeps; 0 when not one slot fits; and the batched form's rejections.
+// The memory cases only compute widths, so nothing large is allocated.
+func TestLaneWidth(t *testing.T) {
+	must := func(g graph.Graph, err error) graph.Graph {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, g := range []graph.Graph{
+		graph.Complete(12), graph.ImplicitCycle(14), graph.ImplicitPath(9), graph.ImplicitHypercube(4),
+		must(graph.ImplicitTorus([]int{4, 3})), must(graph.ImplicitCirculant(13, []int{1, 4})),
+		must(graph.ImplicitRandomRegular(14, 4, 3)),
+	} {
+		if graph.LaneGathers(g.Kernel()) {
+			t.Fatalf("%s: kernel %s steps a lane", g.Name(), g.Kernel().Kind())
+		}
+		if w, err := LaneWidth(g, 0, Options{Batch: 64}, LaneStandard, 1000, 2); w != 0 || err != nil {
+			t.Fatalf("%s (%s): width %d, err %v; want 0, nil", g.Name(), g.Kernel().Kind(), w, err)
+		}
+	}
+
+	// grid is a table-backed torus of n = 65,792 vertices (the regular
+	// kernel), about 1 MiB of tables.
+	grid := graph.Grid([]int{257, 256}, true)
+	n := int64(grid.N())
+	// bound is the widest block whose lane rows on every worker and whose
+	// results in the 4·workers blocks awaiting delivery fit together.
+	bound := func(rowBytes int64, k, workers int) int {
+		return int(laneMaxOccBytes / (int64(workers) * (rowBytes + 4*(laneTrialBytes+laneParticleBytes*int64(k)))))
+	}
+	for _, tc := range []struct {
+		name            string
+		g               graph.Graph
+		opt             Options
+		variant         LaneVariant
+		trials, workers int
+		want            int
+	}{
+		{"cap binds", graph.CliqueWithHair(9), Options{Batch: 8}, LaneStandard, 1000, 2, 8},
+		{"trials bind", graph.CliqueWithHair(9), Options{Batch: 64}, LaneStandard, 40, 2, 20},
+		{"trials round up", graph.CliqueWithHair(9), Options{Batch: 64}, LaneStandard, 41, 2, 21},
+		{"one trial", graph.Grid([]int{4, 4}, true), Options{Batch: 64}, LaneGeom, 1, 3, 1},
+		{"alias kernel", must(graph.WeightedComplete(10, 1)), Options{Batch: 64}, LaneCapacity, 1 << 20, 4, 64},
+		{"occupancy rows bind", grid, Options{Batch: maxBatch, Particles: 1}, LaneStandard, 1 << 30, 2, bound(n, 1, 2)},
+		{"count rows bind", grid, Options{Batch: maxBatch, Particles: 1}, LaneCapacity, 1 << 30, 2, bound(4*n, 1, 2)},
+		{"results bind", grid, Options{Batch: maxBatch}, LaneStandard, 1 << 30, 2, bound(n, grid.N(), 2)},
+		{"no slot fits", grid, Options{Batch: maxBatch}, LaneStandard, 1 << 30, 64, 0},
+	} {
+		w, err := LaneWidth(tc.g, 0, tc.opt, tc.variant, tc.trials, tc.workers)
+		if err != nil || w != tc.want {
+			t.Fatalf("%s: width %d, err %v; want %d", tc.name, w, err, tc.want)
+		}
+		if w == 0 {
+			continue
+		}
+		// The width keeps the memory bound, whichever term chose it.
+		lw, err := tc.opt.law(tc.variant, tc.g.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot := int64(tc.workers) * (laneRowBytes(tc.g.N(), tc.variant) + 4*(laneTrialBytes+laneParticleBytes*int64(lw.k)))
+		if int64(w)*slot > laneMaxOccBytes {
+			t.Fatalf("%s: width %d holds %d bytes, over %d", tc.name, w, int64(w)*slot, laneMaxOccBytes)
+		}
+	}
+	// In the cases named for it, the memory bound binds: it is narrower
+	// than the cap (maxBatch), which is narrower than the trial share.
+	for _, w := range []int{bound(n, 1, 2), bound(4*n, 1, 2), bound(n, grid.N(), 2)} {
+		if w < 1 || w >= maxBatch {
+			t.Fatalf("memory bound %d does not bind below the cap %d", w, maxBatch)
+		}
+	}
+
+	// LaneWidth rejects what the batched form cannot run, with RunLane's
+	// errors.
+	g := graph.Complete(8)
+	for name, tc := range map[string]struct {
+		origin  int
+		opt     Options
+		variant LaneVariant
+		wantSub string
+	}{
+		"no lane":        {0, Options{Batch: 8}, LaneNone, "no batched form"},
+		"negative batch": {0, Options{Batch: -3}, LaneStandard, "batch width"},
+		"batch too big":  {0, Options{Batch: maxBatch + 1}, LaneStandard, "batch width"},
+		"record":         {0, Options{Batch: 8, Record: true}, LaneStandard, "record"},
+		"rule":           {0, Options{Batch: 8, Rule: func(int32, int64) bool { return true }}, LaneStandard, "settle rule"},
+		"origin":         {99, Options{Batch: 8}, LaneStandard, "origin"},
+		"law":            {0, Options{Batch: 8, SettleParam: 1.5}, LaneGeom, "settle probability"},
+	} {
+		w, err := LaneWidth(g, tc.origin, tc.opt, tc.variant, 4, 1)
+		if err == nil || w != 0 || !strings.Contains(err.Error(), tc.wantSub) {
+			t.Fatalf("%s: width %d, err %v; want an error containing %q", name, w, err, tc.wantSub)
+		}
+		outs := []*Result{new(Result)}
+		if lerr := RunLane(g, tc.origin, tc.opt, tc.variant, []uint64{1}, nil, outs); lerr == nil || lerr.Error() != err.Error() {
+			t.Fatalf("%s: RunLane err %v, LaneWidth err %v", name, lerr, err)
+		}
 	}
 }

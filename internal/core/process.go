@@ -104,13 +104,13 @@ type Options struct {
 	// particles disperse; Result.Capacity reports the vector's maximum.
 	// Nil selects the uniform law.
 	Capacities []int
-	// Batch selects the batched execution mode: blocks of up to Batch
-	// trials per worker (see RunLane), stepped together through a SoA lane
-	// on a table-backed kernel and run one after another through the
-	// scalar loop on every other kernel. Zero (the default) is the scalar
-	// path. A batched trial draws its scalar stream in the scalar order
-	// (see rng's stream law), so Batch changes no result. Only the
-	// Sequential-family processes have a batched form.
+	// Batch selects the batched execution mode and caps its width: on a
+	// table-backed kernel the engine steps blocks of at most Batch trials
+	// through a SoA lane (see LaneWidth), and every other batched job runs
+	// the unbatched path. Zero (the default) is the unbatched path. A
+	// batched trial draws its scalar stream in the scalar order (see rng's
+	// stream law), so Batch changes no result. Only the Sequential-family
+	// processes have a batched form.
 	Batch int
 }
 
@@ -216,9 +216,9 @@ type law struct {
 }
 
 // law resolves the options under the settlement law variant on a graph
-// with n vertices. The scalar Sequential and Parallel loops and RunLane
-// resolve their run through it; only RunLane can pass a variant outside the four
-// laws.
+// with n vertices. The scalar Sequential and Parallel loops and laneLaw
+// resolve their run through it; only laneLaw can pass a variant outside
+// the four laws.
 func (o *Options) law(variant LaneVariant, n int) (law, error) {
 	lw := law{plan: capPlan{uniform: 1, total: n}}
 	var err error
@@ -239,7 +239,7 @@ func (o *Options) law(variant LaneVariant, n int) (law, error) {
 			lw.k, err = o.numParticlesCap(n, lw.plan)
 		}
 	default:
-		return law{}, fmt.Errorf("core: process has no batched form")
+		return law{}, fmt.Errorf("core: process has no batched form (WithBatch covers the Sequential-family processes)")
 	}
 	return lw, err
 }

@@ -87,13 +87,13 @@ type Kernel interface {
 	Kind() string
 }
 
-// LaneGathers reports whether the batched lane steps k's slots together,
-// one StepLane call per superstep: true for the kernels whose step loads
-// adjacency or alias memory (csr, regular, walias, wcomplete), where
-// stepping many slots at once overlaps their cache misses. Every other
-// kernel computes its neighbour, so there is no miss to overlap, and the
-// lane runs its trials one after another through the scalar walk, which
-// draws the same streams.
+// LaneGathers reports whether a batched job on k runs a lane: true for
+// the table-backed kernels, whose step loads adjacency or alias memory
+// (csr, regular, walias, wcomplete), where stepping many slots at once
+// overlaps their cache misses. Every other kernel computes its neighbour,
+// so there is no miss to overlap, and a batched job on it runs the
+// unbatched path, which draws the same streams. core.LaneWidth, the one
+// place that decides how a batched job runs, asks it.
 func LaneGathers(k Kernel) bool {
 	switch k.(type) {
 	case csrKernel, regularKernel, weightedKernel, weightedCompleteKernel:
@@ -105,9 +105,9 @@ func LaneGathers(k Kernel) bool {
 // stepLane is StepLane for every kernel whose step computes its
 // neighbour: each listed slot draws its lazy coin and its Step from its
 // own Source, the loop the StepLane contract states, so it holds by
-// construction. The lane runs these kernels' trials through the scalar
-// walk instead (see LaneGathers). It is generic so that a call boxes no
-// kernel value: an interface parameter would allocate one per call.
+// construction. Only a direct core.RunLane call steps these kernels'
+// lanes (see LaneGathers). It is generic so that a call boxes no kernel
+// value: an interface parameter would allocate one per call.
 func stepLane[K Kernel](k K, pos []int32, idx []int32, lazy bool, lane *rng.LaneSource) {
 	for _, j := range idx {
 		r := lane.Slot(int(j))
@@ -222,9 +222,9 @@ func (k csrKernel) Step(v int32, r *rng.Source) int32 {
 // WalkUntilVacant walks v to the first vacant vertex (or the budget).
 //
 // Every kernel repeats this identical loop body rather than sharing one
-// generic helper: the k.Step call on the concrete receiver is a direct,
-// inlinable call, which is the whole point of hoisting the loop behind a
-// single interface dispatch.
+// generic helper: the k.Step call on the concrete receiver is a direct
+// call (no kernel's Step is small enough to inline), not an interface or
+// dictionary dispatch, which is why the loop hides behind one dispatch.
 func (k csrKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
 	var steps int64
 	for occ[v] == epoch {

@@ -38,6 +38,9 @@ func (rn *Runner) SetWorkers(w int) {
 	rn.workers = w
 }
 
+// Workers returns the degree of parallelism before a stream's trial cap.
+func (rn *Runner) Workers() int { return rn.workers }
+
 // TrialSeed returns the seed of trial i's split stream — the same
 // (experimentID, i) derivation SplitInto reseeds workers with. The
 // engine's batched path seeds lane slots with it, tying every batched

@@ -89,24 +89,23 @@ func WithCapacities(caps []int) Option {
 	return func(cfg *config) { cfg.core.Capacities = caps }
 }
 
-// WithBatch routes the run through the batched execution mode, in blocks
-// of b trials per worker. It changes no result: a batched trial draws the
-// stream its unbatched twin draws, seeded by the same (seed, experiment,
-// trial) lineage, and draws it in the same order, so the results are
-// byte-identical to the scalar path's for every batch width, worker count
-// and trial sharding. It steps trials together only on table-backed
-// kernels (CSR and regular adjacency, the weighted alias tables): there b
-// trials advance through one structure-of-arrays lane, so the cache misses
-// of different trials overlap, worth 2× and more trials/sec where walks
-// are memory-bound (the weighted alias families, large adjacency tables).
+// WithBatch lets the run step trials together in blocks of at most b per
+// worker. It changes no result: a batched trial draws the stream its
+// unbatched twin draws, seeded by the same (seed, experiment, trial)
+// lineage, in the same order, so the results are byte-identical to the
+// unbatched path's for every b, worker count and trial sharding. Only
+// table-backed kernels (CSR and regular adjacency, the weighted alias
+// tables) run a lane, where a block's trials advance together so their
+// cache misses overlap, worth 2× and more trials/sec where walks are
+// memory-bound. b is only a cap: blocks narrow so that every worker gets
+// one and the lanes and undelivered blocks fit a fixed memory bound.
 // Every other kernel computes its neighbour, so there is no miss to
-// overlap, and a block's trials run one after another through the scalar
-// walk.
+// overlap, and a batched job there runs the unbatched path.
 //
 // Only the Sequential-family processes ("sequential", "sequential-geom",
 // "sequential-threshold", "capacity" and their lazy variants) have a
-// batched form; WithRecord and WithSettleRule stay scalar-only. Zero
-// selects the scalar path.
+// batched form; b must lie in 1..65,536, and WithRecord and
+// WithSettleRule stay unbatched-only. Zero selects the unbatched path.
 func WithBatch(b int) Option {
 	return func(c *config) { c.core.Batch = b }
 }

@@ -108,14 +108,9 @@ func (p *coreProcess) Continuous() bool { return p.continuous }
 func (p *coreProcess) Run(g Graph, origin int, r *Source, opts ...Option) (*Result, error) {
 	opt := buildOptions(append(append([]Option(nil), p.forced...), opts...))
 	if opt.Batch != 0 {
-		// A batched trial draws its scalar stream in the scalar order, so
-		// a one-shot batched run is the scalar run on r, once the lane has
-		// rejected what the engine's batched path rejects (an empty lane
-		// only validates).
-		if p.lane == core.LaneNone {
-			return nil, fmt.Errorf("dispersion: process %q has no batched form (WithBatch covers the Sequential-family processes)", p.name)
-		}
-		if err := core.RunLane(g, origin, opt, p.lane, nil, nil, nil); err != nil {
+		// A one-shot batched run is the unbatched run on r (one stream
+		// law), once it passes the engine's batched checks.
+		if _, err := core.LaneWidth(g, origin, opt, p.lane, 1, 1); err != nil {
 			return nil, err
 		}
 	}

@@ -83,24 +83,6 @@ func (res *Result) setCore(ct *core.CTResult, process string, continuous bool) {
 	}
 }
 
-// setCoreResult is setCore for the discrete-only batched path, which
-// produces bare core.Results with no continuous-time clock.
-func (res *Result) setCoreResult(r *core.Result, process string) {
-	res.Process = process
-	res.Continuous = false
-	res.Dispersion = r.Dispersion
-	res.TotalSteps = r.TotalSteps
-	res.Steps = r.Steps
-	res.SettledAt = r.SettledAt
-	res.SettleOrder = r.SettleOrder
-	res.SettleClock = r.SettleClock
-	res.Trajectories = r.Trajectories
-	res.Truncated = r.Truncated
-	res.Capacity = r.Capacity
-	res.Time = 0
-	res.SettleTimes = nil
-}
-
 // core reconstructs the internal view of the result for delegation. The
 // slices are shared.
 func (res *Result) core() *core.Result {

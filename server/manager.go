@@ -99,9 +99,9 @@ type Options struct {
 	// Capacities gives every vertex its own capacity (WithCapacities);
 	// empty leaves the scalar Capacity in charge.
 	Capacities []int `json:"capacities,omitempty"`
-	// Batch runs the trials in blocks of this many (WithBatch), stepped
-	// together on table-backed graphs. It changes no result; 0 keeps the
-	// scalar path.
+	// Batch caps the blocks of trials stepped together on a table-backed
+	// graph (WithBatch); elsewhere the job runs unbatched. It changes no
+	// result; 0 keeps the unbatched path.
 	Batch int `json:"batch,omitempty"`
 }
 
