@@ -174,10 +174,11 @@ func TestBatchedMatchesScalarStats(t *testing.T) {
 // field for field, and the agg.Summary bytes equal the unbatched run's
 // at every batch width, across worker counts, two merged FirstTrial
 // shards and ReuseResults; a one-shot Process.Run likewise. It covers
-// every lane-capable process on a graph of every kernel kind
-// (closed-form, implicit, CSR and weighted), under every option set the
-// lane accepts. An invalid job must fail on both sides with the same
-// error text.
+// every process WithBatch accepts on a graph of every kernel kind
+// (closed-form, implicit, CSR and weighted), under every option set a
+// batched job accepts: the standard law steps a lane on the table-backed
+// kernels, and every other job runs the unbatched path. An invalid job
+// must fail on both sides with the same error text.
 func TestBatchedMatchesScalarBytes(t *testing.T) {
 	must := func(g dispersion.Graph, err error) dispersion.Graph {
 		t.Helper()
@@ -312,8 +313,8 @@ func TestBatchedMatchesScalarBytes(t *testing.T) {
 			}
 		}
 	}
-	// Every lane law must have run somewhere, and the invalid option sets
-	// (a geometric q above 1, say) must have failed somewhere.
+	// Batched jobs must have run, and the invalid option sets (a
+	// geometric q above 1, say) must have failed somewhere.
 	if ran == 0 || failed == 0 {
 		t.Fatalf("%d batched jobs ran and %d failed; want both", ran, failed)
 	}

@@ -19,9 +19,9 @@
 // circulant, rregular, and the closed forms) build implicit backends, so
 // million-vertex sizes run in O(particles) memory — e.g. -graph
 // torus:2048x2048 -particles 4096. The w-prefixed families are weighted
-// (alias-table walk kernels); -batch B lets the Sequential-family
-// processes step blocks of at most B trials together on table-backed
-// graphs (elsewhere they run unbatched), which changes no result.
+// (alias-table walk kernels); -batch B lets the sequential process step
+// blocks of at most B trials together on table-backed graphs (every other
+// batched run is its unbatched twin), which changes no result.
 package main
 
 import (
@@ -55,7 +55,7 @@ func main() {
 		capacity = flag.Int("capacity", 0,
 			"per-vertex capacity of the capacity processes (0 = default 2)")
 		batch = flag.Int("batch", 0,
-			"cap on the blocks of trials stepped together on table-backed graphs (other graphs run unbatched); changes no result (0 = unbatched)")
+			"cap on the blocks of trials the sequential process steps together on table-backed graphs (other batched runs are unbatched); changes no result (0 = unbatched)")
 		csvPath     = flag.String("csv", "", "write per-trial scalar rows as CSV to this file")
 		jsonlPath   = flag.String("jsonl", "", "write full per-trial results as JSONL to this file")
 		summaryPath = flag.String("summary", "", `write the mergeable agg.Summary JSON to this file ("-" = stdout)`)

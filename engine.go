@@ -232,12 +232,12 @@ func (c *laneCell) grow(n int) {
 }
 
 // runCoreLane is the batched hot path, where core.LaneWidth chose a lane
-// (a table-backed kernel) of width b: each block of b trials runs as one
-// core.RunLane call on a worker, and the delivery unpacks blocks back
-// into per-trial callbacks in strict trial order. Trial i draws the
-// scalar stream of the (Seed, Experiment, i) lineage in the scalar order,
-// so results are byte-identical to the unbatched path's for any Batch,
-// Workers or sharding.
+// (the standard law on a table-backed kernel) of width b: each block of b
+// trials runs as one core.RunLane call on a worker, and the delivery
+// unpacks blocks back into per-trial callbacks in strict trial order.
+// Trial i draws the scalar stream of the (Seed, Experiment, i) lineage in
+// the scalar order, so results are byte-identical to the unbatched path's
+// for any Batch, Workers or sharding.
 func (e Engine) runCoreLane(ctx context.Context, rn *walk.Runner, cp *coreProcess, g Graph, job Job, opt core.Options, b int, each func(Trial) error) error {
 	// Validate keeps end within int; the block count and each block's
 	// length are computed so that nothing else can overflow either.

@@ -161,3 +161,38 @@ func TestCapacityEpochWrap(t *testing.T) {
 		}
 	}
 }
+
+// A Scratch that grows its occupancy map for a larger graph must not
+// revive the counts an earlier, smaller run stamped. Five capacity runs
+// fill every vertex of a clique to its capacity; a standard run on a
+// larger clique regrows the map; three standard runs on the small clique
+// follow. The last capacity run must still match a fresh Scratch's: a
+// stale full count on every vertex would settle every particle on the
+// origin.
+func TestCapacityCountsAcrossRegrow(t *testing.T) {
+	small, large := graph.Complete(20), graph.Complete(40)
+	opt := Options{Capacity: 3}
+	s := NewScratch()
+	var res Result
+	for i := 0; i < 5; i++ {
+		if err := CapacitySequentialInto(small, 0, opt, rng.New(uint64(i)), s, &res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range []graph.Graph{large, small, small, small} {
+		if err := SequentialInto(g, 0, Options{}, rng.New(1), s, &res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := CapacitySequentialInto(small, 0, opt, rng.New(7), s, &res); err != nil {
+		t.Fatal(err)
+	}
+	want, err := runOnce(CapacitySequentialInto, small, 0, opt, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultsEqual(&res, want) {
+		t.Fatalf("reused Scratch: dispersion %d, %d total steps; fresh Scratch: %d, %d",
+			res.Dispersion, res.TotalSteps, want.Dispersion, want.TotalSteps)
+	}
+}

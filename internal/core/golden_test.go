@@ -311,10 +311,10 @@ func goldenContinuous(into func(graph.Graph, int, Options, *rng.Source, *Scratch
 
 // goldenLane runs six trials through a width-4 lane, so slots retire and
 // rehost, or, when scalar is set, the same six seeds one after another
-// through the scalar Sequential loop under the same law: the two runs must
-// fold to one digest. The lane rejects the Record and Rule option sets
+// through the scalar Sequential loop: the two runs must fold to one
+// digest. The lane rejects the Record and Rule option sets
 // (TestLaneErrors), so both runs skip them.
-func goldenLane(variant LaneVariant, scalar bool) goldenRun {
+func goldenLane(scalar bool) goldenRun {
 	return func(h goldenHash, g graph.Graph, opt Options, seed uint64, s *Scratch) {
 		if opt.Record || opt.Rule != nil {
 			return
@@ -331,11 +331,11 @@ func goldenLane(variant LaneVariant, scalar bool) goldenRun {
 			// Only the law's validation can fail, and it fails every
 			// trial alike, before writing a result.
 			for i := 0; i < len(seeds) && err == nil; i++ {
-				err = sequential(g, 0, opt, variant, rng.New(seeds[i]), s, outs[i])
+				err = SequentialInto(g, 0, opt, rng.New(seeds[i]), s, outs[i])
 			}
 		} else {
 			opt.Batch = 4
-			err = RunLane(g, 0, opt, variant, seeds, s, outs)
+			err = RunLane(g, 0, opt, LaneStandard, seeds, s, outs)
 		}
 		h.err(err)
 		for _, res := range outs {
@@ -403,9 +403,11 @@ func goldenSets() []struct {
 }
 
 // TestGoldenDigests checks every process's output against its pinned
-// digests, and every lane law's output against the scalar loop's: RunLane
-// steps its lane superstep on every kernel of the five sets, the shared
-// stepLane loop of the kernels that compute their neighbour among them.
+// digests, and the lane's output against the scalar Sequential loop's:
+// RunLane steps its lane superstep on every kernel of the five sets, the
+// shared stepLane loop of the kernels that compute their neighbour among
+// them. The lane runs only the standard law; a batched job under any
+// other law is its unbatched twin.
 func TestGoldenDigests(t *testing.T) {
 	for _, set := range goldenSets() {
 		for _, p := range goldenProcesses() {
@@ -413,14 +415,10 @@ func TestGoldenDigests(t *testing.T) {
 				t.Errorf("%s on %s: digest %s, pinned %s", p.name, set.name, got, want)
 			}
 		}
-		for name, variant := range map[string]LaneVariant{
-			"standard": LaneStandard, "geom": LaneGeom, "threshold": LaneThreshold, "capacity": LaneCapacity,
-		} {
-			lane := goldenDigest(goldenProcess{"lane", goldenLane(variant, false)}, set.graphs)
-			scalar := goldenDigest(goldenProcess{"scalar", goldenLane(variant, true)}, set.graphs)
-			if lane != scalar {
-				t.Errorf("lane law %s on %s: digest %s, scalar loop's %s", name, set.name, lane, scalar)
-			}
+		lane := goldenDigest(goldenProcess{"lane", goldenLane(false)}, set.graphs)
+		scalar := goldenDigest(goldenProcess{"scalar", goldenLane(true)}, set.graphs)
+		if lane != scalar {
+			t.Errorf("lane on %s: digest %s, scalar loop's %s", set.name, lane, scalar)
 		}
 	}
 }

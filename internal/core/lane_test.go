@@ -51,43 +51,31 @@ func resultsEqual(a, b *Result) bool {
 	return true
 }
 
-// laneVariants enumerates every batched law with its options.
-func laneVariants() map[string]struct {
-	variant LaneVariant
-	opt     Options
-} {
-	return map[string]struct {
-		variant LaneVariant
-		opt     Options
-	}{
-		"standard":         {LaneStandard, Options{}},
-		"standard-lazy":    {LaneStandard, Options{Lazy: true}},
-		"standard-origins": {LaneStandard, Options{RandomOrigins: true}},
-		"standard-partial": {LaneStandard, Options{Particles: 5}},
-		"geom":             {LaneGeom, Options{}},
-		"geom-lazy":        {LaneGeom, Options{Lazy: true, SettleParam: 0.25}},
-		"threshold":        {LaneThreshold, Options{}},
-		"threshold-short":  {LaneThreshold, Options{SettleParam: 3}},
-		"capacity":         {LaneCapacity, Options{}},
-		"capacity-3":       {LaneCapacity, Options{Capacity: 3, RandomOrigins: true}},
+// laneOptions enumerates the option sets the lane tests run the standard
+// law, the lane's one law, under.
+func laneOptions() map[string]Options {
+	return map[string]Options{
+		"standard":         {},
+		"standard-lazy":    {Lazy: true},
+		"standard-origins": {RandomOrigins: true},
+		"standard-partial": {Particles: 5},
 	}
 }
 
 // TestLaneBatchInvariance pins the core stream law of the batched mode:
 // a trial's result is what the scalar Sequential loop gives a Source
-// seeded with the trial's seed, so every batch width yields it, for every
-// variant, on closed-form and table-backed kernels alike.
+// seeded with the trial's seed, so every batch width yields it, under
+// every option set, on closed-form and table-backed kernels alike.
 func TestLaneBatchInvariance(t *testing.T) {
 	seeds := laneSeeds(24)
 	for _, g := range []graph.Graph{graph.Complete(16), graph.Grid([]int{4, 5}, true), graph.CliqueWithHair(9)} {
-		for name, tc := range laneVariants() {
-			opt := tc.opt
+		for name, opt := range laneOptions() {
 			for _, b := range []int{1, 3, 8, 64} {
 				opt.Batch = b
-				got := runLane(t, g, 0, opt, tc.variant, seeds)
+				got := runLane(t, g, 0, opt, LaneStandard, seeds)
 				for i, seed := range seeds {
 					var want Result
-					if err := sequential(g, 0, opt, tc.variant, rng.New(seed), nil, &want); err != nil {
+					if err := SequentialInto(g, 0, opt, rng.New(seed), nil, &want); err != nil {
 						t.Fatal(err)
 					}
 					if !resultsEqual(got[i], &want) {
@@ -100,53 +88,48 @@ func TestLaneBatchInvariance(t *testing.T) {
 }
 
 // TestLaneScratchAcrossLayouts reuses one Scratch for width-1 lanes that
-// lay out different rows: occupancy stamps under the standard law, counts
-// under the capacity law. In each sequence the middle run takes 254
-// trials, so the last run's first trial reuses the first run's last
-// epoch: a stamp or count that outlived the middle run would collide
-// with it. Every run must match a run on a fresh Scratch.
+// alternate between a small and a large graph, so the slot's occupancy
+// map regrows and then serves the small graph again. The second run takes
+// 254 trials, so the third run's first trial reuses the first run's last
+// epoch: a stamp that outlived the second run would collide with it.
+// Every run must match a run on a fresh Scratch.
 func TestLaneScratchAcrossLayouts(t *testing.T) {
-	g := graph.CliqueWithHair(9) // the csr kernel, which steps a lane
+	// The csr kernel, which steps a lane, on 9 and 17 vertices.
+	small, large := graph.CliqueWithHair(9), graph.CliqueWithHair(17)
 	// A stale stamp on every vertex would walk forever; the budget turns
 	// it into a truncated trial.
 	opt := Options{Batch: 1, Particles: 7, MaxSteps: 1 << 16}
-	for i, seq := range [][3]LaneVariant{
-		{LaneStandard, LaneCapacity, LaneStandard},
-		{LaneCapacity, LaneStandard, LaneCapacity},
-	} {
-		s := NewScratch()
-		for r, variant := range seq {
-			seeds := laneSeeds(300)
-			if r == 1 {
-				seeds = seeds[:254]
-			}
-			want := runLane(t, g, 0, opt, variant, seeds)
-			outs := make([]*Result, len(seeds))
-			for k := range outs {
-				outs[k] = new(Result)
-			}
-			if err := RunLane(g, 0, opt, variant, seeds, s, outs); err != nil {
-				t.Fatal(err)
-			}
-			for k := range outs {
-				if !resultsEqual(outs[k], want[k]) {
-					t.Fatalf("sequence %d, run %d: trial %d differs from a fresh Scratch's", i, r, k)
-				}
+	s := NewScratch()
+	for r, g := range []graph.Graph{small, large, small, large} {
+		seeds := laneSeeds(300)
+		if r == 1 {
+			seeds = seeds[:254]
+		}
+		want := runLane(t, g, 0, opt, LaneStandard, seeds)
+		outs := make([]*Result, len(seeds))
+		for k := range outs {
+			outs[k] = new(Result)
+		}
+		if err := RunLane(g, 0, opt, LaneStandard, seeds, s, outs); err != nil {
+			t.Fatal(err)
+		}
+		for k := range outs {
+			if !resultsEqual(outs[k], want[k]) {
+				t.Fatalf("run %d on %s: trial %d differs from a fresh Scratch's", r, g.Name(), k)
 			}
 		}
 	}
 }
 
-// TestLaneResultsCheck validates every variant's batched results against
+// TestLaneResultsCheck validates every option set's batched results against
 // the structural run invariants (full occupancy, clock monotonicity,
 // dispersion = max steps).
 func TestLaneResultsCheck(t *testing.T) {
 	seeds := laneSeeds(16)
 	g := graph.Grid([]int{3, 4}, true) // the regular kernel, which steps a lane
-	for name, tc := range laneVariants() {
-		opt := tc.opt
+	for name, opt := range laneOptions() {
 		opt.Batch = 8
-		for _, res := range runLane(t, g, 0, opt, tc.variant, seeds) {
+		for _, res := range runLane(t, g, 0, opt, LaneStandard, seeds) {
 			if res.Truncated {
 				t.Fatalf("%s: unexpected truncation", name)
 			}
@@ -195,59 +178,24 @@ func TestLaneTruncation(t *testing.T) {
 	g := graph.Grid([]int{8, 8}, true) // the regular kernel, which steps a lane
 	seeds := laneSeeds(32)
 	opt := Options{Batch: 8, MaxSteps: 50}
-	for name, variant := range map[string]LaneVariant{
-		"standard": LaneStandard, "geom": LaneGeom, "capacity": LaneCapacity,
-	} {
-		for _, res := range runLane(t, g, 0, opt, variant, seeds) {
-			if !res.Truncated {
-				continue
-			}
-			var sum int64
-			for _, s := range res.Steps {
-				sum += s
-			}
-			if sum != res.TotalSteps {
-				t.Fatalf("%s: truncated TotalSteps %d != sum of Steps %d", name, res.TotalSteps, sum)
-			}
-			if res.TotalSteps < opt.MaxSteps {
-				t.Fatalf("%s: truncated below the budget: %d < %d", name, res.TotalSteps, opt.MaxSteps)
-			}
-			if unsettled(res) == 0 {
-				t.Fatalf("%s: truncated run settled everything", name)
-			}
-		}
-	}
 	// On a 64-vertex torus, dispersing all 64 particles within 50 total
 	// steps is impossible, so every trial must truncate.
 	for _, res := range runLane(t, g, 0, opt, LaneStandard, seeds) {
 		if !res.Truncated {
-			t.Fatal("standard: 64-vertex torus trial completed under a 50-step budget")
+			t.Fatal("64-vertex torus trial completed under a 50-step budget")
 		}
-	}
-}
-
-// TestLaneCapacityVector runs the batched capacity process under a
-// per-vertex capacity vector and checks the aggregate fills each vertex
-// to exactly its own capacity.
-func TestLaneCapacityVector(t *testing.T) {
-	g := graph.Star(4) // the csr kernel, which steps a lane
-	caps := []int{3, 1, 2, 5}
-	opt := Options{Batch: 4, Capacities: caps}
-	for _, res := range runLane(t, g, 0, opt, LaneCapacity, laneSeeds(12)) {
-		if res.Capacity != 5 {
-			t.Fatalf("Result.Capacity = %d, want the vector max 5", res.Capacity)
+		var sum int64
+		for _, s := range res.Steps {
+			sum += s
 		}
-		if len(res.Steps) != 11 {
-			t.Fatalf("ran %d particles, want the summed capacity 11", len(res.Steps))
+		if sum != res.TotalSteps {
+			t.Fatalf("truncated TotalSteps %d != sum of Steps %d", res.TotalSteps, sum)
 		}
-		hosts := make([]int, g.N())
-		for _, v := range res.SettledAt {
-			hosts[v]++
+		if res.TotalSteps < opt.MaxSteps {
+			t.Fatalf("truncated below the budget: %d < %d", res.TotalSteps, opt.MaxSteps)
 		}
-		for v, c := range caps {
-			if hosts[v] != c {
-				t.Fatalf("vertex %d hosts %d particles, want its capacity %d", v, hosts[v], c)
-			}
+		if unsettled(res) == 0 {
+			t.Fatal("truncated run settled everything")
 		}
 	}
 }
@@ -287,7 +235,8 @@ func TestScalarCapacityVector(t *testing.T) {
 }
 
 // TestCapacityVectorErrors checks the vector validation shared by the
-// scalar and batched paths.
+// scalar and batched paths. A batched capacity job runs unbatched, so
+// LaneWidth, which decides it, is what must reject it.
 func TestCapacityVectorErrors(t *testing.T) {
 	g := graph.Complete(4)
 	for name, opt := range map[string]Options{
@@ -301,9 +250,8 @@ func TestCapacityVectorErrors(t *testing.T) {
 			t.Fatalf("%s: scalar run succeeded", name)
 		}
 		opt.Batch = 2
-		outs := []*Result{new(Result)}
-		if err := RunLane(g, 0, opt, LaneCapacity, []uint64{1}, nil, outs); err == nil {
-			t.Fatalf("%s: lane run succeeded", name)
+		if _, err := LaneWidth(g, 0, opt, LaneCapacity, 1, 1); err == nil {
+			t.Fatalf("%s: batched job accepted", name)
 		}
 	}
 }
@@ -326,6 +274,11 @@ func TestLaneErrors(t *testing.T) {
 		"rule":          {Options{Batch: 2, Rule: func(int32, int64) bool { return true }}, LaneStandard, seeds, outs, "settle rule"},
 		"mismatch":      {Options{Batch: 2}, LaneStandard, []uint64{1, 2}, outs, "seeds"},
 		"none variant":  {Options{Batch: 2}, LaneNone, seeds, outs, "no batched form"},
+		// The other laws pass validation, and their batched jobs run
+		// unbatched (TestLaneWidth): the lane runs only the standard law.
+		"geom variant":      {Options{Batch: 2}, LaneGeom, seeds, outs, "standard Sequential law"},
+		"threshold variant": {Options{Batch: 2}, LaneThreshold, seeds, outs, "standard Sequential law"},
+		"capacity variant":  {Options{Batch: 2}, LaneCapacity, seeds, outs, "standard Sequential law"},
 	} {
 		err := RunLane(g, 0, tc.opt, tc.variant, tc.seeds, nil, tc.outs)
 		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
@@ -337,21 +290,15 @@ func TestLaneErrors(t *testing.T) {
 	}
 	// A large table-backed graph times a wide lane overflows the occupancy
 	// bound before anything is allocated (the width only reaches Batch
-	// when enough seeds are pending): a cell costs a byte under the
-	// standard law and a four-byte count under the capacity law.
+	// when enough seeds are pending): a slot's map costs a byte a vertex.
 	grid := graph.Grid([]int{257, 256}, true) // the regular kernel, n = 65,792
-	for _, c := range []struct {
-		variant LaneVariant
-		width   int
-	}{{LaneStandard, 4096}, {LaneCapacity, 1024}} {
-		wide := make([]*Result, c.width)
-		for i := range wide {
-			wide[i] = new(Result)
-		}
-		if err := RunLane(grid, 0, Options{Batch: c.width, Particles: 1}, c.variant, laneSeeds(c.width), nil, wide); err == nil ||
-			!strings.Contains(err.Error(), "occupancy") {
-			t.Fatalf("occupancy bound at width %d: err = %v", c.width, err)
-		}
+	wide := make([]*Result, 4096)
+	for i := range wide {
+		wide[i] = new(Result)
+	}
+	if err := RunLane(grid, 0, Options{Batch: len(wide), Particles: 1}, LaneStandard, laneSeeds(len(wide)), nil, wide); err == nil ||
+		!strings.Contains(err.Error(), "occupancy") {
+		t.Fatalf("occupancy bound at width %d: err = %v", len(wide), err)
 	}
 	// A closed-form kernel steps the same lane rows when RunLane is
 	// called directly, so the bound applies there too (the engine runs
@@ -372,25 +319,30 @@ func TestLaneErrors(t *testing.T) {
 	}
 }
 
-// TestLaneGeomDefaultMatchesScalarParams checks geom and threshold
-// parameter validation flows through the lane path.
+// TestLaneParamErrors checks that the lane validates the geom and
+// threshold parameters, as LaneWidth does, before it turns those laws
+// away.
 func TestLaneParamErrors(t *testing.T) {
 	g := graph.Complete(4)
 	outs := []*Result{new(Result)}
-	if err := RunLane(g, 0, Options{Batch: 2, SettleParam: 1.5}, LaneGeom, []uint64{1}, nil, outs); err == nil {
-		t.Fatal("geom q > 1 accepted")
+	if err := RunLane(g, 0, Options{Batch: 2, SettleParam: 1.5}, LaneGeom, []uint64{1}, nil, outs); err == nil ||
+		!strings.Contains(err.Error(), "settle probability") {
+		t.Fatalf("geom q > 1: err = %v", err)
 	}
-	if err := RunLane(g, 0, Options{Batch: 2, SettleParam: -1}, LaneThreshold, []uint64{1}, nil, outs); err == nil {
-		t.Fatal("negative threshold accepted")
+	if err := RunLane(g, 0, Options{Batch: 2, SettleParam: -1}, LaneThreshold, []uint64{1}, nil, outs); err == nil ||
+		!strings.Contains(err.Error(), "settle threshold") {
+		t.Fatalf("negative threshold: err = %v", err)
 	}
 }
 
 // TestLaneWidth holds LaneWidth, the engine's one decision about a
-// batched job, to its rules: no lane (0) on a kernel that computes its
-// neighbour; on a table-backed kernel the smallest of the batch cap,
-// ⌈trials/workers⌉ and the memory bound, which every width it returns
-// keeps; 0 when not one slot fits; and the batched form's rejections.
-// The memory cases only compute widths, so nothing large is allocated.
+// batched job, to its rules: no lane (0) for a law other than the
+// standard one, on any kernel, nor on a kernel that computes its
+// neighbour; for the standard law on a table-backed kernel the smallest
+// of the batch cap, ⌈trials/workers⌉ and the memory bound, which every
+// width it returns keeps; 0 when not one slot fits; and the batched
+// form's rejections. The memory cases only compute widths, so nothing
+// large is allocated.
 func TestLaneWidth(t *testing.T) {
 	must := func(g graph.Graph, err error) graph.Graph {
 		t.Helper()
@@ -399,16 +351,31 @@ func TestLaneWidth(t *testing.T) {
 		}
 		return g
 	}
-	for _, g := range []graph.Graph{
+	computed := []graph.Graph{
 		graph.Complete(12), graph.ImplicitCycle(14), graph.ImplicitPath(9), graph.ImplicitHypercube(4),
 		must(graph.ImplicitTorus([]int{4, 3})), must(graph.ImplicitCirculant(13, []int{1, 4})),
 		must(graph.ImplicitRandomRegular(14, 4, 3)),
-	} {
+	}
+	tables := []graph.Graph{
+		graph.CliqueWithHair(9), graph.Grid([]int{4, 4}, true),
+		must(graph.WeightedComplete(10, 1)), must(graph.WeightedCycle(7, 3)),
+	}
+	for _, g := range computed {
 		if graph.LaneGathers(g.Kernel()) {
 			t.Fatalf("%s: kernel %s steps a lane", g.Name(), g.Kernel().Kind())
 		}
-		if w, err := LaneWidth(g, 0, Options{Batch: 64}, LaneStandard, 1000, 2); w != 0 || err != nil {
-			t.Fatalf("%s (%s): width %d, err %v; want 0, nil", g.Name(), g.Kernel().Kind(), w, err)
+	}
+	for _, g := range tables {
+		if !graph.LaneGathers(g.Kernel()) {
+			t.Fatalf("%s: kernel %s steps no lane", g.Name(), g.Kernel().Kind())
+		}
+	}
+	for _, g := range append(computed, tables...) {
+		for _, variant := range []LaneVariant{LaneStandard, LaneGeom, LaneThreshold, LaneCapacity} {
+			lane := variant == LaneStandard && graph.LaneGathers(g.Kernel())
+			if w, err := LaneWidth(g, 0, Options{Batch: 64}, variant, 1000, 2); err != nil || (w != 0) != lane {
+				t.Fatalf("%s (%s), variant %d: width %d, err %v; want a lane %v", g.Name(), g.Kernel().Kind(), variant, w, err, lane)
+			}
 		}
 	}
 
@@ -416,10 +383,11 @@ func TestLaneWidth(t *testing.T) {
 	// kernel), about 1 MiB of tables.
 	grid := graph.Grid([]int{257, 256}, true)
 	n := int64(grid.N())
-	// bound is the widest block whose lane rows on every worker and whose
-	// results in the 4·workers blocks awaiting delivery fit together.
-	bound := func(rowBytes int64, k, workers int) int {
-		return int(laneMaxOccBytes / (int64(workers) * (rowBytes + 4*(laneTrialBytes+laneParticleBytes*int64(k)))))
+	// bound is the widest block whose slots' occupancy maps on every
+	// worker and whose results in the 4·workers blocks awaiting delivery
+	// fit together.
+	bound := func(n int64, k, workers int) int {
+		return int(laneMaxOccBytes / (int64(workers) * (n + 4*(laneTrialBytes+laneParticleBytes*int64(k)))))
 	}
 	for _, tc := range []struct {
 		name            string
@@ -432,10 +400,9 @@ func TestLaneWidth(t *testing.T) {
 		{"cap binds", graph.CliqueWithHair(9), Options{Batch: 8}, LaneStandard, 1000, 2, 8},
 		{"trials bind", graph.CliqueWithHair(9), Options{Batch: 64}, LaneStandard, 40, 2, 20},
 		{"trials round up", graph.CliqueWithHair(9), Options{Batch: 64}, LaneStandard, 41, 2, 21},
-		{"one trial", graph.Grid([]int{4, 4}, true), Options{Batch: 64}, LaneGeom, 1, 3, 1},
-		{"alias kernel", must(graph.WeightedComplete(10, 1)), Options{Batch: 64}, LaneCapacity, 1 << 20, 4, 64},
-		{"occupancy rows bind", grid, Options{Batch: maxBatch, Particles: 1}, LaneStandard, 1 << 30, 2, bound(n, 1, 2)},
-		{"count rows bind", grid, Options{Batch: maxBatch, Particles: 1}, LaneCapacity, 1 << 30, 2, bound(4*n, 1, 2)},
+		{"one trial", graph.Grid([]int{4, 4}, true), Options{Batch: 64}, LaneStandard, 1, 3, 1},
+		{"alias kernel", must(graph.WeightedComplete(10, 1)), Options{Batch: 64}, LaneStandard, 1 << 20, 4, 64},
+		{"occupancy maps bind", grid, Options{Batch: maxBatch, Particles: 1}, LaneStandard, 1 << 30, 2, bound(n, 1, 2)},
 		{"results bind", grid, Options{Batch: maxBatch}, LaneStandard, 1 << 30, 2, bound(n, grid.N(), 2)},
 		{"no slot fits", grid, Options{Batch: maxBatch}, LaneStandard, 1 << 30, 64, 0},
 	} {
@@ -451,14 +418,14 @@ func TestLaneWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slot := int64(tc.workers) * (laneRowBytes(tc.g.N(), tc.variant) + 4*(laneTrialBytes+laneParticleBytes*int64(lw.k)))
+		slot := int64(tc.workers) * (int64(tc.g.N()) + 4*(laneTrialBytes+laneParticleBytes*int64(lw.k)))
 		if int64(w)*slot > laneMaxOccBytes {
 			t.Fatalf("%s: width %d holds %d bytes, over %d", tc.name, w, int64(w)*slot, laneMaxOccBytes)
 		}
 	}
 	// In the cases named for it, the memory bound binds: it is narrower
 	// than the cap (maxBatch), which is narrower than the trial share.
-	for _, w := range []int{bound(n, 1, 2), bound(4*n, 1, 2), bound(n, grid.N(), 2)} {
+	for _, w := range []int{bound(n, 1, 2), bound(n, grid.N(), 2)} {
 		if w < 1 || w >= maxBatch {
 			t.Fatalf("memory bound %d does not bind below the cap %d", w, maxBatch)
 		}

@@ -71,17 +71,13 @@ func (res *Result) Check(g graph.Graph) error {
 		}
 	}
 	if res.Trajectories != nil {
-		ec, hasEC := g.(graph.EdgeChecker)
-		if !hasEC {
-			return fmt.Errorf("core: %s backend cannot verify recorded trajectories (no edge test)", g.Name())
-		}
 		for i, traj := range res.Trajectories {
 			if int64(len(traj)) != res.Steps[i]+1 {
 				return fmt.Errorf("core: particle %d trajectory length %d != steps+1 %d",
 					i, len(traj), res.Steps[i]+1)
 			}
 			for j := 1; j < len(traj); j++ {
-				if traj[j] != traj[j-1] && !ec.HasEdge(int(traj[j-1]), int(traj[j])) {
+				if traj[j] != traj[j-1] && !g.HasEdge(int(traj[j-1]), int(traj[j])) {
 					return fmt.Errorf("core: particle %d trajectory has non-edge %d->%d",
 						i, traj[j-1], traj[j])
 				}

@@ -20,7 +20,7 @@
 // once per run from the Options. The four Sequential-family processes run
 // through one particle loop under their law, and Parallel and
 // CapacityParallel through one round loop; the batched lane (RunLane)
-// resolves the same laws. Every walk step dispatches through the step
+// runs the standard law alone. Every walk step dispatches through the step
 // Kernel the graph selected at build time (closed-form for arithmetic
 // families, fused CSR otherwise), which is likewise draw-for-draw
 // identical to the generic CSR lookup, at the coarsest grain the process
@@ -104,13 +104,13 @@ type Options struct {
 	// particles disperse; Result.Capacity reports the vector's maximum.
 	// Nil selects the uniform law.
 	Capacities []int
-	// Batch selects the batched execution mode and caps its width: on a
-	// table-backed kernel the engine steps blocks of at most Batch trials
-	// through a SoA lane (see LaneWidth), and every other batched job runs
-	// the unbatched path. Zero (the default) is the unbatched path. A
-	// batched trial draws its scalar stream in the scalar order (see rng's
-	// stream law), so Batch changes no result. Only the Sequential-family
-	// processes have a batched form.
+	// Batch selects the batched execution mode and caps its width: under
+	// the standard law on a table-backed kernel the engine steps blocks of
+	// at most Batch trials through a SoA lane (see LaneWidth), and every
+	// other batched job runs the unbatched path. Zero (the default) is the
+	// unbatched path. A batched trial draws its scalar stream in the
+	// scalar order (see rng's stream law), so Batch changes no result.
+	// Only the Sequential-family processes have a batched form.
 	Batch int
 }
 
@@ -365,7 +365,7 @@ func sequential(g graph.Graph, origin int, opt Options, variant LaneVariant, r *
 			}
 			var walked int64
 			if owed == 0 && fused {
-				v, walked = kern.WalkUntilVacant(v, opt.Lazy, s.occ, s.epoch, budget, r)
+				v, walked = kern.WalkUntilVacant(v, opt.Lazy, s.dense.occ, s.dense.epoch, budget, r)
 			} else {
 				v, walked = s.walk(kern, v, owed, opt.Lazy, budget, r, traj)
 			}
@@ -462,7 +462,7 @@ func parallel(g graph.Graph, origin int, opt Options, variant LaneVariant, r *rn
 			res.Trajectories[i] = []int32{pos[i]}
 		}
 	}
-	dense, occ, epoch := !s.sparse, s.occ, s.epoch
+	dense, occ, epoch := !s.sparse, s.dense.occ, s.dense.epoch
 	var round int64
 	for {
 		keep := active[:0]

@@ -82,9 +82,9 @@ func (s *Scratch) walk(kern graph.Kernel, v int32, owed int64, lazy bool, budget
 					return v, steps
 				}
 			case traj == nil:
-				end, walked := kern.WalkUntilVacant(v, lazy, s.occ, s.epoch, budget-steps, r)
+				end, walked := kern.WalkUntilVacant(v, lazy, s.dense.occ, s.dense.epoch, budget-steps, r)
 				return end, steps + walked
-			case s.occ[v] != s.epoch:
+			case !s.dense.has(v):
 				return v, steps
 			}
 		}

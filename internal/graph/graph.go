@@ -42,21 +42,14 @@ type Graph interface {
 	// computed (or known analytically) at construction time, so the call
 	// is free in per-trial input validation.
 	IsConnected() bool
-}
-
-// EdgeChecker is the optional adjacency test a backend may provide on top
-// of Graph; both CSR and Implicit do. Recorded-trajectory validation uses
-// it (core.Result.Check).
-type EdgeChecker interface {
-	// HasEdge reports whether {u, v} is an edge.
+	// HasEdge reports whether {u, v} is an edge. Recorded-trajectory
+	// validation uses it (core.Result.Check).
 	HasEdge(u, v int) bool
 }
 
 var (
-	_ Graph       = (*CSR)(nil)
-	_ EdgeChecker = (*CSR)(nil)
-	_ Graph       = (*Implicit)(nil)
-	_ EdgeChecker = (*Implicit)(nil)
+	_ Graph = (*CSR)(nil)
+	_ Graph = (*Implicit)(nil)
 )
 
 // CSR is an undirected, unweighted graph in CSR form. The neighbour list

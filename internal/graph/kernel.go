@@ -87,13 +87,14 @@ type Kernel interface {
 	Kind() string
 }
 
-// LaneGathers reports whether a batched job on k runs a lane: true for
-// the table-backed kernels, whose step loads adjacency or alias memory
-// (csr, regular, walias, wcomplete), where stepping many slots at once
-// overlaps their cache misses. Every other kernel computes its neighbour,
-// so there is no miss to overlap, and a batched job on it runs the
-// unbatched path, which draws the same streams. core.LaneWidth, the one
-// place that decides how a batched job runs, asks it.
+// LaneGathers reports whether a batched standard-law job on k runs a
+// lane: true for the table-backed kernels, whose step loads adjacency or
+// alias memory (csr, regular, walias, wcomplete), where stepping many
+// slots at once overlaps their cache misses. Every other kernel computes
+// its neighbour, so there is no miss to overlap, and a batched job on it
+// runs the unbatched path, which draws the same streams, as a batched job
+// under any other law does on every kernel. core.LaneWidth, the one place
+// that decides how a batched job runs, asks it.
 func LaneGathers(k Kernel) bool {
 	switch k.(type) {
 	case csrKernel, regularKernel, weightedKernel, weightedCompleteKernel:

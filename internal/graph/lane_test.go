@@ -84,10 +84,6 @@ func rowWeights(g *WeightedCSR, v int) []float64 {
 // edge (or, lazily, stays put).
 func TestStepLaneMovesToNeighbors(t *testing.T) {
 	for name, g := range laneFamilies(t) {
-		ec, ok := g.(EdgeChecker)
-		if !ok {
-			t.Fatalf("%s: no EdgeChecker", name)
-		}
 		kern := g.Kernel()
 		for _, lazy := range []bool{false, true} {
 			var lane rng.LaneSource
@@ -108,12 +104,12 @@ func TestStepLaneMovesToNeighbors(t *testing.T) {
 				for _, j := range idx[:width-round%3] {
 					if pos[j] == prev[j] {
 						if !lazy && g.Degree(int(prev[j])) > 0 &&
-							!ec.HasEdge(int(prev[j]), int(pos[j])) {
+							!g.HasEdge(int(prev[j]), int(pos[j])) {
 							t.Fatalf("%s lazy=%v: slot %d stayed at %d without laziness", name, lazy, j, prev[j])
 						}
 						continue
 					}
-					if !ec.HasEdge(int(prev[j]), int(pos[j])) {
+					if !g.HasEdge(int(prev[j]), int(pos[j])) {
 						t.Fatalf("%s lazy=%v: slot %d moved %d -> %d (not an edge)", name, lazy, j, prev[j], pos[j])
 					}
 				}
@@ -186,9 +182,8 @@ func TestStepLaneDistribution(t *testing.T) {
 				want[u] = ws[i] / sum
 			}
 		} else {
-			ec := g.(EdgeChecker)
 			for u := 0; u < g.N(); u++ {
-				if ec.HasEdge(v, u) {
+				if g.HasEdge(v, u) {
 					want[int32(u)] = 1 / float64(d)
 				}
 			}

@@ -28,8 +28,8 @@ import (
 // HasEdge. The weights themselves are dropped once the alias tables are
 // built: no walk reads them.
 //
-// WeightedCSR implements Graph and EdgeChecker, so every registered
-// dispersion process runs on weighted backends unchanged.
+// WeightedCSR implements Graph, so every registered dispersion process
+// runs on weighted backends unchanged.
 type WeightedCSR struct {
 	csr    *CSR
 	prob   []float64 // alias acceptance probability per adjacency slot
@@ -37,10 +37,7 @@ type WeightedCSR struct {
 	kernel Kernel
 }
 
-var (
-	_ Graph       = (*WeightedCSR)(nil)
-	_ EdgeChecker = (*WeightedCSR)(nil)
-)
+var _ Graph = (*WeightedCSR)(nil)
 
 // N returns the number of vertices.
 func (g *WeightedCSR) N() int { return g.csr.N() }

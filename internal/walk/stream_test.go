@@ -24,7 +24,7 @@ func TestStreamOrderAndDeterminism(t *testing.T) {
 		rn := NewRunner(42, 7)
 		rn.SetWorkers(workers)
 		out := make([]float64, 0, trials)
-		err := Stream(context.Background(), rn, trials,
+		err := StreamFrom(context.Background(), rn, 0, trials,
 			func(i int, r *rng.Source) (float64, error) {
 				return float64(i)*1e9 + float64(r.Intn(1000)), nil
 			},
@@ -54,7 +54,7 @@ func TestStreamMatchesRun(t *testing.T) {
 	fn := func(i int, r *rng.Source) float64 { return r.Float64() }
 	want := NewRunner(3, 9).Run(trials, fn)
 	got := make([]float64, trials)
-	err := Stream(context.Background(), NewRunner(3, 9), trials,
+	err := StreamFrom(context.Background(), NewRunner(3, 9), 0, trials,
 		func(i int, r *rng.Source) (float64, error) { return fn(i, r), nil },
 		func(i int, v float64) error { got[i] = v; return nil })
 	if err != nil {
@@ -70,7 +70,7 @@ func TestStreamFnError(t *testing.T) {
 	rn := NewRunner(1, 1)
 	rn.SetWorkers(4)
 	delivered := 0
-	err := Stream(context.Background(), rn, 1000,
+	err := StreamFrom(context.Background(), rn, 0, 1000,
 		func(i int, r *rng.Source) (int, error) {
 			if i == 10 {
 				return 0, sentinel
@@ -93,7 +93,7 @@ func TestStreamEachError(t *testing.T) {
 	rn := NewRunner(1, 1)
 	rn.SetWorkers(4)
 	delivered := 0
-	err := Stream(context.Background(), rn, 1000,
+	err := StreamFrom(context.Background(), rn, 0, 1000,
 		func(i int, r *rng.Source) (int, error) { return i, nil },
 		func(i int, v int) error {
 			delivered++
@@ -115,7 +115,7 @@ func TestStreamCancellation(t *testing.T) {
 	rn := NewRunner(1, 1)
 	rn.SetWorkers(2)
 	delivered := 0
-	err := Stream(ctx, rn, 1<<30,
+	err := StreamFrom(ctx, rn, 0, 1<<30,
 		func(i int, r *rng.Source) (int, error) { return i, nil },
 		func(i int, v int) error {
 			delivered++
@@ -141,7 +141,7 @@ func TestStreamFromMatchesSlice(t *testing.T) {
 		return float64(i)*1e9 + float64(r.Intn(1000)), nil
 	}
 	whole := make([]float64, 0, total)
-	if err := Stream(context.Background(), NewRunner(8, 3), total, fn,
+	if err := StreamFrom(context.Background(), NewRunner(8, 3), 0, total, fn,
 		func(i int, v float64) error { whole = append(whole, v); return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestStreamNoSpuriousCancelError(t *testing.T) {
 	rn := NewRunner(1, 1)
 	rn.SetWorkers(4)
 	delivered := 0
-	err := Stream(ctx, rn, trials,
+	err := StreamFrom(ctx, rn, 0, trials,
 		func(i int, r *rng.Source) (int, error) { return i, nil },
 		func(i int, v int) error {
 			delivered++
@@ -199,7 +199,7 @@ func TestStreamNoSpuriousCancelError(t *testing.T) {
 }
 
 func TestStreamZeroTrials(t *testing.T) {
-	if err := Stream(context.Background(), NewRunner(1, 1), 0,
+	if err := StreamFrom(context.Background(), NewRunner(1, 1), 0, 0,
 		func(i int, r *rng.Source) (int, error) { return 0, nil },
 		func(i int, v int) error { return fmt.Errorf("must not be called") }); err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestStreamBoundedWindow(t *testing.T) {
 	rn := NewRunner(1, 1)
 	rn.SetWorkers(4)
 	var maxAhead, deliverCursor atomic.Int64
-	err := Stream(context.Background(), rn, 10000,
+	err := StreamFrom(context.Background(), rn, 0, 10000,
 		func(i int, r *rng.Source) (int, error) {
 			ahead := int64(i) - deliverCursor.Load()
 			for {
@@ -255,7 +255,7 @@ func TestStreamEachRunsOnCaller(t *testing.T) {
 		ranOnCaller := make(chan struct{})
 		var once sync.Once
 		wait, stop := context.WithTimeout(context.Background(), 5*time.Second)
-		err := Stream(context.Background(), rn, 300,
+		err := StreamFrom(context.Background(), rn, 0, 300,
 			func(i int, r *rng.Source) (int, error) {
 				if goid() == caller {
 					once.Do(func() { close(ranOnCaller) })
@@ -298,7 +298,7 @@ func TestStreamSingleWorkerStartsNoGoroutine(t *testing.T) {
 			t.Fatalf("%s of trial %d: %d goroutines, %d before the stream", where, i, n, before)
 		}
 	}
-	err := Stream(context.Background(), rn, 100,
+	err := StreamFrom(context.Background(), rn, 0, 100,
 		func(i int, r *rng.Source) (int, error) { check("fn", i); return i, nil },
 		func(i int, v int) error { check("each", i); return nil })
 	if err != nil {
@@ -320,7 +320,7 @@ func TestStreamCallerPanicStopsHelpers(t *testing.T) {
 					t.Fatalf("%s: no panic reached the caller", where)
 				}
 			}()
-			_ = Stream(context.Background(), rn, 1<<20,
+			_ = StreamFrom(context.Background(), rn, 0, 1<<20,
 				func(i int, r *rng.Source) (int, error) {
 					if where == "fn" && i >= 20 && goid() == caller {
 						panic("fn failed")

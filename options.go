@@ -94,13 +94,15 @@ func WithCapacities(caps []int) Option {
 // unbatched twin draws, seeded by the same (seed, experiment, trial)
 // lineage, in the same order, so the results are byte-identical to the
 // unbatched path's for every b, worker count and trial sharding. Only
-// table-backed kernels (CSR and regular adjacency, the weighted alias
-// tables) run a lane, where a block's trials advance together so their
-// cache misses overlap, worth 2× and more trials/sec where walks are
-// memory-bound. b is only a cap: blocks narrow so that every worker gets
-// one and the lanes and undelivered blocks fit a fixed memory bound.
-// Every other kernel computes its neighbour, so there is no miss to
-// overlap, and a batched job there runs the unbatched path.
+// "sequential" and "lazy-sequential" on a table-backed kernel (CSR and
+// regular adjacency, the weighted alias tables) run a lane, where a
+// block's trials advance together so their cache misses overlap, worth
+// 2× and more trials/sec where walks are memory-bound; on short walks
+// over small tables the lane can lose. b is only a cap: blocks narrow so
+// that every worker gets one and the lanes and undelivered blocks fit a
+// fixed memory bound. Every other batched job is its unbatched twin: a
+// kernel that computes its neighbour has no miss to overlap, and the
+// geometric, threshold and capacity laws have no lane.
 //
 // Only the Sequential-family processes ("sequential", "sequential-geom",
 // "sequential-threshold", "capacity" and their lazy variants) have a

@@ -97,8 +97,10 @@ type coreProcess struct {
 	continuous bool
 	forced     []Option
 	runInto    func(g Graph, origin int, opt core.Options, r *Source, s *core.Scratch, ct *core.CTResult) error
-	// lane names the process's batched settlement law; LaneNone (the zero
-	// value) marks a process WithBatch cannot accelerate.
+	// lane names the process's settlement law, under which a batched job
+	// is validated; LaneNone (the zero value) marks a process WithBatch
+	// rejects. Only LaneStandard runs a lane (core.LaneWidth); a batched
+	// job under any other law is its unbatched twin.
 	lane core.LaneVariant
 }
 

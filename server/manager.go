@@ -99,9 +99,9 @@ type Options struct {
 	// Capacities gives every vertex its own capacity (WithCapacities);
 	// empty leaves the scalar Capacity in charge.
 	Capacities []int `json:"capacities,omitempty"`
-	// Batch caps the blocks of trials stepped together on a table-backed
-	// graph (WithBatch); elsewhere the job runs unbatched. It changes no
-	// result; 0 keeps the unbatched path.
+	// Batch caps the blocks of trials stepped together by a "sequential"
+	// job on a table-backed graph (WithBatch); every other batched job
+	// runs unbatched. It changes no result; 0 keeps the unbatched path.
 	Batch int `json:"batch,omitempty"`
 }
 
